@@ -6,7 +6,7 @@ weights w'(x, y, i) for every coordinate i where the pair differs, subject
 to w'(x, y, i) * w'(y, x, i) >= w(x, y)^2.  The reciprocal of the largest
 geometric-mean load is then a bound on bounded-error quantum query cost.
 
-Protocol (duck-typed, shared with the composed schemes):
+Protocol (duck-typed):
     f            BooleanFunction
     a_side       sorted tuple of 0-input indices appearing in pairs
     b_side       sorted tuple of 1-input indices appearing in pairs
@@ -18,6 +18,11 @@ Protocol (duck-typed, shared with the composed schemes):
                          each record is (partner, w, diffs) and diffs is a
                          tuple of (i, fwd, bwd) over differing coordinates,
                          fwd being w'(source, partner, i)
+
+Two classes implement it: ExplicitScheme stores the pair and
+directional-weight tables, and compose.ComposedScheme reproduces them on
+demand from an outer and an inner scheme.  `balance` returns an
+ExplicitScheme, or its argument when that is already balanced.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .boolfn import BooleanFunction, var_bit
-from .weights import ONE, ZERO, ExactWeight, exact_sum, sqrt_value
+from .weights import ONE, ZERO, ExactWeight, exact_sum
 
 
 class SchemeError(ValueError):
@@ -134,12 +139,6 @@ class ExplicitScheme:
             raise SchemeError(f"pair ({x}, {y}) does not differ at coordinate {i}")
         return entry[i][pick]
 
-    def b_partners(self, x: int) -> tuple[int, ...]:
-        return self._a_group.get(x, ())
-
-    def a_partners(self, y: int) -> tuple[int, ...]:
-        return self._b_group.get(y, ())
-
     def sweep_pairs(self, side: str):
         if side == "a":
             for source in self.a_side:
@@ -161,70 +160,6 @@ class ExplicitScheme:
                 yield source, records
         else:
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-
-
-class ScaledScheme:
-    """A scheme with every A-to-B directional weight multiplied by a factor
-    and every B-to-A directional weight divided by it.
-
-    Pair weights and the products w'(x,y,i)*w'(y,x,i) are untouched, so
-    validity is preserved while the two side loads trade against each other.
-    """
-
-    def __init__(self, base, factor: ExactWeight):
-        if factor.is_zero:
-            raise SchemeError("scale factor must be positive")
-        self.base = base
-        self.factor = factor
-        self._a_set = frozenset(base.a_side)
-
-    @property
-    def f(self) -> BooleanFunction:
-        return self.base.f
-
-    @property
-    def a_side(self):
-        return self.base.a_side
-
-    @property
-    def b_side(self):
-        return self.base.b_side
-
-    @property
-    def pair_count(self) -> int:
-        return self.base.pair_count
-
-    def iter_pairs(self):
-        return self.base.iter_pairs()
-
-    def weight(self, x: int, y: int) -> ExactWeight:
-        return self.base.weight(x, y)
-
-    def wprime(self, x: int, y: int, i: int) -> ExactWeight:
-        w = self.base.wprime(x, y, i)
-        return w * self.factor if x in self._a_set else w / self.factor
-
-    def b_partners(self, x: int):
-        return self.base.b_partners(x)
-
-    def a_partners(self, y: int):
-        return self.base.a_partners(y)
-
-    def sweep_pairs(self, side: str):
-        s = self.factor
-        inv = ONE / s
-        if side == "a":
-            for source, records in self.base.sweep_pairs("a"):
-                yield source, [
-                    (p, w, tuple((i, f * s, b * inv) for i, f, b in d))
-                    for p, w, d in records
-                ]
-        else:
-            for source, records in self.base.sweep_pairs(side):
-                yield source, [
-                    (p, w, tuple((i, f * inv, b * s) for i, f, b in d))
-                    for p, w, d in records
-                ]
 
 
 # ---- verification ----------------------------------------------------------
@@ -423,8 +358,11 @@ def balance(scheme, report: LoadReport | None = None):
     """Rescale directional weights so that both side loads equal v_max.
 
     Multiplies every w'(x, y, i) with x on the A side by sqrt(v_b/v_a) and
-    divides the opposite direction by the same factor.  Returns the scheme
-    unchanged when it is already balanced.
+    divides the opposite direction by the same factor.  Pair weights and
+    the products w'(x,y,i)*w'(y,x,i) are untouched, so validity is
+    preserved.  Returns an ExplicitScheme with the pairs in the order of
+    `scheme.iter_pairs()`, or the scheme unchanged when it is already
+    balanced.
     """
     rep = report if report is not None else loads(scheme, keep_maps=False)
     v_a, v_b = rep.v_a, rep.v_b
@@ -437,7 +375,17 @@ def balance(scheme, report: LoadReport | None = None):
     ratio = v_b / v_a
     if ratio.u != 1:
         raise SchemeError(f"load ratio {ratio} has no exact square root")
-    return ScaledScheme(scheme, ExactWeight.sqrt_of(ratio.rational))
+    s = ExactWeight.sqrt_of(ratio.rational)
+    n = scheme.f.arity
+    pairs = []
+    for x, y in scheme.iter_pairs():
+        wp = {
+            i: (scheme.wprime(x, y, i) * s, scheme.wprime(y, x, i) / s)
+            for i in range(1, n + 1)
+            if (x ^ y) & var_bit(n, i)
+        }
+        pairs.append((x, y, scheme.weight(x, y), wp))
+    return ExplicitScheme(scheme.f, pairs)
 
 
 # ---- unweighted relation bound ---------------------------------------------
@@ -678,6 +626,8 @@ def load_scheme(path) -> ExplicitScheme:
     """Read a scheme from JSON; weights are parsed exactly, never as floats."""
     path = Path(path)
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise SchemeError("a scheme file must hold a JSON object")
     if "path" in doc:
         from .boolfn import load_table
 
@@ -691,13 +641,23 @@ def load_scheme(path) -> ExplicitScheme:
     declared_a, declared_b = set(doc["a"]), set(doc["b"])
     pairs = []
     for rec in doc["pairs"]:
+        if not isinstance(rec, dict):
+            raise SchemeError(f"pair record {rec!r} is not an object")
         x, y = rec["x"], rec["y"]
+        wp = rec["wp"]
+        if not isinstance(wp, dict) or not all(
+            isinstance(fb, list) and len(fb) == 2 and all(isinstance(v, str) for v in fb)
+            for fb in wp.values()
+        ):
+            raise SchemeError(
+                f"pair ({x}, {y}): 'wp' must map coordinates to [fwd, bwd] weight strings"
+            )
         if x not in declared_a or y not in declared_b:
             raise SchemeError(f"pair ({x}, {y}) outside the declared sides")
         w = ExactWeight.parse(rec["w"])
         wp = {
             int(i): (ExactWeight.parse(fb[0]), ExactWeight.parse(fb[1]))
-            for i, fb in rec["wp"].items()
+            for i, fb in wp.items()
         }
         pairs.append((x, y, w, wp))
     return ExplicitScheme(f, pairs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -73,6 +72,16 @@ def _load_scheme(spec: str):
     return adversary.builtin_scheme(name)
 
 
+def _report_violations(scheme) -> bool:
+    """Print the violations of an invalid scheme; True when there are any."""
+    violations = adversary.verify(scheme)
+    if violations:
+        print(f"invalid: {len(violations)} violation(s)")
+        for v in violations:
+            print(f"  {v}")
+    return bool(violations)
+
+
 # ---- measures ----------------------------------------------------------
 
 
@@ -118,11 +127,7 @@ def cmd_verify_scheme(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load scheme: {exc}", file=sys.stderr)
         return 2
-    violations = adversary.verify(scheme)
-    if violations:
-        print(f"invalid: {len(violations)} violation(s)")
-        for v in violations:
-            print(f"  {v}")
+    if _report_violations(scheme):
         return 1
     report = adversary.loads(scheme, keep_maps=False)
     lines = [
@@ -257,6 +262,8 @@ def cmd_simulate(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load scheme: {exc}", file=sys.stderr)
         return 2
+    if _report_violations(scheme):
+        return 1
     report = adversary.loads(scheme, keep_maps=False)
     if report.v_a != report.v_b:
         scheme = adversary.balance(scheme, report)
@@ -303,7 +310,7 @@ def cmd_simulate(args) -> int:
     failures = 0
     for label, alg in algs:
         try:
-            trace = qsim.progress_trace(alg, scheme, workers=args.threads)
+            trace = qsim.progress_trace(alg, scheme)
         except qsim.QsimError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
             return 1
@@ -391,14 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="advwb",
         description="Exact adversary-bound workbench for small Boolean functions.",
     )
-    default_threads = int(os.environ.get("ADVWB_THREADS", "1"))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=default_threads,
-        help="worker threads for parallel sections (env ADVWB_THREADS)",
-    )
     common.add_argument("--json", action="store_true", help="emit JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 

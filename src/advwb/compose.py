@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .adversary import SchemeError, loads
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables
 from .weights import ONE, ExactWeight
@@ -123,7 +121,7 @@ def _directional_ratios(scheme, cache: _Cache):
 class ComposedScheme:
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    The pair list is materialized at construction; pair and directional
+    Nothing is stored per pair: pairs, pair weights and directional
     weights are reproduced on demand from the outer and inner schemes'
     stored values, so sweeps over the ~n*10^6 pairs of the 4-bit base's
     square stay cheap and exact.
@@ -181,7 +179,7 @@ class ComposedScheme:
 
         self.a_side = self._enumerate_side(outer.a_side)
         self.b_side = self._enumerate_side(outer.b_side)
-        self._materialize_pairs()
+        self.pair_count = self._count_pairs()
 
     # ---- construction helpers ------------------------------------------
 
@@ -212,22 +210,29 @@ class ComposedScheme:
             p = (p << 1) | tab[b]
         return p
 
-    def _materialize_pairs(self) -> None:
-        xs, ys = [], []
-        for source, records in self.sweep_pairs("a"):
-            for partner, _, _ in records:
-                xs.append(source)
-                ys.append(partner)
-        self.pairs_x = np.array(xs, dtype=np.int64)
-        self.pairs_y = np.array(ys, dtype=np.int64)
+    def _count_pairs(self) -> int:
+        """Pairs of the composed relation, counted without a sweep.
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.pairs_x)
+        Each outer pair (p, z) contributes the product over blocks j of the
+        inner pair count where p and z differ at j, else the size of the
+        inner side that p's bit j names.
+        """
+        inner_pairs = self.inner.pair_count
+        inner_sizes = (len(self.inner.a_side), len(self.inner.b_side))
+        n = self.n
+        total = 0
+        for p, z in self.outer.iter_pairs():
+            count = 1
+            for j in range(n):
+                bit = 1 << (n - 1 - j)
+                count *= inner_pairs if (p ^ z) & bit else inner_sizes[bool(p & bit)]
+            total += count
+        return total
 
     def iter_pairs(self):
-        for x, y in zip(self.pairs_x, self.pairs_y):
-            yield int(x), int(y)
+        for x, records in self.sweep_pairs("a"):
+            for y, _, _ in records:
+                yield x, y
 
     # ---- weights on demand ----------------------------------------------
 

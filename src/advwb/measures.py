@@ -8,13 +8,13 @@ with a witness tree, and certified values for iterates of the 4-bit base.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import simplex
-from .boolfn import ArityError, BooleanFunction, compose, iterate, var_bit
+from .boolfn import ArityError, BooleanFunction, iterate, var_bit
 
 APPROX_ARITY_CAP = 12
 EXACT_LP_ARITY_CAP = 8
@@ -487,7 +487,7 @@ def _base_blocks(f: BooleanFunction) -> list[tuple[int, int, int]]:
     return out
 
 
-def _compose_tree(outer: DecisionTree, inner: DecisionTree, inner_arity: int, offset_base: int):
+def _compose_tree(outer: DecisionTree, inner: DecisionTree, inner_arity: int):
     """Replace each outer query of variable j by the inner tree on block j."""
 
     def shift(node: DecisionTree, offset: int, lo: DecisionTree, hi: DecisionTree):
@@ -501,8 +501,8 @@ def _compose_tree(outer: DecisionTree, inner: DecisionTree, inner_arity: int, of
 
     if isinstance(outer, TreeLeaf):
         return outer
-    lo = _compose_tree(outer.low, inner, inner_arity, offset_base)
-    hi = _compose_tree(outer.high, inner, inner_arity, offset_base)
+    lo = _compose_tree(outer.low, inner, inner_arity)
+    hi = _compose_tree(outer.high, inner, inner_arity)
     offset = (outer.var - 1) * inner_arity
     return shift(inner, offset, lo, hi)
 
@@ -581,7 +581,7 @@ def iterated_certificates(f: BooleanFunction, d: int) -> IteratedReport:
     tree = base_tree
     inner_arity = 4
     for _ in range(d - 1):
-        tree = _compose_tree(base_tree, tree, inner_arity, 0)
+        tree = _compose_tree(base_tree, tree, inner_arity)
         inner_arity *= 4
     for x in range(1 << n):
         val, queries = run_tree(tree, x, n)
@@ -607,7 +607,6 @@ class ComplexityReport:
     c0: int | None = None
     c1: int | None = None
     d_depth: int | None = None
-    adversary_bound: object = None
 
     @property
     def qe_lower(self) -> Fraction | None:

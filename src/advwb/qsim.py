@@ -162,7 +162,7 @@ class ProgressTrace:
         return self.values[-1]
 
 
-def _evolve_all(alg: QueryAlgorithm, inputs: list[int], workers: int = 1):
+def _evolve_all(alg: QueryAlgorithm, inputs: list[int]):
     """States of every input after 0..T queries, as one matrix per step.
 
     Row order follows `inputs`.  Yields T+1 matrices; the t-th holds the
@@ -175,25 +175,12 @@ def _evolve_all(alg: QueryAlgorithm, inputs: list[int], workers: int = 1):
     phases = np.stack([alg.phase_vector(x) for x in inputs])
     yield states.copy()
     for t in range(alg.queries):
-        u_t = alg.unitaries[t].T
-        if workers > 1 and len(inputs) >= 2 * workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = np.array_split(np.arange(len(inputs)), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(
-                    pool.map(
-                        lambda idx: states.__setitem__(idx, states[idx] @ u_t),
-                        chunks,
-                    )
-                )
-        else:
-            states = states @ u_t
+        states = states @ alg.unitaries[t].T
         states = states * phases
         yield states.copy()
 
 
-def progress_trace(alg: QueryAlgorithm, scheme, *, workers: int = 1) -> ProgressTrace:
+def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     """W_t for t = 0..T against the scheme's weighted pair relation."""
     if scheme.f.arity != alg.n:
         raise QsimError(
@@ -212,7 +199,7 @@ def progress_trace(alg: QueryAlgorithm, scheme, *, workers: int = 1) -> Progress
     xi = np.array([r for r, _ in pair_rows])
     yi = np.array([r for _, r in pair_rows])
     values = []
-    for states in _evolve_all(alg, inputs, workers=workers):
+    for states in _evolve_all(alg, inputs):
         inner = np.abs(np.sum(states[xi].conj() * states[yi], axis=1))
         values.append(float(np.dot(w_arr, inner)))
     report = loads(scheme, keep_maps=False)

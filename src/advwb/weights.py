@@ -249,15 +249,6 @@ def _coerce(value) -> ExactWeight:
     raise TypeError(f"cannot compare ExactWeight with {type(value).__name__}")
 
 
-def sqrt_value(value: ExactWeight):
-    """sqrt of an ExactWeight: exact when possible, float otherwise."""
-    if isinstance(value, ExactWeight):
-        if value.u == 1:
-            return value.sqrt()
-        return math.sqrt(float(value))
-    return math.sqrt(value)
-
-
 def exact_sum(values):
     """Sum ExactWeights, degrading to float when radicands mix.
 

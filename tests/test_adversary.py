@@ -6,7 +6,6 @@ import pytest
 
 from advwb.adversary import (
     ExplicitScheme,
-    ScaledScheme,
     SchemeError,
     balance,
     builtin_scheme,
@@ -70,7 +69,7 @@ def test_balance_h6_preserves_invariants():
     base = builtin_scheme("h6")
     before = loads(base)
     bal = balance(base)
-    assert isinstance(bal, ScaledScheme)
+    assert isinstance(bal, ExplicitScheme)
     after = loads(bal)
     assert after.v_a == after.v_b == before.v_max
     assert after.v_max == before.v_max

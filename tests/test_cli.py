@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from advwb.adversary import ExplicitScheme, save_scheme, unit_scheme
-from advwb.boolfn import h6, nae3, parity, save_table
-from advwb.cli import BASE_ALIASES, build_parser, fmt, main
+from advwb.boolfn import h6, nae3, or_n, parity, save_table
+from advwb.cli import BASE_ALIASES, fmt, main
 from advwb.weights import ONE, ExactWeight
 
 
@@ -124,6 +124,35 @@ def test_verify_scheme_missing(capsys):
     code, _, err = run_cli(capsys, "verify-scheme", "nope")
     assert code == 2
     assert "cannot load scheme" in err
+
+
+_NAE3 = {"arity": 3, "table": "01111110", "a": [0], "b": [1]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        "scheme",
+        {**_NAE3, "pairs": [[0, 1]]},
+        {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": [["1", "1"]]}]},
+        {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": {"3": "1"}}]},
+        {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": {"3": [1, 1]}}]},
+        {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": {"3": ["1"]}}]},
+    ],
+)
+@pytest.mark.parametrize("command", ["verify-scheme", "simulate"])
+def test_malformed_scheme_file_is_a_load_error(capsys, tmp_path, doc, command):
+    path = tmp_path / "bad.scheme.json"
+    path.write_text(json.dumps(doc))
+    if command == "simulate":
+        argv = ("simulate", "identity", "--scheme", str(path))
+    else:
+        argv = ("verify-scheme", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot load scheme: ")
 
 
 def test_compose_depth2(capsys):
@@ -262,6 +291,28 @@ def test_simulate_precondition_failure(capsys, tmp_path):
     assert "precondition failed" in out
 
 
+def test_simulate_rejects_invalid_scheme(capsys, tmp_path):
+    # sides swapped: A = {1, 2} are 1-inputs of or2, B holds the 0-input 0
+    bad = ExplicitScheme(
+        or_n(2),
+        [
+            (1, 0, ONE, {2: (ONE, ONE)}),
+            (1, 3, ONE, {1: (ONE, ONE)}),
+            (2, 0, ONE, {1: (ONE, ONE)}),
+            (2, 3, ONE, {2: (ONE, ONE)}),
+        ],
+    )
+    path = tmp_path / "or2.scheme.json"
+    save_scheme(bad, path)
+    code, verified, _ = run_cli(capsys, "verify-scheme", str(path))
+    assert code == 1
+    assert verified.splitlines()[0] == "invalid: 3 violation(s)"
+    code, out, _ = run_cli(capsys, "simulate", "random", "--scheme", str(path))
+    assert code == 1
+    assert out == verified
+    assert "drop bound" not in out
+
+
 def test_simulate_arity_mismatch(capsys):
     code, _, err = run_cli(capsys, "simulate", "parity2", "--scheme", "f4")
     assert code == 1
@@ -324,16 +375,3 @@ def test_json_outputs_parse(capsys):
     code, out, _ = run_cli(capsys, "iterate", "f4", "--depth", "1", "--json")
     doc = json.loads(out)
     assert code == 0 and doc["bs_lower"] == 3
-
-
-def test_threads_default_from_env(monkeypatch):
-    monkeypatch.setenv("ADVWB_THREADS", "4")
-    args = build_parser().parse_args(["simulate", "identity", "--scheme", "f4"])
-    assert args.threads == 4
-    args = build_parser().parse_args(
-        ["simulate", "identity", "--scheme", "f4", "--threads", "2"]
-    )
-    assert args.threads == 2
-    monkeypatch.delenv("ADVWB_THREADS")
-    args = build_parser().parse_args(["simulate", "identity", "--scheme", "f4"])
-    assert args.threads == 1

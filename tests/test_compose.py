@@ -71,6 +71,8 @@ def test_nae3_squared_full():
     assert c.f == iterate(nae3(), 2)
     assert len(c.a_side) == 224 and len(c.b_side) == 288
     assert c.pair_count == 4896
+    assert c.pair_count == sum(len(records) for _, records in c.sweep_pairs("a"))
+    assert c.pair_count == len(list(c.iter_pairs()))
     assert verify(c) == []
     rep = loads(c, keep_maps=False)
     assert rep.bound == ExactWeight(9, 2)

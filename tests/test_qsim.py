@@ -150,14 +150,6 @@ def test_trace_ignores_trailing_unitary():
     assert ta.values == pytest.approx(tb.values, abs=1e-12)
 
 
-def test_threaded_trace_matches_sequential():
-    scheme = builtin_scheme("f4")
-    alg = random_algorithm(4, 2, seed=5)
-    one = progress_trace(alg, scheme, workers=1)
-    four = progress_trace(alg, scheme, workers=4)
-    assert one.values == pytest.approx(four.values, abs=1e-12)
-
-
 def test_algorithm_file_round_trip(tmp_path):
     alg = random_algorithm(2, 1, seed=17)
     path = tmp_path / "alg.json"
