@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .boolfn import BooleanFunction, var_bit
@@ -443,8 +444,6 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
     m_prime = min(deg_b.values())
     l = max(cnt_a.values())
     l_prime = max(cnt_b.values())
-    from fractions import Fraction
-
     bound = ExactWeight.sqrt_of(Fraction(m * m_prime, l * l_prime))
     return RelationBound(m, m_prime, l, l_prime, bound)
 
@@ -622,6 +621,22 @@ def save_scheme(scheme, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def _field(doc: dict, key: str, kind: type):
+    """doc[key], which must be an instance of `kind`."""
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise SchemeError(f"{key!r} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _int_list(doc: dict, key: str) -> list:
+    """doc[key], which must be a list of integers."""
+    value = _field(doc, key, list)
+    if not all(isinstance(v, int) for v in value):
+        raise SchemeError(f"{key!r} must be a list of integers")
+    return value
+
+
 def load_scheme(path) -> ExplicitScheme:
     """Read a scheme from JSON; weights are parsed exactly, never as floats."""
     path = Path(path)
@@ -631,19 +646,19 @@ def load_scheme(path) -> ExplicitScheme:
     if "path" in doc:
         from .boolfn import load_table
 
-        f = load_table((path.parent / doc["path"]).resolve())
+        f = load_table((path.parent / _field(doc, "path", str)).resolve())
     else:
-        f = BooleanFunction.from_bits(doc["table"])
+        f = BooleanFunction.from_bits(_field(doc, "table", str))
         if f.arity != doc["arity"]:
             raise SchemeError(
                 f"declared arity {doc['arity']} but table has arity {f.arity}"
             )
-    declared_a, declared_b = set(doc["a"]), set(doc["b"])
+    declared_a, declared_b = set(_int_list(doc, "a")), set(_int_list(doc, "b"))
     pairs = []
-    for rec in doc["pairs"]:
+    for rec in _field(doc, "pairs", list):
         if not isinstance(rec, dict):
             raise SchemeError(f"pair record {rec!r} is not an object")
-        x, y = rec["x"], rec["y"]
+        x, y = _field(rec, "x", int), _field(rec, "y", int)
         wp = rec["wp"]
         if not isinstance(wp, dict) or not all(
             isinstance(fb, list) and len(fb) == 2 and all(isinstance(v, str) for v in fb)
@@ -654,7 +669,7 @@ def load_scheme(path) -> ExplicitScheme:
             )
         if x not in declared_a or y not in declared_b:
             raise SchemeError(f"pair ({x}, {y}) outside the declared sides")
-        w = ExactWeight.parse(rec["w"])
+        w = ExactWeight.parse(_field(rec, "w", str))
         wp = {
             int(i): (ExactWeight.parse(fb[0]), ExactWeight.parse(fb[1]))
             for i, fb in wp.items()

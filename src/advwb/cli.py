@@ -169,7 +169,7 @@ def cmd_compose(args) -> int:
     base = adversary.builtin_scheme(name)
     base_report = adversary.loads(base, keep_maps=False)
     balanced = adversary.balance(base, base_report)
-    predicted = adversary.loads(balanced, keep_maps=False).bound ** args.depth
+    predicted = compose.predicted_bound(balanced, args.depth)
     arity = base.f.arity**args.depth
     lines = []
     payload = {"base": name, "depth": args.depth}
@@ -266,7 +266,11 @@ def cmd_simulate(args) -> int:
         return 1
     report = adversary.loads(scheme, keep_maps=False)
     if report.v_a != report.v_b:
-        scheme = adversary.balance(scheme, report)
+        try:
+            scheme = adversary.balance(scheme, report)
+        except adversary.SchemeError as exc:
+            print(f"cannot trace scheme: {exc}", file=sys.stderr)
+            return 2
         note = "note: scheme balanced before tracing"
     else:
         note = None

@@ -7,15 +7,22 @@ the outer weight times inner weights on differing blocks times inner
 total weights on agreeing blocks; directional weights attach the square
 root of the two forward/backward ratios, which keeps the defining
 constraint tight and multiplies the two bounds.
+
+The pairs from one source to the partners with one block pattern form a
+slice.  `sweep_pairs` yields slices, and the claim checks at the end of
+this module sum the same slice records, so they certify exactly what
+`verify` and `loads` consume.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .adversary import SchemeError, loads
-from .boolfn import ArityError, BooleanFunction, compose as compose_tables
-from .weights import ONE, ExactWeight
+from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
+from .weights import ONE, ExactWeight, exact_sum
 
 COMPOSE_ARITY_CAP = 16
 
@@ -36,8 +43,6 @@ def block_index(i: int, n: int, d: int) -> tuple[int, int]:
 
 def _iteration_depth(outer_f: BooleanFunction, inner_f: BooleanFunction) -> int:
     """d such that inner_f = the (d-1)-fold iterate of outer_f."""
-    from .boolfn import iterate
-
     n, m = outer_f.arity, inner_f.arity
     k, a = 1, n
     while a < m:
@@ -52,70 +57,29 @@ def _iteration_depth(outer_f: BooleanFunction, inner_f: BooleanFunction) -> int:
     return k + 1
 
 
-class _Cache:
-    """Memoized ExactWeight products, quotients and sqrt-of-ratio-products."""
-
-    def __init__(self):
-        self._mul: dict = {}
-        self._div: dict = {}
-        self._sqrt: dict = {}
-        self._inv: dict = {}
-
-    def mul(self, a: ExactWeight, b: ExactWeight) -> ExactWeight:
-        key = (a, b)
-        out = self._mul.get(key)
-        if out is None:
-            out = a * b
-            self._mul[key] = out
-        return out
-
-    def div(self, a: ExactWeight, b: ExactWeight) -> ExactWeight:
-        key = (a, b)
-        out = self._div.get(key)
-        if out is None:
-            out = a / b
-            self._div[key] = out
-        return out
-
-    def inv(self, a: ExactWeight) -> ExactWeight:
-        out = self._inv.get(a)
-        if out is None:
-            out = ONE / a
-            self._inv[a] = out
-        return out
-
-    def sqrt_product(self, r1: ExactWeight, r2: ExactWeight) -> ExactWeight:
-        key = (r1, r2)
-        out = self._sqrt.get(key)
-        if out is None:
-            prod = r1 * r2
-            if prod.u != 1:
-                raise SchemeError(
-                    f"directional ratio product {prod} has no exact square root"
-                )
-            out = ExactWeight.sqrt_of(prod.rational)
-            self._sqrt[key] = out
-        return out
+def _sqrt_product(r1: ExactWeight, r2: ExactWeight) -> ExactWeight:
+    """sqrt(r1 * r2), which must be rational for the weights to stay exact."""
+    prod = r1 * r2
+    if prod.u != 1:
+        raise SchemeError(f"directional ratio product {prod} has no exact square root")
+    return ExactWeight.sqrt_of(prod.rational)
 
 
-def _directional_ratios(scheme, cache: _Cache):
-    """Per ordered pair: weight, and (coordinate, fwd/bwd ratio) tuples."""
-    w_of: dict[tuple[int, int], ExactWeight] = {}
-    diffs_of: dict[tuple[int, int], tuple] = {}
-    partners_a: dict[int, tuple[int, ...]] = {}
-    partners_b: dict[int, tuple[int, ...]] = {}
-    for side, partners in (("a", partners_a), ("b", partners_b)):
-        for source, records in scheme.sweep_pairs(side):
-            ps = []
-            for partner, w, diffs in records:
-                ps.append(partner)
-                key = (source, partner)
-                w_of[key] = w
-                diffs_of[key] = tuple(
-                    (i, cache.div(fwd, bwd)) for i, fwd, bwd in diffs
-                )
-            partners[source] = tuple(ps)
-    return w_of, diffs_of, partners_a, partners_b
+def _ratio_records(scheme, div):
+    """Per source on both sides: (partner, w, ((i, fwd/bwd), ...)) records."""
+    return {
+        source: tuple(
+            (partner, w, tuple((i, div(fwd, bwd)) for i, fwd, bwd in diffs))
+            for partner, w, diffs in records
+        )
+        for side in ("a", "b")
+        for source, records in scheme.sweep_pairs(side)
+    }
+
+
+def _by_pair(records) -> dict:
+    """(source, partner) -> (w, ratio diffs) from `_ratio_records` output."""
+    return {(u, v): (w, rd) for u, recs in records.items() for v, w, rd in recs}
 
 
 class ComposedScheme:
@@ -153,28 +117,18 @@ class ComposedScheme:
         self.arity = arity
         self.f = compose_tables(outer.f, [inner.f] * n)
         self.inner_vmax = inner_report.v_max
-        self.predicted_vmax = outer_report.v_max * inner_report.v_max
-        self.predicted_bound = ONE / self.predicted_vmax
+        self.predicted_bound = ONE / (outer_report.v_max * inner_report.v_max)
 
-        self._cache = _Cache()
+        # memoized arithmetic: sweeps reuse a few dozen distinct values
+        self._mul = functools.cache(operator.mul)
+        self._div = functools.cache(operator.truediv)
+        self._sqrtp = functools.cache(_sqrt_product)
         self._inner_wt = inner_report.wt
         self._outer_wt = outer_report.wt
-        ow, od, opa, opb = _directional_ratios(outer, self._cache)
-        iw, idf, ipa, ipb = _directional_ratios(inner, self._cache)
-        self._o_w, self._o_diffs = ow, od
-        self._o_partners = {"a": opa, "b": opb}
-        self._i_w, self._i_diffs = iw, idf
-        self._i_partners = {"a": ipa, "b": ipb}
-        self._i_in_a = frozenset(inner.a_side)
-        self._i_in_b = frozenset(inner.b_side)
-
-        # inner partner records per source: (partner, weight, ((i2, ratio), ...))
-        self._i_records: dict[int, tuple] = {
-            u: tuple(
-                (v, self._i_w[(u, v)], self._i_diffs[(u, v)]) for v in vs
-            )
-            for u, vs in itertools.chain(ipa.items(), ipb.items())
-        }
+        self._o_records = _ratio_records(outer, self._div)
+        self._i_records = _ratio_records(inner, self._div)
+        self._o_pairs = _by_pair(self._o_records)
+        self._i_pairs = _by_pair(self._i_records)
         self._templates: dict = {}
 
         self.a_side = self._enumerate_side(outer.a_side)
@@ -240,8 +194,7 @@ class ComposedScheme:
         """Blocks, patterns and outer-pair data for an ordered pair."""
         bx, by = self._blocks_of(x), self._blocks_of(y)
         px, py = self._pattern_of(bx), self._pattern_of(by)
-        key = (px, py)
-        if key not in self._o_w:
+        if (px, py) not in self._o_pairs:
             raise SchemeError(f"block patterns ({px:b}, {py:b}) not in the outer relation")
         for j in range(self.n):
             bit = 1 << (self.n - 1 - j)
@@ -251,7 +204,7 @@ class ComposedScheme:
                         f"pair ({x}, {y}) differs in block {j + 1} where the "
                         "patterns agree"
                     )
-            elif (bx[j], by[j]) not in self._i_w:
+            elif (bx[j], by[j]) not in self._i_pairs:
                 raise SchemeError(
                     f"block {j + 1} of pair ({x}, {y}) is not an inner-relation pair"
                 )
@@ -259,14 +212,14 @@ class ComposedScheme:
 
     def weight(self, x: int, y: int) -> ExactWeight:
         bx, by, px, py = self._oriented(x, y)
-        mul = self._cache.mul
-        w = self._o_w[(px, py)]
+        mul = self._mul
+        w = self._o_pairs[(px, py)][0]
         for j in range(self.n):
             bit = 1 << (self.n - 1 - j)
             if (px & bit) == (py & bit):
                 w = mul(w, self._inner_wt[bx[j]])
             else:
-                w = mul(w, self._i_w[(bx[j], by[j])])
+                w = mul(w, self._i_pairs[(bx[j], by[j])][0])
         return w
 
     def wprime(self, x: int, y: int, i: int) -> ExactWeight:
@@ -274,14 +227,13 @@ class ComposedScheme:
         if not 1 <= i <= self.arity:
             raise ValueError(f"coordinate {i} outside [1, {self.arity}]")
         i1, i2 = (i - 1) // self.m + 1, (i - 1) % self.m + 1
-        r1 = dict(self._o_diffs[(px, py)]).get(i1)
+        r1 = dict(self._o_pairs[(px, py)][1]).get(i1)
         if r1 is None:
             raise SchemeError(f"patterns agree in block {i1}")
-        r2 = dict(self._i_diffs[(bx[i1 - 1], by[i1 - 1])]).get(i2)
+        r2 = dict(self._i_pairs[(bx[i1 - 1], by[i1 - 1])][1]).get(i2)
         if r2 is None:
             raise SchemeError(f"pair ({x}, {y}) does not differ at coordinate {i}")
-        s = self._cache.sqrt_product(r1, r2)
-        return self.weight(x, y) * s
+        return self.weight(x, y) * self._sqrtp(r1, r2)
 
     # ---- sweeps -----------------------------------------------------------
 
@@ -295,17 +247,14 @@ class ComposedScheme:
         tpl = self._templates.get(key)
         if tpl is not None:
             return tpl
-        cache = self._cache
-        mul, inv, sqrtp = cache.mul, cache.inv, cache.sqrt_product
-        odiffs = self._o_diffs[(p, z)]
+        mul, div, sqrtp = self._mul, self._div, self._sqrtp
         m, n = self.m, self.n
         per_block = []
-        for (j, r1), u in zip(odiffs, diff_sources):
+        for (j, r1), u in zip(self._o_pairs[(p, z)][1], diff_sources):
             shift = (n - j) * m
-            opts = []
-            for v, wv, rdiffs in self._i_records[u]:
-                opts.append(((u ^ v) << shift, wv, j, r1, rdiffs))
-            per_block.append(opts)
+            per_block.append(
+                [((u ^ v) << shift, wv, j, r1, rdiffs) for v, wv, rdiffs in self._i_records[u]]
+            )
         tpl = []
         for combo in itertools.product(*per_block):
             xor = 0
@@ -318,35 +267,35 @@ class ComposedScheme:
                 col = (j - 1) * m
                 for i2, r2 in rdiffs:
                     s = sqrtp(r1, r2)
-                    diffs.append((col + i2, mul(w, s), mul(w, inv(s))))
+                    diffs.append((col + i2, mul(w, s), div(w, s)))
             tpl.append((xor, w, tuple(diffs)))
         self._templates[key] = tpl
         return tpl
 
+    def _slice(self, blocks: tuple, p: int, z: int):
+        """The template of a source's slice towards block pattern z.
+
+        blocks and p are the source's blocks and pattern.  The base weight is the outer weight of (p, z) times the inner total
+        weight of every block where p and z agree.
+        """
+        base, odiffs = self._o_pairs[(p, z)]
+        differ, n = p ^ z, self.n
+        for j, u in enumerate(blocks):
+            if not differ >> (n - 1 - j) & 1:
+                base = self._mul(base, self._inner_wt[u])
+        return self._template(p, z, tuple(blocks[j - 1] for j, _ in odiffs), base)
+
     def sweep_pairs(self, side: str):
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        o_partners = self._o_partners[side]
         sources = self.a_side if side == "a" else self.b_side
-        mul = self._cache.mul
-        o_w = self._o_w
-        o_diffs = self._o_diffs
-        inner_wt = self._inner_wt
-        n = self.n
+        o_records = self._o_records
         for x in sources:
             blocks = self._blocks_of(x)
             p = self._pattern_of(blocks)
             records = []
-            for z in o_partners[p]:
-                base = o_w[(p, z)]
-                diff_js = tuple(j for j, _ in o_diffs[(p, z)])
-                diff_set = set(diff_js)
-                for j in range(1, n + 1):
-                    if j not in diff_set:
-                        base = mul(base, inner_wt[blocks[j - 1]])
-                diff_sources = tuple(blocks[j - 1] for j in diff_js)
-                for xor, w, diffs in self._template(p, z, diff_sources, base):
-                    records.append((x ^ xor, w, diffs))
+            for z, _, _ in o_records[p]:
+                records += [(x ^ xor, w, diffs) for xor, w, diffs in self._slice(blocks, p, z)]
             yield x, records
 
 
@@ -368,6 +317,28 @@ def predicted_bound(base_scheme, d: int) -> ExactWeight:
 # ---- internal identities as checks ------------------------------------------
 
 
+def _source(composed: ComposedScheme, x: int, z: int | None = None):
+    """Blocks and block pattern p of x; with z, (p, z) must be an outer pair."""
+    blocks = composed._blocks_of(x)
+    p = composed._pattern_of(blocks)
+    if z is not None and (p, z) not in composed._o_pairs:
+        raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
+    return blocks, p
+
+
+def _times_inner_totals(composed: ComposedScheme, w, blocks):
+    """w times the inner total weight of every block."""
+    for u in blocks:
+        w = composed._mul(w, composed._inner_wt[u])
+    return w
+
+
+def _claim1_sides(composed: ComposedScheme, blocks, p: int, z: int):
+    """The slice's pair-weight sum, and the outer weight times all inner totals."""
+    lhs = exact_sum([w for _, w, _ in composed._slice(blocks, p, z)])
+    return lhs, _times_inner_totals(composed, composed._o_pairs[(p, z)][0], blocks)
+
+
 def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
     """Partner weights with a fixed block-value pattern sum to a product.
 
@@ -375,55 +346,21 @@ def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
     the outer weight of (pattern(x), z) times the product over all blocks
     of the inner total weight.  Exact comparison.
     """
-    blocks = composed._blocks_of(x)
-    p = composed._pattern_of(blocks)
-    if (p, z) not in composed._o_w:
-        raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
-    mul = composed._cache.mul
-    lhs_terms = []
-    diff_js = tuple(j for j, _ in composed._o_diffs[(p, z)])
-    per_block = []
-    for j in diff_js:
-        u = blocks[j - 1]
-        per_block.append([w for _, w, _ in composed._i_records[u]])
-    base = composed._o_w[(p, z)]
-    for j in range(1, composed.n + 1):
-        if j not in diff_js:
-            base = mul(base, composed._inner_wt[blocks[j - 1]])
-    for combo in itertools.product(*per_block):
-        w = base
-        for wv in combo:
-            w = mul(w, wv)
-        lhs_terms.append(w)
-    from .weights import exact_sum
-
-    lhs = exact_sum(lhs_terms)
-    rhs = composed._o_w[(p, z)]
-    for u in blocks:
-        rhs = mul(rhs, composed._inner_wt[u])
+    blocks, p = _source(composed, x, z)
+    lhs, rhs = _claim1_sides(composed, blocks, p, z)
     return lhs == rhs
 
 
 def check_corollary(composed: ComposedScheme, x: int) -> bool:
     """Total weight factorizes: wt(x) = outer wt(pattern) * prod inner wt."""
-    from .weights import exact_sum
-
-    blocks = composed._blocks_of(x)
-    p = composed._pattern_of(blocks)
-    side = "a" if p in composed._o_partners["a"] else "b"
+    blocks, p = _source(composed, x)
     total = []
-    for z in composed._o_partners[side][p]:
-        if not check_claim1(composed, x, z):
+    for z, _, _ in composed._o_records[p]:
+        lhs, rhs = _claim1_sides(composed, blocks, p, z)
+        if lhs != rhs:
             return False
-        w = composed._o_w[(p, z)]
-        for u in blocks:
-            w = composed._cache.mul(w, composed._inner_wt[u])
-        total.append(w)
-    wt_x = exact_sum(total)
-    rhs = composed._outer_wt[p]
-    for u in blocks:
-        rhs = composed._cache.mul(rhs, composed._inner_wt[u])
-    return wt_x == rhs
+        total.append(rhs)
+    return exact_sum(total) == _times_inner_totals(composed, composed._outer_wt[p], blocks)
 
 
 def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
@@ -434,44 +371,24 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     over the i1 block satisfies V <= v_inner * sqrt(r1) * W, with W the
     matching pair-weight sum and r1 the outer ratio at i1.  Exact.
     """
-    blocks = composed._blocks_of(x)
-    p = composed._pattern_of(blocks)
-    odiffs = dict(composed._o_diffs[(p, z)])
-    i1 = (i - 1) // composed.m + 1
-    i2 = (i - 1) % composed.m + 1
-    if i1 not in odiffs:
+    blocks, p = _source(composed, x, z)
+    m, n = composed.m, composed.n
+    i1 = (i - 1) // m + 1
+    r1 = dict(composed._o_pairs[(p, z)][1]).get(i1)
+    if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")
-    r1 = odiffs[i1]
-    mul = composed._cache.mul
-    sqrtp = composed._cache.sqrt_product
-    base = composed._o_w[(p, z)]
-    diff_js = tuple(j for j in odiffs if j != i1)
-    for j in range(1, composed.n + 1):
-        if j not in odiffs:
-            base = mul(base, composed._inner_wt[blocks[j - 1]])
-    outer_factor = sqrtp(r1, ONE)  # sqrt(r1)
-    bound_factor = composed.inner_vmax * outer_factor
-    per_block = [composed._i_records[blocks[j - 1]] for j in diff_js]
-    central = composed._i_records[blocks[i1 - 1]]
-    from .weights import exact_sum
-
-    for combo in itertools.product(*per_block):
-        w_outside = base
-        for _, wv, _ in combo:
-            w_outside = mul(w_outside, wv)
-        v_terms = []
-        w_terms = []
-        for _, wv, rdiffs in central:
-            w_pair = mul(w_outside, wv)
-            w_terms.append(w_pair)
-            r2 = dict(rdiffs).get(i2)
-            if r2 is not None:
-                v_terms.append(mul(w_pair, sqrtp(r1, r2)))
-        V = exact_sum(v_terms) if v_terms else None
-        W = exact_sum(w_terms)
-        if V is None:
+    outside = ~(((1 << m) - 1) << ((n - i1) * m))
+    groups: dict[int, tuple[list, list]] = {}
+    for xor, w, diffs in composed._slice(blocks, p, z):
+        v_terms, w_terms = groups.setdefault(xor & outside, ([], []))
+        w_terms.append(w)
+        v_terms.extend(fwd for j, fwd, _ in diffs if j == i)
+    bound_factor = composed.inner_vmax * composed._sqrtp(r1, ONE)
+    for v_terms, w_terms in groups.values():
+        if not v_terms:
             continue
-        rhs = bound_factor * W
+        V = exact_sum(v_terms)
+        rhs = bound_factor * exact_sum(w_terms)
         if isinstance(V, ExactWeight) and isinstance(rhs, ExactWeight):
             if V > rhs:
                 return False

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import loads
-from .weights import ExactWeight
 
 DIMENSION_CAP = 64
 INPUT_CAP = 4096
@@ -86,7 +85,7 @@ class QueryAlgorithm:
                     f"unitary {t} has shape {m.shape}, expected {(dim, dim)}"
                 )
             defect = np.abs(m.conj().T @ m - np.eye(dim)).max()
-            if defect > UNITARY_TOL:
+            if not defect <= UNITARY_TOL:  # NaN entries fail too
                 raise QsimError(
                     f"matrix {t} is not unitary (defect {defect:.3e} > {UNITARY_TOL})"
                 )
@@ -249,8 +248,7 @@ def query_lower_bound(eps: float, v_max) -> float:
     """Queries any eps-error algorithm needs: (1 - 2 sqrt(eps(1-eps))) / (2 v_max)."""
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    v = float(v_max) if isinstance(v_max, ExactWeight) else float(v_max)
-    return (1.0 - 2.0 * float(np.sqrt(eps * (1.0 - eps)))) / (2.0 * v)
+    return (1.0 - 2.0 * float(np.sqrt(eps * (1.0 - eps)))) / (2.0 * float(v_max))
 
 
 def random_algorithm(
@@ -311,15 +309,30 @@ def save_algorithm(alg: QueryAlgorithm, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _is_flat_matrix(flat) -> bool:
+    """A list of [re, im] number pairs, as `save_algorithm` writes one unitary."""
+    return isinstance(flat, list) and all(
+        isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) for c in v)
+        for v in flat
+    )
+
+
 def load_algorithm(path: str | Path) -> QueryAlgorithm:
     """Read an algorithm from JSON, rejecting non-unitary matrices."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise QsimError(f"malformed algorithm file {path}: not a JSON object")
     try:
         n = int(doc.get("n", doc.get("N")))
         work = int(doc["work"])
         raw = doc["unitaries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise QsimError(f"malformed algorithm file {path}: {exc}") from None
+    if not isinstance(raw, list) or not all(map(_is_flat_matrix, raw)):
+        raise QsimError(
+            f"malformed algorithm file {path}: 'unitaries' must be a list of "
+            "lists of [re, im] number pairs"
+        )
     dim = (n + 1) * work
     mats = []
     for t, flat in enumerate(raw):

@@ -256,14 +256,8 @@ def exact_sum(values):
     over heavily shared weight objects cheap.
     """
     counts: dict[ExactWeight, int] = {}
-    float_part = 0.0
-    has_float = False
     for v in values:
-        if isinstance(v, float):
-            float_part += v
-            has_float = True
-        else:
-            counts[v] = counts.get(v, 0) + 1
+        counts[v] = counts.get(v, 0) + 1
     total = _ZERO
     for v, c in counts.items():
         term = v if c == 1 else v * ExactWeight(c)
@@ -274,6 +268,4 @@ def exact_sum(values):
                 total = total + term
             except MixedRadicandError:
                 total = float(total) + float(term)
-    if has_float:
-        return float(total) + float_part
     return total

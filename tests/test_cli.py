@@ -127,6 +127,7 @@ def test_verify_scheme_missing(capsys):
 
 
 _NAE3 = {"arity": 3, "table": "01111110", "a": [0], "b": [1]}
+_PAIR = {"x": 0, "y": 1, "w": "1", "wp": {"3": ["1", "1"]}}
 
 
 @pytest.mark.parametrize(
@@ -139,6 +140,15 @@ _NAE3 = {"arity": 3, "table": "01111110", "a": [0], "b": [1]}
         {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": {"3": "1"}}]},
         {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": {"3": [1, 1]}}]},
         {**_NAE3, "pairs": [{"x": 0, "y": 1, "w": "1", "wp": {"3": ["1"]}}]},
+        {**_NAE3, "a": 5, "pairs": [_PAIR]},
+        {**_NAE3, "a": [[0]], "pairs": [_PAIR]},
+        {**_NAE3, "b": 1, "pairs": [_PAIR]},
+        {**_NAE3, "table": 5, "pairs": [_PAIR]},
+        {"path": 5, "a": [0], "b": [1], "pairs": [_PAIR]},
+        {**_NAE3, "pairs": 5},
+        {**_NAE3, "pairs": [{**_PAIR, "x": [0]}]},
+        {**_NAE3, "pairs": [{**_PAIR, "y": [1]}]},
+        {**_NAE3, "pairs": [{**_PAIR, "w": 1}]},
     ],
 )
 @pytest.mark.parametrize("command", ["verify-scheme", "simulate"])
@@ -311,6 +321,41 @@ def test_simulate_rejects_invalid_scheme(capsys, tmp_path):
     assert code == 1
     assert out == verified
     assert "drop bound" not in out
+
+
+def test_simulate_unbalanceable_scheme_is_an_error(capsys, tmp_path):
+    # valid, but wt(0) = 1 + sqrt(2) mixes radicands, so loads are floats
+    root2 = ExactWeight(1, 1, 2)
+    mixed = ExplicitScheme(
+        or_n(2), [(0, 1, ONE, {2: (ONE, ONE)}), (0, 2, root2, {1: (root2, root2)})]
+    )
+    path = tmp_path / "or2.scheme.json"
+    save_scheme(mixed, path)
+    code, out, err = run_cli(capsys, "simulate", "identity", "--scheme", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot trace scheme: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        "algorithm",
+        {"n": 1, "work": 1, "unitaries": 5},
+        {"n": 1, "work": 1, "unitaries": [5]},
+        {"n": 1, "work": 1, "unitaries": [[1, 0, 0, 1]]},
+        {"n": 1, "work": 1, "unitaries": [[["1", 0], [0, 0], [0, 0], [1, 0]]]},
+        {"n": float("inf"), "work": 1, "unitaries": []},
+    ],
+)
+def test_malformed_algorithm_file_is_a_load_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.algorithm.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--scheme", "g")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot build algorithm: ")
 
 
 def test_simulate_arity_mismatch(capsys):

@@ -92,15 +92,52 @@ def test_nae3_squared_claims():
         assert check_corollary(c, x)
 
 
-def test_nae3_squared_claim2_sampled():
+def test_corollary_reads_the_swept_templates():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    rng = random.Random(7)
-    for x, y in rng.sample(list(c.iter_pairs()), 50):
-        z = _nae3_pattern(y)
-        diff = x ^ y
-        for i in range(1, 10):
-            if diff & var_bit(9, i):
+    for side in ("a", "b"):
+        for _ in c.sweep_pairs(side):
+            pass
+    tpl = next(iter(c._templates.values()))
+    xor, w, diffs = tpl[0]
+    tpl[0] = (xor, w * ExactWeight(2), diffs)
+    assert not all(check_corollary(c, x) for x in c.a_side + c.b_side)
+
+
+def _partners(scheme) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for x, y in scheme.iter_pairs():
+        out.setdefault(x, []).append(y)
+        out.setdefault(y, []).append(x)
+    return out
+
+
+def _sample_pairs(c: ComposedScheme, rng: random.Random, count: int):
+    """(x, z, y): a composed pair built from the outer and inner relations,
+    with z the block pattern of y."""
+    outer, inner = _partners(c.outer), _partners(c.inner)
+    n, m, table = c.n, c.m, c.inner.f.table
+    out = []
+    for x in rng.sample(c.a_side + c.b_side, count):
+        blocks = [(x >> ((n - 1 - j) * m)) & ((1 << m) - 1) for j in range(n)]
+        p = sum(table[u] << (n - 1 - j) for j, u in enumerate(blocks))
+        z = rng.choice(outer[p])
+        y = 0
+        for j, u in enumerate(blocks):
+            differs = (p ^ z) >> (n - 1 - j) & 1
+            y = (y << m) | (rng.choice(inner[u]) if differs else u)
+        out.append((x, z, y))
+    return out
+
+
+@pytest.mark.parametrize("name", ["nae3", "f4"])
+def test_claim2_sampled(name):
+    g = balance(builtin_scheme(name))
+    c = compose_scheme(g, g)
+    for x, z, y in _sample_pairs(c, random.Random(7), 50):
+        c.weight(x, y)  # a pair of the composed relation
+        for i in range(1, c.arity + 1):
+            if (x ^ y) & var_bit(c.arity, i):
                 assert check_claim2(c, x, z, i)
 
 
