@@ -14,15 +14,26 @@ Protocol (duck-typed):
     iter_pairs() yields (x, y) with x in a_side, y in b_side
     weight(x, y) pair weight (either argument order)
     wprime(x, y, i)      directional weight, first argument's direction
-    sweep_pairs(side)    yields (source, records) grouped per source, where
-                         each record is (partner, w, diffs) and diffs is a
-                         tuple of (i, fwd, bwd) over differing coordinates,
-                         fwd being w'(source, partner, i)
+    sweep_slices(side)   yields (source, slices) per source of the side; a
+                         Slice holds (xor, w, diffs) entries whose partner
+                         is source ^ xor, and diffs is a tuple of
+                         (i, fwd, bwd) over differing coordinates, fwd
+                         being w'(source, partner, i)
+    sweep_pairs(side)    the flattening of sweep_slices: yields
+                         (source, records) with (partner, w, diffs) records
+                         in slice order
 
-Two classes implement it: ExplicitScheme stores the pair and
-directional-weight tables, and compose.ComposedScheme reproduces them on
-demand from an outer and an inner scheme.  `balance` returns an
-ExplicitScheme, or its argument when that is already balanced.
+A slice's entries do not depend on the source, so its pair-weight sum,
+forward sums and failed requirements are computed once (`Slice.wt`,
+`Slice.v`, `Slice.faults`) and hold for every source that reaches it.
+`verify` and `loads` read these aggregates.
+
+Two classes implement the protocol: ExplicitScheme stores the pair and
+directional-weight tables and builds one slice per source, and
+compose.ComposedScheme reproduces them on demand from an outer and an
+inner scheme, sharing one slice among all sources with the same
+surroundings.  `balance` returns an ExplicitScheme, or its argument when
+that is already balanced.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .boolfn import BooleanFunction, var_bit
-from .weights import ONE, ZERO, ExactWeight, exact_sum
+from .weights import ONE, ZERO, ExactWeight, MixedRadicandError, exact_sum
 
 
 class SchemeError(ValueError):
@@ -61,6 +72,98 @@ class Violation:
         return f"[{self.kind}] {loc}: {self.message}"
 
 
+# ---- slices ----------------------------------------------------------------
+
+
+class Slice:
+    """Pair records from a source, shared by sources with equal surroundings.
+
+    entries is a tuple of (xor, w, diffs): the partner of a source is
+    source ^ xor, w the pair weight, and diffs the (i, fwd, bwd) tuple
+    over the differing coordinates, oriented from the source.  None of it
+    depends on the source, so the aggregates are computed once, on first
+    use, and hold for every source that reaches the slice:
+
+        wt      sum of the pair weights
+        v       coordinate i -> sum of the forward weights at i
+        faults  (xor, kind, i, message) for every requirement an entry
+                fails (positivity, the product constraint, coverage), in
+                the order `verify` reports them.  Coverage compares the
+                coordinates of diffs with xor, which equals
+                source ^ partner for every source.
+    """
+
+    # no per-instance dict: an explicit scheme keeps one slice per source
+    __slots__ = ("entries", "arity", "_wt", "_v", "_faults")
+
+    def __init__(self, entries: tuple, arity: int):
+        self.entries = entries
+        self.arity = arity
+        self._wt = self._v = self._faults = None
+
+    @property
+    def wt(self):
+        if self._wt is None:
+            self._wt = exact_sum([w for _, w, _ in self.entries])
+        return self._wt
+
+    @property
+    def v(self) -> dict:
+        if self._v is None:
+            per_i: dict[int, list] = {}
+            for _, _, diffs in self.entries:
+                for i, fwd, _ in diffs:
+                    per_i.setdefault(i, []).append(fwd)
+            self._v = {i: exact_sum(vals) for i, vals in per_i.items()}
+        return self._v
+
+    @property
+    def faults(self) -> tuple:
+        if self._faults is None:
+            self._faults = self._find_faults()
+        return self._faults
+
+    def _find_faults(self) -> tuple:
+        out = []
+        for xor, w, diffs in self.entries:
+            if w.is_zero:
+                out.append((xor, "weight", None, "pair weight is zero"))
+                continue
+            mask = 0
+            for i, fwd, bwd in diffs:
+                mask |= var_bit(self.arity, i)
+                if fwd.is_zero or bwd.is_zero:
+                    kind = "directional"
+                elif fwd * bwd >= w * w:
+                    continue
+                else:
+                    kind = "constraint"
+                out.append((xor, kind, i, f"w'*w' = {fwd * bwd} < w^2 = {w * w}"))
+            if mask != xor:
+                out.append(
+                    (
+                        xor,
+                        "coverage",
+                        None,
+                        "directional weights do not cover exactly the differing coordinates",
+                    )
+                )
+        return tuple(out)
+
+
+def _share(triples, shared: dict) -> tuple:
+    """The triples as a tuple, each equal triple stored once in `shared`."""
+    return tuple(shared.setdefault(t, t) for t in triples)
+
+
+def flatten_slices(sweep):
+    """(source, records) from a `sweep_slices` iterator, in slice order."""
+    for source, slices in sweep:
+        yield source, [
+            (source ^ xor, w, diffs) for sl in slices for xor, w, diffs in sl.entries
+        ]
+
+
 # ---- explicit schemes ------------------------------------------------------
 
 
@@ -78,9 +181,13 @@ class ExplicitScheme:
         self.f = f
         size = 1 << f.arity
         self._w: dict[tuple[int, int], ExactWeight] = {}
-        self._wp: dict[tuple[int, int], dict[int, tuple[ExactWeight, ExactWeight]]] = {}
+        # (x, y) -> diffs from x: (i, w'(x,y,i), w'(y,x,i)) in coordinate order
+        self._wp: dict[tuple[int, int], tuple] = {}
         a_group: dict[int, list[int]] = {}
         b_group: dict[int, list[int]] = {}
+        # schemes repeat a few weights, so equal (i, fwd, bwd) triples are
+        # stored once; the cached slices then add little memory
+        shared: dict = {}
         for x, y, w, wp in pairs:
             if not (0 <= x < size and 0 <= y < size):
                 raise SchemeError(f"pair ({x}, {y}) out of range for arity {f.arity}")
@@ -102,7 +209,9 @@ class ExplicitScheme:
                 if diff & var_bit(f.arity, i) and i not in table:
                     table[i] = (ZERO, ZERO)
             self._w[key] = ExactWeight.of(w)
-            self._wp[key] = table
+            self._wp[key] = _share(
+                ((i, fwd, bwd) for i, (fwd, bwd) in sorted(table.items())), shared
+            )
             a_group.setdefault(x, []).append(y)
             b_group.setdefault(y, []).append(x)
         if not self._w:
@@ -111,6 +220,7 @@ class ExplicitScheme:
         self._b_group = {y: tuple(xs) for y, xs in b_group.items()}
         self.a_side = tuple(sorted(a_group))
         self.b_side = tuple(sorted(b_group))
+        self._sweeps: dict[str, list] = {}
 
     @property
     def pair_count(self) -> int:
@@ -128,39 +238,45 @@ class ExplicitScheme:
         return w
 
     def wprime(self, x: int, y: int, i: int) -> ExactWeight:
-        entry = self._wp.get((x, y))
-        if entry is not None:
-            pick = 0
-        else:
-            entry = self._wp.get((y, x))
-            pick = 1
-        if entry is None:
+        diffs = self._wp.get((x, y))
+        pick = 1
+        if diffs is None:
+            diffs = self._wp.get((y, x))
+            pick = 2
+        if diffs is None:
             raise SchemeError(f"({x}, {y}) is not in the relation")
-        if i not in entry:
-            raise SchemeError(f"pair ({x}, {y}) does not differ at coordinate {i}")
-        return entry[i][pick]
+        for entry in diffs:
+            if entry[0] == i:
+                return entry[pick]
+        raise SchemeError(f"pair ({x}, {y}) does not differ at coordinate {i}")
+
+    def sweep_slices(self, side: str):
+        if side not in ("a", "b"):
+            raise ValueError(f"side must be 'a' or 'b', not {side!r}")
+        sweep = self._sweeps.get(side)
+        if sweep is None:
+            sweep = self._sweeps[side] = self._side_slices(side)
+        yield from sweep
+
+    def _side_slices(self, side: str) -> list:
+        """(source, [Slice]) per source of the side, partners in pair order."""
+        a = side == "a"
+        sources, group = (self.a_side, self._a_group) if a else (self.b_side, self._b_group)
+        out = []
+        shared: dict = {}
+        for source in sources:
+            entries = []
+            for partner in group[source]:
+                key = (source, partner) if a else (partner, source)
+                diffs = self._wp[key]
+                if not a:
+                    diffs = _share(((i, bwd, fwd) for i, fwd, bwd in diffs), shared)
+                entries.append((source ^ partner, self._w[key], diffs))
+            out.append((source, [Slice(tuple(entries), self.f.arity)]))
+        return out
 
     def sweep_pairs(self, side: str):
-        if side == "a":
-            for source in self.a_side:
-                records = []
-                for partner in self._a_group[source]:
-                    w = self._w[(source, partner)]
-                    wp = self._wp[(source, partner)]
-                    diffs = tuple((i, fb[0], fb[1]) for i, fb in sorted(wp.items()))
-                    records.append((partner, w, diffs))
-                yield source, records
-        elif side == "b":
-            for source in self.b_side:
-                records = []
-                for partner in self._b_group[source]:
-                    w = self._w[(partner, source)]
-                    wp = self._wp[(partner, source)]
-                    diffs = tuple((i, fb[1], fb[0]) for i, fb in sorted(wp.items()))
-                    records.append((partner, w, diffs))
-                yield source, records
-        else:
-            raise ValueError(f"side must be 'a' or 'b', not {side!r}")
+        yield from flatten_slices(self.sweep_slices(side))
 
 
 # ---- verification ----------------------------------------------------------
@@ -172,7 +288,9 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
     Checks side membership (A inside the 0-preimage, B inside the
     1-preimage, no overlap), weight positivity, and the product constraint
     w'(x,y,i) * w'(y,x,i) >= w(x,y)^2 at every differing coordinate.  All
-    comparisons are exact.  Reporting stops after `limit` violations.
+    comparisons are exact.  Pair requirements are read from `Slice.faults`:
+    a slice is checked once and that covers every pair it emits, from
+    whichever source.  Reporting stops after `limit` violations.
     """
     out: list[Violation] = []
     f = scheme.f
@@ -188,49 +306,10 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
             if len(out) >= limit:
                 return out
 
-    arity = f.arity
-    checked: dict[tuple[ExactWeight, ExactWeight, ExactWeight], bool] = {}
-    for source, records in scheme.sweep_pairs("a"):
-        for partner, w, diffs in records:
-            if w.is_zero:
-                out.append(Violation("weight", source, partner, None, "pair weight is zero"))
-                if len(out) >= limit:
-                    return out
-                continue
-            mask = 0
-            for i, fwd, bwd in diffs:
-                mask |= var_bit(arity, i)
-                key = (fwd, bwd, w)
-                ok = checked.get(key)
-                if ok is None:
-                    if fwd.is_zero or bwd.is_zero:
-                        ok = False
-                    else:
-                        ok = fwd * bwd >= w * w
-                    checked[key] = ok
-                if not ok:
-                    kind = "directional" if fwd.is_zero or bwd.is_zero else "constraint"
-                    out.append(
-                        Violation(
-                            kind,
-                            source,
-                            partner,
-                            i,
-                            f"w'*w' = {fwd * bwd} < w^2 = {w * w}",
-                        )
-                    )
-                    if len(out) >= limit:
-                        return out
-            if mask != source ^ partner:
-                out.append(
-                    Violation(
-                        "coverage",
-                        source,
-                        partner,
-                        None,
-                        "directional weights do not cover exactly the differing coordinates",
-                    )
-                )
+    for source, slices in scheme.sweep_slices("a"):
+        for sl in slices:
+            for xor, kind, i, message in sl.faults:
+                out.append(Violation(kind, source, source ^ xor, i, message))
                 if len(out) >= limit:
                     return out
     return out
@@ -288,53 +367,117 @@ def _reciprocal(v):
     return 1.0 / v
 
 
+def _plus(a, b):
+    """a + b, exact within one radicand and float otherwise (as exact_sum)."""
+    if isinstance(a, ExactWeight) and isinstance(b, ExactWeight):
+        try:
+            return a + b
+        except MixedRadicandError:
+            pass
+    return float(a) + float(b)
+
+
+def _smallest(values):
+    best = None
+    for v in values:
+        if best is None or _less(v, best):
+            best = v
+    return best
+
+
+def _largest(values):
+    best = None
+    for v in values:
+        if best is None or _less(best, v):
+            best = v
+    return best
+
+
+class _Sums:
+    """Distinct values numbered 0, 1, ...; addition memoized on the numbers.
+
+    A composed scheme's slices repeat a few dozen values over a million
+    pairs, so `loads` adds small ints and turns them back into values only
+    at the end.
+    """
+
+    def __init__(self):
+        self.values: list = []
+        self._ids: dict = {}
+        self._sums: dict = {}
+        self._slices: dict = {}
+
+    def id(self, value) -> int:
+        k = self._ids.get(value)
+        if k is None:
+            k = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return k
+
+    def add(self, a: int, b: int) -> int:
+        k = self._sums.get((a, b))
+        if k is None:
+            k = self._sums[(a, b)] = self.id(_plus(self.values[a], self.values[b]))
+        return k
+
+    def source(self, slices) -> tuple[int, dict]:
+        """wt(x) and i -> v(x, i) of a source, as numbers, from its slices."""
+        agg = self._slices
+        first, *rest = slices
+        wt, v = agg.get(first) or self._slice(first)
+        if rest:
+            v = dict(v)
+            for sl in rest:
+                swt, sv = agg.get(sl) or self._slice(sl)
+                wt = self.add(wt, swt)
+                for i, term in sv.items():
+                    v[i] = self.add(v[i], term) if i in v else term
+        return wt, v
+
+    def _slice(self, sl) -> tuple[int, dict]:
+        out = self._slices[sl] = (self.id(sl.wt), {i: self.id(t) for i, t in sl.v.items()})
+        return out
+
+
 def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
     """Weights wt(x), loads v(x, i), side maxima, and the bound.
 
     wt(x) sums the pair weights at x; v(x, i) sums the directional weights
-    from x over partners differing at i.  Sweeps one side at a time with
-    per-source accumulation, so memory stays flat when maps are not kept.
+    from x over partners differing at i.  Both are added up from the
+    per-slice sums of `sweep_slices`, a few per source.  Without maps only
+    the distinct values are kept, grouped by wt, so memory stays flat.
     """
     if not scheme.a_side or not scheme.b_side:
         raise SchemeError("loads need a nonempty relation on both sides")
     wt_map: dict | None = {} if keep_maps else None
     v_map: dict | None = {} if keep_maps else None
+    sums = _Sums()
+    value = sums.values
     side_best = {}
-    wt_min = wt_max = None
-    v_lo = v_hi = None
+    wts: dict = {}  # distinct value numbers as ordered sets, over both sides
+    vs: dict = {}
     for side in ("a", "b"):
-        best = None
-        for source, records in scheme.sweep_pairs(side):
-            if not records:
+        by_wt: dict = {}  # wt -> distinct v(x, i) of the sources x with that wt
+        for source, slices in scheme.sweep_slices(side):
+            if not slices:
                 continue
-            wt = exact_sum([w for _, w, _ in records])
-            per_i: dict[int, list] = {}
-            for _, _, diffs in records:
-                for i, fwd, _ in diffs:
-                    per_i.setdefault(i, []).append(fwd)
-            local_max = None
-            for i, vals in per_i.items():
-                v = exact_sum(vals)
-                if v_map is not None:
-                    v_map[(source, i)] = v
-                if local_max is None or _less(local_max, v):
-                    local_max = v
-                if v_lo is None or _less(v, v_lo):
-                    v_lo = v
-                if v_hi is None or _less(v_hi, v):
-                    v_hi = v
-            ratio = _ratio(local_max, wt)
-            if best is None or _less(best, ratio):
-                best = ratio
+            wt, v = sums.source(slices)
+            by_wt.setdefault(wt, {}).update(dict.fromkeys(v.values()))
             if wt_map is not None:
-                wt_map[source] = wt
-            if wt_min is None or _less(wt, wt_min):
-                wt_min = wt
-            if wt_max is None or _less(wt_max, wt):
-                wt_max = wt
-        if best is None:
+                wt_map[source] = value[wt]
+                for i, term in v.items():
+                    v_map[(source, i)] = value[term]
+        if not by_wt:
             raise SchemeError(f"side {side!r} has no pairs")
-        side_best[side] = best
+        side_best[side] = _largest(
+            _ratio(_largest(value[k] for k in group), value[wt])
+            for wt, group in by_wt.items()
+        )
+        wts.update(dict.fromkeys(by_wt))
+        for group in by_wt.values():
+            vs.update(group)
+    wt_min, wt_max = _smallest(value[k] for k in wts), _largest(value[k] for k in wts)
+    v_lo, v_hi = _smallest(value[k] for k in vs), _largest(value[k] for k in vs)
     v_a, v_b = side_best["a"], side_best["b"]
     if (isinstance(v_a, ExactWeight) and v_a.is_zero) or (
         isinstance(v_b, ExactWeight) and v_b.is_zero
@@ -428,18 +571,22 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
     n = f.arity
     deg_a: dict[int, int] = {x: 0 for x in a}
     deg_b: dict[int, int] = {y: 0 for y in b}
-    cnt_a: dict[tuple[int, int], int] = {}
-    cnt_b: dict[tuple[int, int], int] = {}
+    # partner counts per input and differing coordinate, keyed by
+    # input << n | the coordinate's bit; only the set bits of x ^ y are visited
+    cnt_a: dict[int, int] = {}
+    cnt_b: dict[int, int] = {}
     for x, y in relation:
         if x not in a_set or y not in b_set:
             raise SchemeError(f"pair ({x}, {y}) leaves the declared sides")
         deg_a[x] += 1
         deg_b[y] += 1
         diff = x ^ y
-        for i in range(1, n + 1):
-            if diff & var_bit(n, i):
-                cnt_a[(x, i)] = cnt_a.get((x, i), 0) + 1
-                cnt_b[(y, i)] = cnt_b.get((y, i), 0) + 1
+        while diff:
+            bit = diff & -diff
+            diff ^= bit
+            key_a, key_b = x << n | bit, y << n | bit
+            cnt_a[key_a] = cnt_a.get(key_a, 0) + 1
+            cnt_b[key_b] = cnt_b.get(key_b, 0) + 1
     m = min(deg_a.values())
     m_prime = min(deg_b.values())
     l = max(cnt_a.values())
@@ -621,10 +768,15 @@ def save_scheme(scheme, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(doc: dict, key: str, kind: type):
-    """doc[key], which must be an instance of `kind`."""
+    """doc[key], which must be an instance of `kind` (no bool for int)."""
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
         raise SchemeError(f"{key!r} must be {kind.__name__}, not {type(value).__name__}")
     return value
 
@@ -632,7 +784,7 @@ def _field(doc: dict, key: str, kind: type):
 def _int_list(doc: dict, key: str) -> list:
     """doc[key], which must be a list of integers."""
     value = _field(doc, key, list)
-    if not all(isinstance(v, int) for v in value):
+    if not all(map(_is_int, value)):
         raise SchemeError(f"{key!r} must be a list of integers")
     return value
 
@@ -649,10 +801,9 @@ def load_scheme(path) -> ExplicitScheme:
         f = load_table((path.parent / _field(doc, "path", str)).resolve())
     else:
         f = BooleanFunction.from_bits(_field(doc, "table", str))
-        if f.arity != doc["arity"]:
-            raise SchemeError(
-                f"declared arity {doc['arity']} but table has arity {f.arity}"
-            )
+        arity = _field(doc, "arity", int)
+        if f.arity != arity:
+            raise SchemeError(f"declared arity {arity} but table has arity {f.arity}")
     declared_a, declared_b = set(_int_list(doc, "a")), set(_int_list(doc, "b"))
     pairs = []
     for rec in _field(doc, "pairs", list):

@@ -9,9 +9,16 @@ root of the two forward/backward ratios, which keeps the defining
 constraint tight and multiplies the two bounds.
 
 The pairs from one source to the partners with one block pattern form a
-slice.  `sweep_pairs` yields slices, and the claim checks at the end of
-this module sum the same slice records, so they certify exactly what
-`verify` and `loads` consume.
+slice.  Its entries (xor offset, weight, directional weights) depend
+only on the pattern pair, the source's blocks where the patterns differ
+and the inner totals where they agree, so sources with the same
+surroundings share one cached `adversary.Slice`: about 2,300 slices
+serve the 1,310,720 pairs of the 4-bit base's square.  `sweep_slices`
+yields them, and `verify` and `loads` read each slice's sums and faults,
+computed once, instead of its records.  `sweep_pairs` flattens the same
+slices into records.  The claim checks at the end of this module read
+the same slices, so they certify exactly what `verify` and `loads`
+consume.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import functools
 import itertools
 import operator
 
-from .adversary import SchemeError, loads
+from .adversary import SchemeError, Slice, flatten_slices, loads
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
 from .weights import ONE, ExactWeight, exact_sum
 
@@ -129,6 +136,20 @@ class ComposedScheme:
         self._i_records = _ratio_records(inner, self._div)
         self._o_pairs = _by_pair(self._o_records)
         self._i_pairs = _by_pair(self._i_records)
+        # a slice sees its agreeing blocks only through their inner totals,
+        # so blocks with equal totals share a class
+        classes: dict = {}
+        self._wt_class = {
+            u: classes.setdefault(wt, len(classes)) for u, wt in self._inner_wt.items()
+        }
+        block = (1 << m) - 1
+        self._o_partners = {
+            p: tuple(
+                (z, sum(block << (n - j) * m for j, _ in odiffs))
+                for z, _, odiffs in recs
+            )
+            for p, recs in self._o_records.items()
+        }
         self._templates: dict = {}
 
         self.a_side = self._enumerate_side(outer.a_side)
@@ -237,25 +258,27 @@ class ComposedScheme:
 
     # ---- sweeps -----------------------------------------------------------
 
-    def _template(self, p: int, z: int, diff_sources: tuple, base: ExactWeight):
-        """Shared per-(pattern pair, block sources, base weight) pair data.
+    def _template(self, blocks: tuple, p: int, z: int) -> Slice:
+        """The Slice of a source with these blocks towards block pattern z.
 
-        Entries are (xor offset to apply to the source index, pair weight,
-        diffs tuple); sources with identical surroundings reuse them.
+        Its base weight is the outer weight of (p, z) times the inner total
+        weight of every block where p and z agree; its entries are (xor
+        offset to apply to the source index, pair weight, diffs tuple).
         """
-        key = (p, z, diff_sources, base)
-        tpl = self._templates.get(key)
-        if tpl is not None:
-            return tpl
         mul, div, sqrtp = self._mul, self._div, self._sqrtp
         m, n = self.m, self.n
+        base, odiffs = self._o_pairs[(p, z)]
+        for j, u in enumerate(blocks):
+            if not (p ^ z) >> (n - 1 - j) & 1:
+                base = mul(base, self._inner_wt[u])
         per_block = []
-        for (j, r1), u in zip(self._o_pairs[(p, z)][1], diff_sources):
+        for j, r1 in odiffs:
+            u = blocks[j - 1]
             shift = (n - j) * m
             per_block.append(
                 [((u ^ v) << shift, wv, j, r1, rdiffs) for v, wv, rdiffs in self._i_records[u]]
             )
-        tpl = []
+        entries = []
         for combo in itertools.product(*per_block):
             xor = 0
             w = base
@@ -268,35 +291,36 @@ class ComposedScheme:
                 for i2, r2 in rdiffs:
                     s = sqrtp(r1, r2)
                     diffs.append((col + i2, mul(w, s), div(w, s)))
-            tpl.append((xor, w, tuple(diffs)))
-        self._templates[key] = tpl
-        return tpl
+            entries.append((xor, w, tuple(diffs)))
+        return Slice(tuple(entries), self.arity)
 
-    def _slice(self, blocks: tuple, p: int, z: int):
-        """The template of a source's slice towards block pattern z.
+    def _slices_of(self, x: int) -> dict:
+        """z -> the shared Slice of x's pairs towards block pattern z.
 
-        blocks and p are the source's blocks and pattern.  The base weight is the outer weight of (p, z) times the inner total
-        weight of every block where p and z agree.
+        Sources with the same pattern, the same blocks where it differs
+        from z and the same total-weight classes elsewhere share a slice.
         """
-        base, odiffs = self._o_pairs[(p, z)]
-        differ, n = p ^ z, self.n
-        for j, u in enumerate(blocks):
-            if not differ >> (n - 1 - j) & 1:
-                base = self._mul(base, self._inner_wt[u])
-        return self._template(p, z, tuple(blocks[j - 1] for j, _ in odiffs), base)
+        blocks = self._blocks_of(x)
+        p = self._pattern_of(blocks)
+        classes = tuple([self._wt_class[u] for u in blocks])
+        templates = self._templates
+        out = {}
+        for z, mask in self._o_partners[p]:
+            key = (p, z, x & mask, classes)
+            sl = templates.get(key)
+            if sl is None:
+                sl = templates[key] = self._template(blocks, p, z)
+            out[z] = sl
+        return out
 
-    def sweep_pairs(self, side: str):
+    def sweep_slices(self, side: str):
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        sources = self.a_side if side == "a" else self.b_side
-        o_records = self._o_records
-        for x in sources:
-            blocks = self._blocks_of(x)
-            p = self._pattern_of(blocks)
-            records = []
-            for z, _, _ in o_records[p]:
-                records += [(x ^ xor, w, diffs) for xor, w, diffs in self._slice(blocks, p, z)]
-            yield x, records
+        for x in self.a_side if side == "a" else self.b_side:
+            yield x, list(self._slices_of(x).values())
+
+    def sweep_pairs(self, side: str):
+        yield from flatten_slices(self.sweep_slices(side))
 
 
 def compose_scheme(outer, inner) -> ComposedScheme:
@@ -318,12 +342,13 @@ def predicted_bound(base_scheme, d: int) -> ExactWeight:
 
 
 def _source(composed: ComposedScheme, x: int, z: int | None = None):
-    """Blocks and block pattern p of x; with z, (p, z) must be an outer pair."""
+    """Blocks, block pattern and slices of x; with z, (p, z) must be an outer pair."""
     blocks = composed._blocks_of(x)
     p = composed._pattern_of(blocks)
-    if z is not None and (p, z) not in composed._o_pairs:
+    slices = composed._slices_of(x)
+    if z is not None and z not in slices:
         raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
-    return blocks, p
+    return blocks, p, slices
 
 
 def _times_inner_totals(composed: ComposedScheme, w, blocks):
@@ -333,12 +358,6 @@ def _times_inner_totals(composed: ComposedScheme, w, blocks):
     return w
 
 
-def _claim1_sides(composed: ComposedScheme, blocks, p: int, z: int):
-    """The slice's pair-weight sum, and the outer weight times all inner totals."""
-    lhs = exact_sum([w for _, w, _ in composed._slice(blocks, p, z)])
-    return lhs, _times_inner_totals(composed, composed._o_pairs[(p, z)][0], blocks)
-
-
 def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
     """Partner weights with a fixed block-value pattern sum to a product.
 
@@ -346,18 +365,21 @@ def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
     the outer weight of (pattern(x), z) times the product over all blocks
     of the inner total weight.  Exact comparison.
     """
-    blocks, p = _source(composed, x, z)
-    lhs, rhs = _claim1_sides(composed, blocks, p, z)
-    return lhs == rhs
+    blocks, p, slices = _source(composed, x, z)
+    return slices[z].wt == _times_inner_totals(composed, composed._o_pairs[(p, z)][0], blocks)
 
 
 def check_corollary(composed: ComposedScheme, x: int) -> bool:
-    """Total weight factorizes: wt(x) = outer wt(pattern) * prod inner wt."""
-    blocks, p = _source(composed, x)
+    """Total weight factorizes: wt(x) = outer wt(pattern) * prod inner wt.
+
+    Every slice of x must meet claim 1; the right-hand sides then add up
+    to the total.
+    """
+    blocks, p, slices = _source(composed, x)
     total = []
-    for z, _, _ in composed._o_records[p]:
-        lhs, rhs = _claim1_sides(composed, blocks, p, z)
-        if lhs != rhs:
+    for z, sl in slices.items():
+        rhs = _times_inner_totals(composed, composed._o_pairs[(p, z)][0], blocks)
+        if sl.wt != rhs:
             return False
         total.append(rhs)
     return exact_sum(total) == _times_inner_totals(composed, composed._outer_wt[p], blocks)
@@ -371,7 +393,7 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     over the i1 block satisfies V <= v_inner * sqrt(r1) * W, with W the
     matching pair-weight sum and r1 the outer ratio at i1.  Exact.
     """
-    blocks, p = _source(composed, x, z)
+    _, p, slices = _source(composed, x, z)
     m, n = composed.m, composed.n
     i1 = (i - 1) // m + 1
     r1 = dict(composed._o_pairs[(p, z)][1]).get(i1)
@@ -379,7 +401,7 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
         raise SchemeError(f"patterns agree in block {i1}")
     outside = ~(((1 << m) - 1) << ((n - i1) * m))
     groups: dict[int, tuple[list, list]] = {}
-    for xor, w, diffs in composed._slice(blocks, p, z):
+    for xor, w, diffs in slices[z].entries:
         v_terms, w_terms = groups.setdefault(xor & outside, ([], []))
         w_terms.append(w)
         v_terms.extend(fwd for j, fwd, _ in diffs if j == i)

@@ -323,11 +323,17 @@ def load_algorithm(path: str | Path) -> QueryAlgorithm:
     if not isinstance(doc, dict):
         raise QsimError(f"malformed algorithm file {path}: not a JSON object")
     try:
-        n = int(doc.get("n", doc.get("N")))
-        work = int(doc["work"])
+        n = doc.get("n", doc.get("N"))
+        work = doc["work"]
         raw = doc["unitaries"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
         raise QsimError(f"malformed algorithm file {path}: {exc}") from None
+    for key, value in (("n", n), ("work", work)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise QsimError(
+                f"malformed algorithm file {path}: {key!r} must be an integer, "
+                f"not {type(value).__name__}"
+            )
     if not isinstance(raw, list) or not all(map(_is_flat_matrix, raw)):
         raise QsimError(
             f"malformed algorithm file {path}: 'unitaries' must be a list of "

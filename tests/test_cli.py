@@ -149,6 +149,13 @@ _PAIR = {"x": 0, "y": 1, "w": "1", "wp": {"3": ["1", "1"]}}
         {**_NAE3, "pairs": [{**_PAIR, "x": [0]}]},
         {**_NAE3, "pairs": [{**_PAIR, "y": [1]}]},
         {**_NAE3, "pairs": [{**_PAIR, "w": 1}]},
+        {**_NAE3, "arity": "3", "pairs": [_PAIR]},
+        {**_NAE3, "arity": 3.0, "pairs": [_PAIR]},
+        {"arity": True, "table": "01", "a": [0], "b": [1], "pairs": [
+            {"x": 0, "y": 1, "w": "1", "wp": {"1": ["1", "1"]}}
+        ]},
+        {**_NAE3, "a": [False], "pairs": [_PAIR]},
+        {**_NAE3, "pairs": [{**_PAIR, "x": False}]},
     ],
 )
 @pytest.mark.parametrize("command", ["verify-scheme", "simulate"])
@@ -337,6 +344,10 @@ def test_simulate_unbalanceable_scheme_is_an_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("cannot trace scheme: ")
 
 
+# the identity on the 4-dimensional space of n = 3, work = 1
+_ID4 = [[int(r == c), 0] for r in range(4) for c in range(4)]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -347,6 +358,10 @@ def test_simulate_unbalanceable_scheme_is_an_error(capsys, tmp_path):
         {"n": 1, "work": 1, "unitaries": [[1, 0, 0, 1]]},
         {"n": 1, "work": 1, "unitaries": [[["1", 0], [0, 0], [0, 0], [1, 0]]]},
         {"n": float("inf"), "work": 1, "unitaries": []},
+        {"n": 3.9, "work": 1, "unitaries": [_ID4]},
+        {"n": "3", "work": 1, "unitaries": [_ID4]},
+        {"n": 3, "work": 1.0, "unitaries": [_ID4]},
+        {"n": 3, "work": True, "unitaries": [_ID4]},
     ],
 )
 def test_malformed_algorithm_file_is_a_load_error(capsys, tmp_path, doc):

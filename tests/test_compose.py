@@ -5,7 +5,10 @@ import random
 import pytest
 
 from advwb.adversary import (
+    VIOLATION_CAP,
+    LoadReport,
     SchemeError,
+    Violation,
     balance,
     builtin_scheme,
     load_scheme,
@@ -23,7 +26,7 @@ from advwb.compose import (
     compose_scheme,
     predicted_bound,
 )
-from advwb.weights import ExactWeight, exact_sum
+from advwb.weights import ONE, ZERO, ExactWeight, exact_sum
 
 
 def test_block_index():
@@ -93,15 +96,114 @@ def test_nae3_squared_claims():
 
 
 def test_corollary_reads_the_swept_templates():
+    from advwb.adversary import Slice
+
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    for side in ("a", "b"):
-        for _ in c.sweep_pairs(side):
-            pass
-    tpl = next(iter(c._templates.values()))
-    xor, w, diffs = tpl[0]
-    tpl[0] = (xor, w * ExactWeight(2), diffs)
+    assert verify(c) == []
+    key, tpl = next(iter(c._templates.items()))
+    doubled = tuple((xor, w * ExactWeight(2), diffs) for xor, w, diffs in tpl.entries)
+    c._templates[key] = Slice(doubled, tpl.arity)
     assert not all(check_corollary(c, x) for x in c.a_side + c.b_side)
+    assert verify(c)
+
+
+def _all_slices(c: ComposedScheme) -> list:
+    for side in ("a", "b"):
+        for _ in c.sweep_slices(side):
+            pass
+    return list(c._templates.values())
+
+
+@pytest.mark.parametrize("name", ["nae3", "f4"])
+def test_slice_sums_match_their_records(name):
+    g = balance(builtin_scheme(name))
+    c = compose_scheme(g, g)
+    slices = _all_slices(c)
+    assert len(slices) == {"nae3": 288, "f4": 2304}[name]
+    for sl in slices:
+        wt, v = ZERO, {}
+        for _, w, diffs in sl.entries:
+            wt = wt + w
+            for i, fwd, _ in diffs:
+                v[i] = v.get(i, ZERO) + fwd
+        assert sl.wt == wt
+        assert sl.v == v
+
+
+def test_loads_matches_a_record_level_reference():
+    g = builtin_scheme("nae3")
+    c = compose_scheme(g, g)
+    wt, v, side_max = {}, {}, {}
+    for side in ("a", "b"):
+        side_max[side] = ZERO
+        for x, records in c.sweep_pairs(side):
+            wt[x] = ZERO
+            for _, w, diffs in records:
+                wt[x] += w
+                for i, fwd, _ in diffs:
+                    v[(x, i)] = v.get((x, i), ZERO) + fwd
+            for i in range(1, c.arity + 1):
+                if (x, i) in v:
+                    side_max[side] = max(side_max[side], v[(x, i)] / wt[x])
+    v_max = (side_max["a"] * side_max["b"]).sqrt()
+    want = LoadReport(
+        v_a=side_max["a"],
+        v_b=side_max["b"],
+        v_max=v_max,
+        bound=ONE / v_max,
+        wt_min=min(wt.values()),
+        wt_max=max(wt.values()),
+        v_lo=min(v.values()),
+        v_hi=max(v.values()),
+        wt=wt,
+        v=v,
+    )
+    assert loads(c, keep_maps=True) == want
+    assert want.bound == ExactWeight(9, 2)
+
+
+def _reference_violations(scheme) -> list:
+    """verify's pair checks as a plain loop over the swept records."""
+    out = []
+    for x, records in scheme.sweep_pairs("a"):
+        for y, w, diffs in records:
+            if w.is_zero:
+                out.append(Violation("weight", x, y, None, "pair weight is zero"))
+                continue
+            for i, fwd, bwd in diffs:
+                if fwd * bwd < w * w or fwd.is_zero or bwd.is_zero:
+                    kind = "directional" if fwd.is_zero or bwd.is_zero else "constraint"
+                    message = f"w'*w' = {fwd * bwd} < w^2 = {w * w}"
+                    out.append(Violation(kind, x, y, i, message))
+            if sum(var_bit(scheme.arity, i) for i, _, _ in diffs) != x ^ y:
+                message = "directional weights do not cover exactly the differing coordinates"
+                out.append(Violation("coverage", x, y, None, message))
+    return out
+
+
+@pytest.mark.parametrize("corruption", ["scale", "drop"])
+def test_verify_reports_what_a_record_level_check_reports(corruption):
+    from advwb.adversary import Slice
+
+    g = builtin_scheme("nae3")
+    c = compose_scheme(g, g)
+    assert verify(c) == [] == _reference_violations(c)
+    key, tpl = next(iter(c._templates.items()))
+    (xor, w, diffs), *rest = tpl.entries
+    if corruption == "scale":
+        # nae3 squared is tight, so a halved forward weight breaks w'*w' >= w^2
+        i, fwd, bwd = diffs[0]
+        diffs = ((i, fwd * ExactWeight(1, 2), bwd),) + diffs[1:]
+    else:
+        diffs = diffs[1:]
+    c._templates[key] = Slice(((xor, w, diffs), *rest), tpl.arity)
+    want = _reference_violations(c)
+    kind = "constraint" if corruption == "scale" else "coverage"
+    assert want and {v.kind for v in want} == {kind}
+    assert verify(c, limit=len(want) + 1) == want
+    assert verify(c) == want[:VIOLATION_CAP]
+    assert verify(c, limit=1) == want[:1]
 
 
 def _partners(scheme) -> dict[int, list[int]]:

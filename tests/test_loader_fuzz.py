@@ -1,4 +1,5 @@
-"""Generated scheme and algorithm files: the CLI exits 0, 1 or 2, never raises."""
+"""Generated scheme, algorithm and truth-table files: the CLI exits 0, 1 or 2,
+never raises."""
 
 import contextlib
 import io
@@ -67,6 +68,20 @@ algorithm_docs = json_values | _replaced(
 )
 
 
+# Truth-table text: free text, and the two-line "arity / row" format with
+# each part perturbed.  Tables are loaded through `verify-scheme` only:
+# `measures` runs the exact LP, which takes minutes from 7 bits on.
+table_texts = st.text(max_size=24) | st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["3", " 3 ", "03", "1_0", "0", "-3", "17", "x", ""])
+    | st.integers(min_value=-2, max_value=6).map(str),
+    st.sampled_from(["\n", "\r\n", "", " "]),
+    st.sampled_from(["01111110", "0111111", "011111100", "0111 1110", "01111112"])
+    | st.text(alphabet="01", max_size=70),
+    st.sampled_from(["", "\n", "\n\n", "\n01"]),
+)
+
+
 def _exit_code(doc, argv: list[str]) -> int:
     """Exit code of `main(argv)`, with "FILE" in argv naming a file holding doc."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,3 +107,14 @@ def test_generated_scheme_files_never_raise(doc, argv):
 @given(algorithm_docs)
 def test_generated_algorithm_files_never_raise(doc):
     assert _exit_code(doc, ["simulate", "FILE", "--scheme", "g"]) in (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_texts)
+def test_generated_table_files_never_raise(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "f.tbl"
+        table.write_text(text, encoding="utf-8")
+        doc = {key: value for key, value in VALID_SCHEME.items() if key not in ("arity", "table")}
+        doc["path"] = str(table)
+        assert _exit_code(doc, ["verify-scheme", "FILE"]) in (0, 1, 2)
