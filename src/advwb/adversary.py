@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .boolfn import BooleanFunction, var_bit
 from .weights import ONE, ZERO, ExactWeight, MixedRadicandError, exact_sum
 
@@ -547,8 +549,11 @@ class RelationBound:
 
 
 def _check_sides(f: BooleanFunction, a, b):
-    bad_a = [x for x in a if f.table[x] != 0]
-    bad_b = [y for y in b if f.table[y] != 1]
+    tab = f.np_table
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    bad_a = a[tab[a] != 0].tolist()
+    bad_b = b[tab[b] != 1].tolist()
     if bad_a or bad_b:
         raise SchemeError(
             f"side membership violated: {bad_a} not 0-inputs, {bad_b} not 1-inputs"
@@ -560,37 +565,38 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
 
     m and m' are the minimum partner counts over A and B; l is the largest
     number of partners of one A-side input all differing from it at one
-    coordinate, l' the B-side analogue.
+    coordinate, l' the B-side analogue.  The relation is any sequence of
+    (x, y) pairs, a list of tuples or an (N, 2) integer array; it is
+    counted with array passes, one bincount per side for m and m' and one
+    masked bincount per side and coordinate for l and l'.
     """
-    a = tuple(a)
-    b = tuple(b)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     _check_sides(f, a, b)
-    a_set, b_set = set(a), set(b)
-    if not relation:
+    if not len(relation):
         raise SchemeError("empty relation")
+    rel = np.asarray(relation, dtype=np.int64).reshape(-1, 2)
     n = f.arity
-    deg_a: dict[int, int] = {x: 0 for x in a}
-    deg_b: dict[int, int] = {y: 0 for y in b}
-    # partner counts per input and differing coordinate, keyed by
-    # input << n | the coordinate's bit; only the set bits of x ^ y are visited
-    cnt_a: dict[int, int] = {}
-    cnt_b: dict[int, int] = {}
-    for x, y in relation:
-        if x not in a_set or y not in b_set:
-            raise SchemeError(f"pair ({x}, {y}) leaves the declared sides")
-        deg_a[x] += 1
-        deg_b[y] += 1
-        diff = x ^ y
-        while diff:
-            bit = diff & -diff
-            diff ^= bit
-            key_a, key_b = x << n | bit, y << n | bit
-            cnt_a[key_a] = cnt_a.get(key_a, 0) + 1
-            cnt_b[key_b] = cnt_b.get(key_b, 0) + 1
-    m = min(deg_a.values())
-    m_prime = min(deg_b.values())
-    l = max(cnt_a.values())
-    l_prime = max(cnt_b.values())
+    size = 1 << n
+    in_a = np.zeros(size, dtype=bool)
+    in_b = np.zeros(size, dtype=bool)
+    in_a[a] = True
+    in_b[b] = True
+    xs, ys = rel[:, 0], rel[:, 1]
+    ok = (xs >= 0) & (xs < size) & (ys >= 0) & (ys < size)
+    ok[ok] = in_a[xs[ok]] & in_b[ys[ok]]
+    if not ok.all():
+        x, y = rel[np.argmin(ok)].tolist()
+        raise SchemeError(f"pair ({x}, {y}) leaves the declared sides")
+    m = int(np.bincount(xs, minlength=size)[a].min())
+    m_prime = int(np.bincount(ys, minlength=size)[b].min())
+    diff = xs ^ ys
+    l = l_prime = 0
+    for i in range(n):
+        at = (diff >> i) & 1 == 1
+        if at.any():
+            l = max(l, int(np.bincount(xs[at]).max()))
+            l_prime = max(l_prime, int(np.bincount(ys[at]).max()))
     bound = ExactWeight.sqrt_of(Fraction(m * m_prime, l * l_prime))
     return RelationBound(m, m_prime, l, l_prime, bound)
 

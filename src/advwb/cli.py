@@ -26,6 +26,12 @@ BASE_ALIASES = {
     "h6": "h6",
 }
 
+# Deepest --depth that compose and iterate accept.  Deeper predicted values
+# outgrow what prints: (sqrt(39)/2)^d, the largest builtin bound, leaves
+# the float range of its six-place decimal near d = 626, and past a few
+# thousand the exact strings exceed Python's integer-to-string limit.
+MAX_DEPTH = 512
+
 
 def fmt(value) -> str:
     """Exact string plus parenthesized 6-place decimal."""
@@ -107,6 +113,9 @@ def cmd_measures(args) -> int:
     except (ValueError, ZeroDivisionError):
         print(f"bad eps {args.eps!r}", file=sys.stderr)
         return 2
+    if not 0 <= eps < Fraction(1, 2):
+        print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
+        return 2
     try:
         rep = measures.compute_report(f, eps, skip=skip, force=args.force)
     except measures.CapExceeded as exc:
@@ -163,8 +172,8 @@ def cmd_compose(args) -> int:
     if name is None:
         print(f"unknown base {args.base!r}", file=sys.stderr)
         return 2
-    if args.depth < 1:
-        print("depth must be >= 1", file=sys.stderr)
+    if not 1 <= args.depth <= MAX_DEPTH:
+        print(f"depth must be in 1..{MAX_DEPTH}", file=sys.stderr)
         return 2
     base = adversary.builtin_scheme(name)
     base_report = adversary.loads(base, keep_maps=False)
@@ -207,7 +216,11 @@ def cmd_compose(args) -> int:
         predicted_bound=exact_str(predicted),
     )
     if args.export:
-        adversary.save_scheme(scheme, args.export)
+        try:
+            adversary.save_scheme(scheme, args.export)
+        except OSError as exc:
+            print(f"cannot export: {exc}", file=sys.stderr)
+            return 2
         lines.append(f"exported to {args.export}")
         payload["exported"] = str(args.export)
     _emit(args, lines, payload)
@@ -246,7 +259,12 @@ def cmd_matchings(args) -> int:
         files = []
         for set_id in (1, 2):
             ms = matchings.build_matchings(args.depth, set_id)
-            files.extend(str(p) for p in matchings.export_matchings(ms, args.export))
+            try:
+                written = matchings.export_matchings(ms, args.export)
+            except OSError as exc:
+                print(f"cannot export: {exc}", file=sys.stderr)
+                return 2
+            files.extend(str(p) for p in written)
         lines.append(f"exported {len(files)} files to {args.export}")
         payload["exported"] = files
     _emit(args, lines, payload)
@@ -257,6 +275,9 @@ def cmd_matchings(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.eps is not None and not 0.0 <= args.eps < 0.5:
+        print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
+        return 2
     try:
         scheme = _load_scheme(args.scheme)
     except (OSError, KeyError, ValueError) as exc:
@@ -365,6 +386,9 @@ def cmd_iterate(args) -> int:
         return 2
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load function: {exc}", file=sys.stderr)
+        return 2
+    if not 1 <= args.depth <= MAX_DEPTH:
+        print(f"depth must be in 1..{MAX_DEPTH}", file=sys.stderr)
         return 2
     try:
         rep = measures.iterated_certificates(f, args.depth)

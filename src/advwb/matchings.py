@@ -15,11 +15,23 @@ differ only in which endpoint (the 1-input for the first family, the
 0-input for the second) donates its pair to the third matching.  That
 choice is what keeps the per-coordinate pair count at 1 on the family's
 protected side.
+
+Both families read one (3, 16) partner table: row g sends a 0-input to
+its partner in the first family's matching g, and a 1-input to its
+partner in the second family's.  The first family starts from the
+0-inputs of the iterate, the second from the 1-inputs.  Matching
+t = g*K + k sends a source's block pattern to its partner under row g,
+and moves each block whose value that changes to its partner under row
+k of the block level's table: the partner table itself at depth 2
+(K = 3), the bit flip at depth 1, where the blocks are single bits
+(K = 1).  Each step runs over all sources of a family at once, as numpy
+arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +53,9 @@ class MatchingSet:
 
     Pairs are stored 0-input first: matching t maps a_side[i] to
     partners[t][i].  set_id records which family (1 protects the
-    0-preimage side, 2 the 1-preimage side).
+    0-preimage side, 2 the 1-preimage side).  Construction checks that
+    every matching is a bijection onto the 1-preimage and that no pair
+    lies in two matchings, and keeps the union as pair_array.
     """
 
     d: int
@@ -50,6 +64,10 @@ class MatchingSet:
     a_side: tuple[int, ...]
     b_side: tuple[int, ...]
     partners: tuple[np.ndarray, ...]
+    pair_array: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pair_array", _validate(self))
 
     @property
     def matching_count(self) -> int:
@@ -61,22 +79,18 @@ class MatchingSet:
 
     def pairs(self, t: int) -> list[tuple[int, int]]:
         """The ordered (0-input, 1-input) pairs of matching t."""
-        arr = self.partners[t]
-        return [(x, int(arr[i])) for i, x in enumerate(self.a_side)]
+        return list(zip(self.a_side, self.partners[t].tolist()))
 
     def partner(self, t: int, x: int) -> int:
         """Partner of 0-input x in matching t."""
-        i = self._a_pos().get(x)
+        i = self._a_pos.get(x)
         if i is None:
             raise MatchingError(f"{x} is not a 0-input")
         return int(self.partners[t][i])
 
+    @cached_property
     def _a_pos(self) -> dict[int, int]:
-        pos = getattr(self, "_pos_cache", None)
-        if pos is None:
-            pos = {x: i for i, x in enumerate(self.a_side)}
-            object.__setattr__(self, "_pos_cache", pos)
-        return pos
+        return {x: i for i, x in enumerate(self.a_side)}
 
 
 def _sensitive_mask(f: BooleanFunction, x: int) -> tuple[int, int, int]:
@@ -103,21 +117,35 @@ def _sensitive_mask(f: BooleanFunction, x: int) -> tuple[int, int, int]:
     return odd, even, odd | even
 
 
-def _base_maps(set_id: int) -> tuple[BooleanFunction, tuple[dict[int, int], ...]]:
-    """The three depth-1 matchings as 0-input -> 1-input maps."""
-    f = f4()
+def _base_maps(f: BooleanFunction, set_id: int) -> np.ndarray:
+    """(3, 16) lookup: row g maps a 0-input to its 1-input in matching g, else -1."""
     zeros = [x for x in range(16) if f.table[x] == 0]
     ones = [x for x in range(16) if f.table[x] == 1]
-    m1 = {x: x ^ _sensitive_mask(f, x)[0] for x in zeros}
-    m2 = {x: x ^ _sensitive_mask(f, x)[1] for x in zeros}
+    masks = {x: _sensitive_mask(f, x) for x in range(16)}
+    maps = np.full((3, 16), -1, dtype=np.int64)
+    for x in zeros:
+        maps[0, x] = x ^ masks[x][0]
+        maps[1, x] = x ^ masks[x][1]
+        if set_id == 2:
+            maps[2, x] = x ^ masks[x][2]
     if set_id == 1:
-        m3 = {y ^ _sensitive_mask(f, y)[2]: y for y in ones}
-    else:
-        m3 = {x: x ^ _sensitive_mask(f, x)[2] for x in zeros}
-    for m in (m1, m2, m3):
-        if sorted(m) != zeros or sorted(m.values()) != ones:
+        for y in ones:
+            maps[2, y ^ masks[y][2]] = y
+    for row in maps:
+        if sorted(row[zeros].tolist()) != ones:
             raise MatchingError("base matching is not a bijection between preimages")
-    return f, (m1, m2, m3)
+    return maps
+
+
+def _partner_table(f: BooleanFunction) -> np.ndarray:
+    """(3, 16) partner table: the first family's maps on 0-inputs, and the
+    inverses of the second family's maps on 1-inputs."""
+    fwd1, fwd2 = _base_maps(f, 1), _base_maps(f, 2)
+    zeros = np.flatnonzero(f.np_table == 0)
+    table = fwd1.copy()
+    for g in range(3):
+        table[g, fwd2[g, zeros]] = zeros
+    return table
 
 
 def build_matchings(d: int, set_id: int) -> MatchingSet:
@@ -128,85 +156,76 @@ def build_matchings(d: int, set_id: int) -> MatchingSet:
         raise MatchingError(
             f"depth {d} not materializable (supported: 1..{MAX_MATCHING_DEPTH})"
         )
-    base_f, own = _base_maps(set_id)
-    if d == 1:
-        a_side = tuple(sorted(own[0]))
-        b_side = tuple(sorted(own[0].values()))
-        partners = tuple(
-            np.array([m[x] for x in a_side], dtype=np.int64) for m in own
-        )
-        ms = MatchingSet(1, set_id, base_f, a_side, b_side, partners)
-        _validate(ms)
-        return ms
-
-    # Depth 2: matching index t = g*3 + k pairs pattern-level matching g
-    # with block-level matching k.  Differing blocks recurse into the
-    # family that protects the block on this family's protected side.
-    fwd = {s: _base_maps(s)[1] for s in (1, 2)}
-    inv = {
-        s: tuple({y: x for x, y in m.items()} for m in ms) for s, ms in fwd.items()
-    }
-    f2 = iterate(base_f, 2)
-    tab2 = f2.table
-    a_side = tuple(x for x in range(1 << 16) if tab2[x] == 0)
-    b_side = tuple(x for x in range(1 << 16) if tab2[x] == 1)
-    base_tab = base_f.table
-    a_pos = {x: i for i, x in enumerate(a_side)}
-    size = len(a_side)
-    partners = []
+    base = f4()
+    table = _partner_table(base)
+    fd = iterate(base, d)
+    tab = fd.np_table
+    a_side = np.flatnonzero(tab == 0)
+    b_side = np.flatnonzero(tab == 1)
     sources = a_side if set_id == 1 else b_side
+    if d == 1:
+        # the blocks are the bits, with their values as they are and the
+        # flip as their one matching
+        width, block_tab, block_table = 1, np.array([0, 1]), np.array([[1, 0]])
+    else:
+        width, block_tab, block_table = 4, base.np_table, table
+    order = np.arange(3, -1, -1)  # block j sits at bits width * (3 - j)
+    blocks = (sources[:, None] >> width * order) & ((1 << width) - 1)
+    pattern = (block_tab[blocks].astype(np.int64) << order).sum(axis=1)
+    # per pattern-level matching g: 1 where a block's value changes
+    changed = [((pattern ^ table[g, pattern])[:, None] >> order) & 1 for g in range(3)]
+    # per block-level matching k: the xor that moves each block to its partner;
+    # the blocks occupy disjoint bits, so the sum over blocks is their union
+    moves = [(blocks ^ row[blocks]) << width * order for row in block_table]
+    partners = []
     for g in range(3):
-        own_fwd = own[g]
-        own_inv = {y: x for x, y in own_fwd.items()}
-        for k in range(3):
-            arr = np.full(size, -1, dtype=np.int64)
-            for src in sources:
-                blocks = [(src >> shift) & 15 for shift in (12, 8, 4, 0)]
-                pattern = 0
-                for b in blocks:
-                    pattern = (pattern << 1) | base_tab[b]
-                if set_id == 1:
-                    other = own_fwd[pattern]
-                else:
-                    other = own_inv[pattern]
-                diff = pattern ^ other
-                out = 0
-                for j, shift in enumerate((12, 8, 4, 0)):
-                    u = blocks[j]
-                    if not (diff >> (3 - j)) & 1:
-                        out = (out << 4) | u
-                    elif set_id == 1:
-                        # protect the 0-side: block family chosen by the
-                        # 0-input's block value
-                        v = fwd[1][k][u] if base_tab[u] == 0 else inv[2][k][u]
-                        out = (out << 4) | v
-                    else:
-                        # protect the 1-side: chosen by the 1-input's block
-                        v = inv[2][k][u] if base_tab[u] == 1 else fwd[1][k][u]
-                        out = (out << 4) | v
-                if set_id == 1:
-                    arr[a_pos[src]] = out
-                else:
-                    arr[a_pos[out]] = src
-            partners.append(arr)
-    ms = MatchingSet(2, set_id, f2, a_side, b_side, tuple(partners))
-    _validate(ms)
-    return ms
+        for k, move in enumerate(moves):
+            out = sources ^ np.where(changed[g] == 1, move, 0).sum(axis=1)
+            if set_id == 2:
+                # out are 0-inputs: list the sources by their partner
+                by_partner = np.argsort(out)
+                if not np.array_equal(out[by_partner], a_side):
+                    t = g * len(moves) + k
+                    raise MatchingError(
+                        f"matching {t} is not a bijection onto the 0-preimage"
+                    )
+                out = sources[by_partner]
+            partners.append(out)
+    return MatchingSet(
+        d,
+        set_id,
+        fd,
+        tuple(a_side.tolist()),
+        tuple(b_side.tolist()),
+        tuple(partners),
+    )
 
 
-def _validate(ms: MatchingSet) -> None:
-    """Bijection per matching, pairwise disjointness across the family."""
-    b_set = set(ms.b_side)
-    seen: set[tuple[int, int]] = set()
+def _validate(ms: MatchingSet) -> np.ndarray:
+    """Bijection per matching, disjointness across the family; the pair array."""
+    n = ms.f.arity
+    size = 1 << n
+    in_b = np.zeros(size, dtype=bool)
+    in_b[np.asarray(ms.b_side, dtype=np.int64)] = True
     for t, arr in enumerate(ms.partners):
-        vals = set(int(v) for v in arr)
-        if len(vals) != len(arr) or not vals <= b_set:
+        inside = arr.size == 0 or (arr.min() >= 0 and arr.max() < size)
+        if (
+            arr.shape != (ms.matching_size,)
+            or not inside
+            or not in_b[arr].all()
+            or np.bincount(arr, minlength=size).max(initial=0) > 1
+        ):
             raise MatchingError(f"matching {t} is not a bijection onto the 1-preimage")
-        for i, x in enumerate(ms.a_side):
-            key = (x, int(arr[i]))
-            if key in seen:
-                raise MatchingError(f"pair {key} appears in two matchings")
-            seen.add(key)
+    xs = np.tile(np.asarray(ms.a_side, dtype=np.int64), ms.matching_count)
+    ys = np.concatenate(ms.partners).astype(np.int64)
+    keys = xs << n | ys
+    _, first = np.unique(keys, return_index=True)
+    if first.size != keys.size:
+        repeat = np.ones(keys.size, dtype=bool)
+        repeat[first] = False
+        i = int(np.flatnonzero(repeat)[0])
+        raise MatchingError(f"pair {(int(xs[i]), int(ys[i]))} appears in two matchings")
+    return np.column_stack((xs, ys))
 
 
 @dataclass(frozen=True)
@@ -225,8 +244,7 @@ class MatchingCheck:
 
     @classmethod
     def of(cls, ms: MatchingSet) -> MatchingCheck:
-        pairs = [p for t in range(ms.matching_count) for p in ms.pairs(t)]
-        rb: RelationBound = relation_bound(ms.f, ms.a_side, ms.b_side, pairs)
+        rb: RelationBound = relation_bound(ms.f, ms.a_side, ms.b_side, ms.pair_array)
         return cls(
             set_id=ms.set_id,
             m=rb.m,
@@ -234,7 +252,8 @@ class MatchingCheck:
             l=rb.l,
             l_prime=rb.l_prime,
             bound=rb.bound,
-            disjoint=len(set(pairs)) == len(pairs),
+            # MatchingSet construction rejects a pair lying in two matchings
+            disjoint=True,
             matching_count=ms.matching_count,
             matching_size=ms.matching_size,
         )

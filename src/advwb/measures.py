@@ -507,12 +507,57 @@ def _compose_tree(outer: DecisionTree, inner: DecisionTree, inner_arity: int):
     return shift(inner, offset, lo, hi)
 
 
+def _iterated_blocks(f: BooleanFunction, base: np.ndarray, d: int) -> np.ndarray:
+    """(2^(4^d), 3^d) masks of the sensitive blocks of every input of the iterate.
+
+    d is 1 or 2, and base is the (16, 3) table of _base_blocks.  At depth 2,
+    base block o of an input's block pattern expands, per inner choice k,
+    into the union of inner block k of each 4-bit block the outer block
+    covers.
+    """
+    if d == 1:
+        return base
+    x = np.arange(1 << 16)
+    order = np.arange(3, -1, -1)  # 4-bit block j sits at bits 4 * (3 - j)
+    sub = (x[:, None] >> 4 * order) & 15
+    pattern = (f.np_table[sub].astype(np.int64) << order).sum(axis=1)
+    covered = (base[pattern][:, :, None] >> order) & 1  # (N, outer block, j)
+    inner = base[sub] << (4 * order)[:, None]  # (N, j, inner block)
+    return np.concatenate(
+        [np.where(covered[:, o, :, None] == 1, inner, 0).sum(axis=1) for o in range(3)],
+        axis=1,
+    )
+
+
+def _tree_failures(
+    tree: DecisionTree, xs: np.ndarray, arity: int, tab: np.ndarray, limit: int
+) -> np.ndarray:
+    """Inputs on which the tree gives a wrong value or queries more than limit."""
+    bad = []
+    stack = [(tree, xs, 0)]
+    while stack:
+        node, idx, queries = stack.pop()
+        if not idx.size:
+            continue
+        if isinstance(node, TreeLeaf):
+            if queries > limit:
+                bad.append(idx)
+            else:
+                bad.append(idx[tab[idx] != node.value])
+            continue
+        high = idx & var_bit(arity, node.var) != 0
+        stack.append((node.low, idx[~high], queries + 1))
+        stack.append((node.high, idx[high], queries + 1))
+    return np.concatenate(bad) if bad else xs[:0]
+
+
 def iterated_certificates(f: BooleanFunction, d: int) -> IteratedReport:
     """Certified s, bs and depth of the d-fold iterate of an arity-4 base.
 
     d <= 2: the iterate is materialized and every claim is checked on every
-    input (sensitivity count, nine explicitly constructed disjoint sensitive
-    blocks, and a composed decision tree evaluated input by input).  d >= 3:
+    input, as array passes over all inputs at once: the sensitivity count,
+    3^d explicitly constructed disjoint sensitive blocks, and a composed
+    decision tree whose nodes split the inputs that reach them.  d >= 3:
     returns the values the certificates yield, flagged unverified.
     """
     if d < 1:
@@ -525,68 +570,32 @@ def iterated_certificates(f: BooleanFunction, d: int) -> IteratedReport:
 
     fd = iterate(f, d)
     n = fd.arity
+    tab = fd.np_table
 
     counts = sensitivity_counts(fd)
     if not np.all(counts == s_val):
         raise AssertionError("sensitivity certificate failed")
 
-    # d-fold block construction: each base block at the top level expands,
-    # per inner choice, into a union of blocks of the (d-1)-iterate.
-    def blocks_at(level: int, x: int) -> list[int]:
-        if level == 1:
-            return list(blocks[x])
-        m = 4 ** (level - 1)
-        sub = [(x >> (m * (4 - j))) & ((1 << m) - 1) for j in range(1, 5)]
-        xt = 0
-        for b in sub:
-            xt = (xt << 1) | _iter_value(f, level - 1, b)
-        inner = [blocks_at(level - 1, b) for b in sub]
-        out = []
-        for outer_mask in blocks[xt]:
-            js = [j for j in range(1, 5) if outer_mask & var_bit(4, j)]
-            for k in range(3):
-                mask = 0
-                for j in js:
-                    mask |= inner[j - 1][k] << (m * (4 - j))
-                out.append(mask)
-        return out
-
-    _iter_cache: dict[tuple[int, int], int] = {}
-
-    def _iter_value(base: BooleanFunction, level: int, x: int) -> int:
-        if level == 1:
-            return base.table[x]
-        key = (level, x)
-        hit = _iter_cache.get(key)
-        if hit is None:
-            m = 4 ** (level - 1)
-            t = 0
-            for j in range(1, 5):
-                t = (t << 1) | _iter_value(base, level - 1, (x >> (m * (4 - j))) & ((1 << m) - 1))
-            hit = base.table[t]
-            _iter_cache[key] = hit
-        return hit
-
-    tab = fd.table
-    for x in range(1 << n):
-        bl = blocks_at(d, x)
-        if len(bl) != bs_val:
-            raise AssertionError(f"expected {bs_val} blocks at {x}")
-        used = 0
-        for mask in bl:
-            if mask & used or tab[x ^ mask] == tab[x]:
-                raise AssertionError(f"block certificate failed at input {x}")
-            used |= mask
+    masks = _iterated_blocks(f, np.array(blocks, dtype=np.int64), d)
+    if masks.shape[1] != bs_val:
+        raise AssertionError(f"expected {bs_val} blocks per input")
+    xs = np.arange(1 << n)
+    used = np.zeros(1 << n, dtype=np.int64)
+    bad = np.zeros(1 << n, dtype=bool)
+    for mask in masks.T:
+        bad |= (mask & used != 0) | (tab[xs ^ mask] == tab)
+        used |= mask
+    if bad.any():
+        raise AssertionError(f"block certificate failed at input {np.argmax(bad)}")
 
     tree = base_tree
     inner_arity = 4
     for _ in range(d - 1):
         tree = _compose_tree(base_tree, tree, inner_arity)
         inner_arity *= 4
-    for x in range(1 << n):
-        val, queries = run_tree(tree, x, n)
-        if val != tab[x] or queries > depth_val:
-            raise AssertionError(f"composed tree failed at input {x}")
+    bad = _tree_failures(tree, xs, n, tab, depth_val)
+    if bad.size:
+        raise AssertionError(f"composed tree failed at input {bad.min()}")
 
     deg = degree(fd)
     return IteratedReport(d, s_val, bs_val, depth_val, bs_val == depth_val, True, deg)

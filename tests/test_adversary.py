@@ -1,7 +1,9 @@
 """Weight schemes: verification, loads, balancing, and files."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from advwb.adversary import (
@@ -162,6 +164,62 @@ def test_relation_bound_input_checks():
         relation_bound(f, (0,), (1,), [])
     with pytest.raises(SchemeError):
         relation_bound(f, (0,), (1,), [(3, 1)])  # 3 not on the declared side
+
+
+def reference_relation_bound(f, a, b, relation):
+    """(m, m', l, l') counted pair by pair with plain dicts."""
+    deg_a = {x: 0 for x in a}
+    deg_b = {y: 0 for y in b}
+    cnt_a, cnt_b = {}, {}
+    for x, y in relation:
+        deg_a[x] += 1
+        deg_b[y] += 1
+        for i in range(f.arity):
+            if (x ^ y) >> i & 1:
+                cnt_a[x, i] = cnt_a.get((x, i), 0) + 1
+                cnt_b[y, i] = cnt_b.get((y, i), 0) + 1
+    return (
+        min(deg_a.values()),
+        min(deg_b.values()),
+        max(cnt_a.values()),
+        max(cnt_b.values()),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relation_bound_matches_dict_reference(seed):
+    rng = random.Random(seed)
+    f = (f4(), nae3(), h6(), parity(3), parity(5))[seed % 5]
+    n = f.arity
+    zeros = [x for x in range(1 << n) if f.table[x] == 0]
+    ones = [x for x in range(1 << n) if f.table[x] == 1]
+    a = rng.sample(zeros, rng.randint(1, len(zeros)))
+    b = rng.sample(ones, rng.randint(1, len(ones)))
+    # every side input gets a partner, and pairs repeat
+    relation = [(x, rng.choice(b)) for x in a] + [(rng.choice(a), y) for y in b]
+    relation += [(rng.choice(a), rng.choice(b)) for _ in range(rng.randint(0, 60))]
+    rng.shuffle(relation)
+    m, m_prime, l, l_prime = reference_relation_bound(f, a, b, relation)
+    for rel in (relation, np.array(relation, dtype=np.int64)):
+        rb = relation_bound(f, a, b, rel)
+        assert (rb.m, rb.m_prime, rb.l, rb.l_prime) == (m, m_prime, l, l_prime)
+        assert rb.bound == ExactWeight.sqrt_of(Fraction(m * m_prime, l * l_prime))
+
+
+def test_relation_bound_names_first_pair_off_the_sides():
+    f = parity(2)
+    relation = [(0, 1), (3, 2), (0, 2), (3, 0), (1, 1)]
+    for rel in (relation, np.array(relation)):
+        with pytest.raises(SchemeError) as info:
+            relation_bound(f, (0, 3), (1, 2), rel)
+        assert str(info.value) == "pair (3, 0) leaves the declared sides"
+    with pytest.raises(SchemeError, match=r"^pair \(0, 9\) leaves the declared sides$"):
+        relation_bound(f, (0, 3), (1, 2), [(0, 1), (0, 9)])
+    with pytest.raises(SchemeError) as info:
+        relation_bound(f, (1, 0), (2, 3), [(0, 1)])
+    assert str(info.value) == (
+        "side membership violated: [1] not 0-inputs, [3] not 1-inputs"
+    )
 
 
 def test_sensitive_partition():

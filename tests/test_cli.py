@@ -1,13 +1,18 @@
 """End-to-end command-line behavior, text and JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import advwb
 from advwb.adversary import ExplicitScheme, save_scheme, unit_scheme
 from advwb.boolfn import h6, nae3, or_n, parity, save_table
-from advwb.cli import BASE_ALIASES, fmt, main
+from advwb.cli import BASE_ALIASES, MAX_DEPTH, fmt, main
 from advwb.weights import ONE, ExactWeight
 
 
@@ -15,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(result, prefix):
+    """Exit 2 with nothing on stdout and one line on stderr."""
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
 
 
 def test_fmt():
@@ -88,6 +101,19 @@ def test_measures_bad_skip_and_eps(capsys):
     assert code == 2 and "skip" in err
     code, _, err = run_cli(capsys, "measures", "f4", "--eps", "banana")
     assert code == 2 and "eps" in err
+
+
+@pytest.mark.parametrize("eps", ["1/2", "2", "-1/3"])
+def test_measures_eps_out_of_range(capsys, eps):
+    result = run_cli(capsys, "measures", "f4", f"--eps={eps}")
+    assert_usage_error(result, f"bad eps {eps!r}: must lie in [0, 1/2)")
+
+
+def test_simulate_eps_out_of_range(capsys):
+    result = run_cli(
+        capsys, "simulate", "random", "--scheme", "h", "--queries", "2", "--eps", "2"
+    )
+    assert_usage_error(result, "bad eps 2.0: must lie in [0, 1/2)")
 
 
 def test_verify_scheme_builtins(capsys):
@@ -217,6 +243,29 @@ def test_compose_export_round_trip(capsys, tmp_path):
     assert "valid, bound = 9/2 (4.500000)" in out
 
 
+@pytest.mark.parametrize("depth", ["800", "7000"])
+def test_compose_depth_too_deep_to_print(capsys, depth):
+    result = run_cli(capsys, "compose", "--base", "f", "--depth", depth)
+    assert_usage_error(result, f"depth must be in 1..{MAX_DEPTH}")
+
+
+def test_compose_deepest_depth_prints(capsys):
+    code, out, _ = run_cli(capsys, "compose", "--base", "h", "--depth", str(MAX_DEPTH))
+    assert code == 0
+    assert "predicted bound = " in out
+
+
+def test_compose_export_unwritable(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = run_cli(
+        capsys,
+        "compose", "--base", "g", "--depth", "2",
+        "--export", str(blocker / "x.json"),
+    )
+    assert_usage_error(result, "cannot export: ")
+
+
 def test_compose_bad_arguments(capsys):
     code, _, err = run_cli(capsys, "compose", "--base", "q", "--depth", "2")
     assert code == 2 and "unknown base" in err
@@ -246,6 +295,15 @@ def test_matchings_export(capsys, tmp_path):
     assert code == 0
     assert "exported 6 files" in out
     assert len(list(tmp_path.glob("set*_d1_matching*.txt"))) == 6
+
+
+def test_matchings_export_unwritable(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = run_cli(
+        capsys, "matchings", "--depth", "1", "--export", str(blocker / "x")
+    )
+    assert_usage_error(result, "cannot export: ")
 
 
 def test_matchings_depth_overflow(capsys):
@@ -407,6 +465,17 @@ def test_iterate_depth3_unverified(capsys):
     assert "degree" not in out
 
 
+@pytest.mark.parametrize("depth", ["0", "30000"])
+def test_iterate_depth_out_of_range(capsys, depth):
+    result = run_cli(capsys, "iterate", "f4", "--depth", depth)
+    assert_usage_error(result, f"depth must be in 1..{MAX_DEPTH}")
+
+
+def test_iterate_deepest_depth_prints(capsys):
+    code, out, _ = run_cli(capsys, "iterate", "f4", "--depth", str(MAX_DEPTH))
+    assert code == 0 and "exhaustively verified = no" in out
+
+
 def test_iterate_rejects_wrong_base(capsys):
     code, _, err = run_cli(capsys, "iterate", "parity3", "--depth", "2")
     assert code == 1
@@ -435,3 +504,15 @@ def test_json_outputs_parse(capsys):
     code, out, _ = run_cli(capsys, "iterate", "f4", "--depth", "1", "--json")
     doc = json.loads(out)
     assert code == 0 and doc["bs_lower"] == 3
+
+
+def test_python_m_advwb():
+    src = str(Path(advwb.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "advwb", "verify-scheme", "nae3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid, bound = 3/2*sqrt(2) (2.121320)\n")

@@ -7,6 +7,7 @@ from advwb.boolfn import f4, iterate
 from advwb.matchings import (
     MatchingCheck,
     MatchingError,
+    MatchingSet,
     build_matchings,
     check_matchings,
     export_matchings,
@@ -53,6 +54,80 @@ def sens_mask(f, x):
         for i in range(1, n + 1)
         if f.table[x ^ (1 << (n - i))] != f.table[x]
     )
+
+
+def reference_maps(set_id):
+    """The three depth-1 matchings of a family as 0-input -> 1-input dicts."""
+    f = f4()
+    zeros = [x for x in range(16) if f.table[x] == 0]
+    ones = [x for x in range(16) if f.table[x] == 1]
+    odd = {x: sens_mask(f, x) & 0b1010 for x in range(16)}
+    even = {x: sens_mask(f, x) & 0b0101 for x in range(16)}
+    m1 = {x: x ^ odd[x] for x in zeros}
+    m2 = {x: x ^ even[x] for x in zeros}
+    if set_id == 1:
+        m3 = {y ^ sens_mask(f, y): y for y in ones}
+    else:
+        m3 = {x: x ^ sens_mask(f, x) for x in zeros}
+    return (m1, m2, m3)
+
+
+def reference_partners(d, set_id):
+    """Partner arrays built input by input, as the scalar construction did."""
+    own = reference_maps(set_id)
+    zeros = sorted(own[0])
+    if d == 1:
+        return [np.array([m[x] for x in zeros]) for m in own]
+    fwd = {s: reference_maps(s) for s in (1, 2)}
+    inv = {s: tuple({y: x for x, y in m.items()} for m in ms) for s, ms in fwd.items()}
+    tab2 = iterate(f4(), 2).table
+    base_tab = f4().table
+    a_side = [x for x in range(1 << 16) if tab2[x] == 0]
+    b_side = [x for x in range(1 << 16) if tab2[x] == 1]
+    a_pos = {x: i for i, x in enumerate(a_side)}
+    sources = a_side if set_id == 1 else b_side
+    partners = []
+    for g in range(3):
+        own_fwd = own[g]
+        own_inv = {y: x for x, y in own_fwd.items()}
+        for k in range(3):
+            arr = np.full(len(a_side), -1, dtype=np.int64)
+            for src in sources:
+                blocks = [(src >> shift) & 15 for shift in (12, 8, 4, 0)]
+                pattern = 0
+                for b in blocks:
+                    pattern = (pattern << 1) | base_tab[b]
+                other = own_fwd[pattern] if set_id == 1 else own_inv[pattern]
+                diff = pattern ^ other
+                out = 0
+                for j, u in enumerate(blocks):
+                    if not (diff >> (3 - j)) & 1:
+                        out = (out << 4) | u
+                    elif set_id == 1:
+                        # protect the 0-side: block family chosen by the
+                        # 0-input's block value
+                        v = fwd[1][k][u] if base_tab[u] == 0 else inv[2][k][u]
+                        out = (out << 4) | v
+                    else:
+                        # protect the 1-side: chosen by the 1-input's block
+                        v = inv[2][k][u] if base_tab[u] == 1 else fwd[1][k][u]
+                        out = (out << 4) | v
+                if set_id == 1:
+                    arr[a_pos[src]] = out
+                else:
+                    arr[a_pos[out]] = src
+            partners.append(arr)
+    return partners
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("set_id", [1, 2])
+def test_partners_match_scalar_reference(d, set_id):
+    ms = build_matchings(d, set_id)
+    want = reference_partners(d, set_id)
+    assert len(ms.partners) == len(want) == 3**d
+    for got, ref in zip(ms.partners, want):
+        assert np.array_equal(got, ref)
 
 
 def test_first_family_depth1_listing():
@@ -165,3 +240,40 @@ def test_matching_check_of_single_set():
     check = MatchingCheck.of(ms)
     assert check.set_id == 1
     assert float(check.bound) == pytest.approx(2.1213203435596424)
+
+
+def test_pair_array_is_the_union():
+    ms = build_matchings(1, 2)
+    union = [p for t in range(ms.matching_count) for p in ms.pairs(t)]
+    assert ms.pair_array.shape == (24, 2)
+    assert [tuple(p) for p in ms.pair_array.tolist()] == union
+
+
+def test_matching_set_rejects_shared_pair():
+    ms = build_matchings(1, 1)
+    p0, p1, p2 = ms.partners
+    mixed = p1.copy()
+    mixed[3] = p0[3]  # pair (a_side[3], p0[3]) now in matchings 0 and 1
+    mixed[np.flatnonzero(p1 == p0[3])] = p1[3]  # keep matching 1 a bijection
+    with pytest.raises(MatchingError, match=r"pair \(6, 4\) appears in two matchings"):
+        MatchingSet(1, 1, ms.f, ms.a_side, ms.b_side, (p0, mixed, p2))
+
+
+def test_matching_set_rejects_repeated_partner():
+    ms = build_matchings(1, 1)
+    p0, p1, p2 = ms.partners
+    repeated = p2.copy()
+    repeated[1] = repeated[0]
+    with pytest.raises(MatchingError, match="matching 2 is not a bijection"):
+        MatchingSet(1, 1, ms.f, ms.a_side, ms.b_side, (p0, p1, repeated))
+
+
+def test_matching_set_rejects_partner_off_side():
+    ms = build_matchings(1, 2)
+    p0, p1, p2 = ms.partners
+    off = p0.copy()
+    off[0] = ms.a_side[0]  # a 0-input as partner
+    with pytest.raises(MatchingError, match="matching 0 is not a bijection"):
+        MatchingSet(1, 2, ms.f, ms.a_side, ms.b_side, (off, p1, p2))
+    with pytest.raises(MatchingError, match="matching 1 is not a bijection"):
+        MatchingSet(1, 2, ms.f, ms.a_side, ms.b_side, (p0, p1[:-1], p2))

@@ -2,20 +2,26 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from advwb import measures
 from advwb.boolfn import (
     ArityError,
     BooleanFunction,
     and_n,
     f4,
     h6,
+    iterate,
     nae3,
     or_n,
     parity,
+    var_bit,
 )
 from advwb.measures import (
+    TreeLeaf,
+    TreeNode,
     CapExceeded,
     approx_degree,
     approx_polynomial,
@@ -140,6 +146,69 @@ def test_iterated_certificates_shallow():
     r2 = iterated_certificates(f4(), 2)
     assert (r2.s, r2.bs_lower, r2.depth_upper) == (4, 9, 9)
     assert r2.equal and r2.verified and r2.degree == 4
+
+
+def reference_blocks(f, x):
+    """The nine sensitive blocks of one input of the 2-fold iterate."""
+    base = measures._base_blocks(f)
+    sub = [(x >> (4 * (4 - j))) & 15 for j in range(1, 5)]
+    pattern = 0
+    for b in sub:
+        pattern = (pattern << 1) | f.table[b]
+    out = []
+    for outer_mask in base[pattern]:
+        js = [j for j in range(1, 5) if outer_mask & var_bit(4, j)]
+        for k in range(3):
+            mask = 0
+            for j in js:
+                mask |= base[sub[j - 1]][k] << (4 * (4 - j))
+            out.append(mask)
+    return out
+
+
+def test_iterated_blocks_match_scalar_reference():
+    f = f4()
+    base = np.array(measures._base_blocks(f), dtype=np.int64)
+    assert np.array_equal(measures._iterated_blocks(f, base, 1), base)
+    masks = measures._iterated_blocks(f, base, 2)
+    assert masks.shape == (1 << 16, 9)
+    for x in list(range(0, 1 << 16, 61)) + [(1 << 16) - 1]:
+        assert masks[x].tolist() == reference_blocks(f, x)
+
+
+def test_iterated_certificates_catch_overlapping_blocks(monkeypatch):
+    real = measures._iterated_blocks
+
+    def overlapping(f, base, d):
+        masks = real(f, base, d).copy()
+        masks[12345, 4] |= masks[12345, 3]
+        return masks
+
+    monkeypatch.setattr(measures, "_iterated_blocks", overlapping)
+    failed = "block certificate failed at input 12345$"
+    with pytest.raises(AssertionError, match=failed):
+        iterated_certificates(f4(), 2)
+
+
+def test_iterated_certificates_catch_a_wrong_tree(monkeypatch):
+    real = measures._compose_tree
+    tab = iterate(f4(), 2).table
+    first_one = tab.index(1)
+    monkeypatch.setattr(measures, "_compose_tree", lambda *args: TreeLeaf(0))
+    failed = f"composed tree failed at input {first_one}$"
+    with pytest.raises(AssertionError, match=failed):
+        iterated_certificates(f4(), 2)
+
+    def deeper(*args):
+        # one extra query on top: too deep wherever the composed tree needs 9
+        return TreeNode(1, real(*args), real(*args))
+
+    monkeypatch.setattr(measures, "_compose_tree", deeper)
+    tree = deeper(det_complexity(f4())[1], det_complexity(f4())[1], 4)
+    first_deep = next(x for x in range(1 << 16) if run_tree(tree, x, 16)[1] > 9)
+    failed = f"composed tree failed at input {first_deep}$"
+    with pytest.raises(AssertionError, match=failed):
+        iterated_certificates(f4(), 2)
 
 
 def test_iterated_certificates_deep_unverified():
