@@ -121,6 +121,9 @@ def cmd_measures(args) -> int:
     except measures.CapExceeded as exc:
         print(f"cap exceeded: {exc} (use --force or --skip)", file=sys.stderr)
         return 1
+    except measures.CertificateError as exc:
+        print(f"approximate degree not certified: {exc}", file=sys.stderr)
+        return 1
     d = rep.as_dict()
     lines = [f"{k} = {v}" for k, v in d.items()]
     _emit(args, lines, d)

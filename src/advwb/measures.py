@@ -3,11 +3,17 @@
 Exact multilinear polynomials, approximate degree by linear programming,
 sensitivity, block sensitivity, certificate complexity, decision-tree depth
 with a witness tree, and certified values for iterates of the 4-bit base.
+
+Approximate degree is exact at every arity: HiGHS solves each degree's LP
+in floats, and one side of its answer is then certified in integers, a
+rationalised primal polynomial when the degree suffices and a projected
+dual polynomial when it does not.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,13 +27,61 @@ EXACT_LP_ARITY_CAP = 8
 BS_ARITY_CAP = 12
 CERT_ARITY_CAP = 8
 DEPTH_ARITY_CAP = 12
-FLOAT_TOL = 1e-9
+# HiGHS values are rationalised to the nearest fraction with at most this
+# denominator.  The LP vertices of these small programs have small
+# denominators, and at a tie, an optimum of exactly eps = 1/3, only the
+# exact vertex certifies: rounding to a binary grid would miss it.
+DENOMINATOR_LIMIT = 10**4
 
 DEFAULT_EPS = Fraction(1, 3)
 
 
 class CapExceeded(ArityError):
     """Arity above the cap for an exhaustive measure; override to force."""
+
+
+class CertificateError(RuntimeError):
+    """Neither side of a float LP answer certified, above the exact-LP cap."""
+
+
+# ---- subset transforms ---------------------------------------------------
+
+
+def _butterflies(arr: np.ndarray, n: int, step) -> np.ndarray:
+    """Apply step(lo, hi) in place along every bit of a 2^n array.
+
+    lo and hi are the views of the entries with that bit clear and set.
+    Summing hi += lo is the zeta transform (sum over submasks); its
+    inverse, the Moebius transform, is hi -= lo.
+    """
+    view = arr.reshape([2] * n)
+    for ax in range(n):
+        lead = (slice(None),) * ax
+        # the trailing Ellipsis keeps a view even when n = 1
+        step(view[lead + (0, ...)], view[lead + (1, ...)])
+    return arr
+
+
+def _zeta(lo, hi):
+    hi += lo
+
+
+def _moebius(lo, hi):
+    hi -= lo
+
+
+def _any(lo, hi):
+    hi |= lo
+
+
+def _walsh(lo, hi):
+    """Unnormalised Walsh-Hadamard step: (lo, hi) -> (lo + hi, lo - hi).
+
+    Along every bit it is the Walsh-Hadamard transform H, and H H = 2^n.
+    """
+    lo += hi
+    hi *= -2
+    hi += lo
 
 
 # ---- exact multilinear polynomial --------------------------------------
@@ -65,17 +119,10 @@ class MultilinearPolynomial:
 
     def table(self) -> np.ndarray:
         """Evaluate on every assignment (inverse of the coefficient transform)."""
-        n = self.arity
-        arr = np.zeros(1 << n, dtype=np.int64)
+        arr = np.zeros(1 << self.arity, dtype=np.int64)
         for m, c in self.coeffs.items():
             arr[m] = c
-        view = arr.reshape([2] * n)
-        for ax in range(n):
-            hi = [slice(None)] * n
-            lo = [slice(None)] * n
-            hi[ax], lo[ax] = 1, 0
-            view[tuple(hi)] += view[tuple(lo)]
-        return arr
+        return _butterflies(arr, self.arity, _zeta)
 
     def __eq__(self, other) -> bool:
         return (
@@ -90,16 +137,9 @@ class MultilinearPolynomial:
 
 def exact_polynomial(f: BooleanFunction) -> MultilinearPolynomial:
     """The unique multilinear polynomial agreeing with f on {0,1}^N."""
-    n = f.arity
-    arr = f.np_table.astype(np.int64).copy()
-    view = arr.reshape([2] * n)
-    for ax in range(n):
-        hi = [slice(None)] * n
-        lo = [slice(None)] * n
-        hi[ax], lo[ax] = 1, 0
-        view[tuple(hi)] -= view[tuple(lo)]
+    arr = _butterflies(f.np_table.astype(np.int64), f.arity, _moebius)
     nz = np.nonzero(arr)[0]
-    return MultilinearPolynomial(n, {int(m): int(arr[m]) for m in nz})
+    return MultilinearPolynomial(f.arity, {int(m): int(arr[m]) for m in nz})
 
 
 def degree(f: BooleanFunction) -> int:
@@ -116,7 +156,7 @@ class ApproxWitness:
     degree: int
     eps: Fraction
     coeffs: dict[int, Fraction]
-    deviation: object  # Fraction (exact path) or float
+    deviation: Fraction  # exact max |p(x) - f(x)| over all inputs, <= eps
 
     def evaluate(self, index: int):
         return sum(c for m, c in self.coeffs.items() if m & index == m)
@@ -133,16 +173,102 @@ def _monomials_up_to(n: int, k: int) -> list[int]:
     return out
 
 
-def _lp_exact(f: BooleanFunction, monomials: list[int], eps: Fraction):
-    """Best max-deviation of a span(monomials) approximant, early-stopped at eps."""
+def _rationalise(values: np.ndarray) -> list[Fraction]:
+    """The nearest fraction with denominator at most DENOMINATOR_LIMIT, per value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    fracs = [Fraction(v).limit_denominator(DENOMINATOR_LIMIT) for v in distinct.tolist()]
+    return [fracs[i] for i in inverse.tolist()]
+
+
+def _scaled(fracs: list[Fraction]) -> tuple[np.ndarray, int]:
+    """(fracs * D as a Python-int array, D) for their common denominator D."""
+    d = math.lcm(*(q.denominator for q in fracs))
+    return np.array([q.numerator * (d // q.denominator) for q in fracs], dtype=object), d
+
+
+def _max_deviation(f: BooleanFunction, coeffs: dict[int, Fraction]) -> Fraction:
+    """Exact max |p(x) - f(x)| over all inputs, p the polynomial of coeffs.
+
+    p * D is evaluated on every input by the integer zeta transform, D the
+    common denominator of the coefficients.
+    """
+    masks = list(coeffs)
+    scaled, d = _scaled([coeffs[m] for m in masks])
+    values = np.zeros(1 << f.arity, dtype=object)
+    values[masks] = scaled
+    _butterflies(values, f.arity, _zeta)
+    return Fraction(int(np.abs(values - f.np_table.astype(object) * d).max()), d)
+
+
+def _certify_lower(f: BooleanFunction, k: int, psi: np.ndarray, eps: Fraction) -> bool:
+    """Whether the float dual psi, rationalised, proves that degree k fails.
+
+    Its Walsh-Hadamard coefficients of degree <= k are zeroed exactly, in
+    integers, which leaves phi orthogonal to every degree-k polynomial p.
+    Then sum phi*f = sum phi*(f - p) <= |phi|_1 * max|f - p|, so a
+    correlation above eps * |phi|_1 rules out every such p.
+    """
+    n = f.arity
+    phi, _ = _scaled(_rationalise(psi))
+    _butterflies(phi, n, _walsh)
+    phi[np.bitwise_count(np.arange(1 << n)) <= k] = 0
+    _butterflies(phi, n, _walsh)  # 2^n times the projection; the scale cancels
+    correlation = int((phi * f.np_table.astype(object)).sum())
+    return correlation * eps.denominator > eps.numerator * int(np.abs(phi).sum())
+
+
+def _certify_upper(
+    f: BooleanFunction, k: int, monomials: list[int], x: np.ndarray, eps: Fraction
+) -> ApproxWitness | None:
+    """The float coefficients x, rationalised, as a witness if they stay within eps."""
+    coeffs = {m: c for m, c in zip(monomials, _rationalise(x)) if c}
+    deviation = _max_deviation(f, coeffs)
+    return ApproxWitness(k, eps, coeffs, deviation) if deviation <= eps else None
+
+
+def _lp_float(f: BooleanFunction, monomials: list[int]):
+    """HiGHS solution of min t s.t. |p(x) - f(x)| <= t, p in span(monomials).
+
+    Returns (t, the coefficients of p, the dual polynomial psi) in floats.
+    """
+    import scipy.optimize
+    import scipy.sparse
+
     size = 1 << f.arity
     nmono = len(monomials)
-    # variables: t, then (plus, minus) per monomial coefficient
-    nvars = 1 + 2 * nmono
+    # rows: p(x) - t <= f(x), then -p(x) - t <= -f(x); column 0 is t and
+    # column 1 + j the coefficient of monomials[j], nonzero on its supersets
+    ks = np.arange(size)
+    supersets = [np.flatnonzero(ks & m == m) for m in monomials]
+    x_of = np.concatenate(supersets)
+    j_of = np.repeat(np.arange(1, nmono + 1), [len(xs) for xs in supersets])
+    rows = np.concatenate([ks, ks + size, x_of, x_of + size])
+    cols = np.concatenate([np.zeros(2 * size, dtype=np.int64), j_of, j_of])
+    vals = np.concatenate([-np.ones(2 * size), np.ones(len(x_of)), -np.ones(len(x_of))])
+    A_ub = scipy.sparse.csc_array((vals, (rows, cols)), shape=(2 * size, nmono + 1))
+    tab = f.np_table.astype(float)
+    b_ub = np.concatenate([tab, -tab])
+    c = np.zeros(nmono + 1)
+    c[0] = 1.0
+    bounds = [(0, None)] + [(None, None)] * nmono
+    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise CertificateError(f"LP solve failed: {res.message}")
+    # the row multipliers are <= 0; psi = lambda_minus - lambda_plus in
+    # their magnitudes, so that sum psi*f is the dual objective
+    marginals = res.ineqlin.marginals
+    return res.fun, res.x[1:], marginals[:size] - marginals[size:]
+
+
+def _lp_exact(f: BooleanFunction, monomials: list[int], eps: Fraction):
+    """Exact Fraction-simplex witness, or None when the optimum exceeds eps."""
+    size = 1 << f.arity
+    nmono = len(monomials)
     A, b = [], []
     tab = f.table
     for x in range(size):
         inc = [1 if m & x == m else 0 for m in monomials]
+        # variables: t, then (plus, minus) per monomial coefficient
         row_hi = [-1] + [v for pm in zip(inc, [-v for v in inc]) for v in pm]
         row_lo = [-1] + [v for pm in zip([-v for v in inc], inc) for v in pm]
         A.append(row_hi)
@@ -150,47 +276,57 @@ def _lp_exact(f: BooleanFunction, monomials: list[int], eps: Fraction):
         A.append(row_lo)
         b.append(-tab[x])
     c = [1] + [0] * (2 * nmono)
-    stop = (lambda v: v <= eps) if eps > 0 else None
-    status, value, x = simplex.solve_min(A, b, c, early_stop=stop)
+    status, value, x = simplex.solve_min(A, b, c, early_stop=lambda v: v <= eps)
     if status != simplex.OPTIMAL and status != "stopped":
         raise simplex.SimplexError(f"unexpected LP status {status}")
-    coeffs = {}
-    for j, m in enumerate(monomials):
-        cval = x[1 + 2 * j] - x[2 + 2 * j]
-        if cval:
-            coeffs[m] = cval
-    return Fraction(value), coeffs
+    if value > eps:
+        return None
+    coeffs = {m: x[1 + 2 * j] - x[2 + 2 * j] for j, m in enumerate(monomials)}
+    return {m: c for m, c in coeffs.items() if c}
 
 
-def _lp_float(f: BooleanFunction, monomials: list[int], eps: Fraction):
-    from scipy.optimize import linprog
+def _degree_witness(f: BooleanFunction, k: int, eps: Fraction) -> ApproxWitness | None:
+    """A certified degree-k witness, or None when degree k provably fails.
 
-    size = 1 << f.arity
-    nmono = len(monomials)
-    inc = np.zeros((size, nmono))
-    for j, m in enumerate(monomials):
-        ks = np.arange(size)
-        inc[:, j] = (ks & m) == m
-    tab = f.np_table.astype(float)
-    # rows: p(x) - t <= f(x) and -p(x) - t <= -f(x)
-    ones = np.ones((size, 1))
-    A_ub = np.vstack([np.hstack([-ones, inc]), np.hstack([-ones, -inc])])
-    b_ub = np.concatenate([tab, -tab])
-    c = np.zeros(nmono + 1)
-    c[0] = 1.0
-    bounds = [(0, None)] + [(None, None)] * nmono
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    coeffs = {m: res.x[1 + j] for j, m in enumerate(monomials) if abs(res.x[1 + j]) > FLOAT_TOL}
-    return res.fun, coeffs
+    The side the float optimum points to is certified first, then the
+    other.  When neither certifies, the exact simplex decides at arity <=
+    EXACT_LP_ARITY_CAP, and CertificateError is raised above it.
+    """
+    monomials = _monomials_up_to(f.arity, k)
+    value, x, psi = _lp_float(f, monomials)
+    if value > eps and _certify_lower(f, k, psi, eps):
+        return None
+    witness = _certify_upper(f, k, monomials, x, eps)
+    if witness is not None:
+        return witness
+    if value <= eps and _certify_lower(f, k, psi, eps):
+        return None
+    if f.arity > EXACT_LP_ARITY_CAP:
+        raise CertificateError(
+            f"degree {k} LP optimum {value:.9g} certified on neither side "
+            f"at arity {f.arity} (exact fallback capped at {EXACT_LP_ARITY_CAP})"
+        )
+    coeffs = _lp_exact(f, monomials, eps)
+    if coeffs is None:
+        return None
+    deviation = _max_deviation(f, coeffs)
+    if deviation > eps:
+        raise AssertionError(f"exact LP witness deviates by {deviation} > {eps}")
+    return ApproxWitness(k, eps, coeffs, deviation)
 
 
 def approx_polynomial(f: BooleanFunction, eps=DEFAULT_EPS) -> ApproxWitness:
     """Lowest-degree polynomial within eps of f pointwise, with witness.
 
-    Exact rational LP up to arity 8; floating point (tolerance 1e-9) up to
-    arity 12.  eps = 0 returns the exact polynomial.
+    Degrees are tried upwards from 0.  Each LP is solved by HiGHS and one
+    side of its answer is certified exactly in integers: a rationalised
+    primal whose exact deviation is <= eps (the degree suffices), or a
+    rationalised dual polynomial, projected off the low-degree characters,
+    whose correlation with f exceeds eps (the degree fails).  So the
+    returned degree carries an upper certificate and every smaller degree
+    a lower one.  If neither side certifies, the exact Fraction simplex
+    decides that degree up to arity 8; above it CertificateError is raised.
+    eps = 0 returns the exact polynomial.
     """
     eps = Fraction(eps)
     if not 0 <= eps < Fraction(1, 2):
@@ -202,36 +338,11 @@ def approx_polynomial(f: BooleanFunction, eps=DEFAULT_EPS) -> ApproxWitness:
         poly = exact_polynomial(f)
         coeffs = {m: Fraction(c) for m, c in poly.coeffs.items()}
         return ApproxWitness(poly.degree, eps, coeffs, Fraction(0))
-    exact = n <= EXACT_LP_ARITY_CAP
     for k in range(n + 1):
-        monomials = _monomials_up_to(n, k)
-        if exact:
-            value, coeffs = _lp_exact(f, monomials, eps)
-            if value <= eps:
-                witness = ApproxWitness(k, eps, coeffs, value)
-                _check_witness_exact(f, witness)
-                return witness
-        else:
-            value, coeffs = _lp_float(f, monomials, eps)
-            if value <= float(eps) + FLOAT_TOL:
-                witness = ApproxWitness(k, eps, coeffs, value)
-                _check_witness_float(f, witness)
-                return witness
+        witness = _degree_witness(f, k, eps)
+        if witness is not None:
+            return witness
     raise RuntimeError("unreachable: degree-n polynomial is exact")
-
-
-def _check_witness_exact(f: BooleanFunction, w: ApproxWitness) -> None:
-    for x in range(1 << f.arity):
-        dev = abs(w.evaluate(x) - f.table[x])
-        if dev > w.eps:
-            raise AssertionError(f"witness violates band at {x}: |{dev}| > {w.eps}")
-
-
-def _check_witness_float(f: BooleanFunction, w: ApproxWitness) -> None:
-    for x in range(1 << f.arity):
-        dev = abs(float(w.evaluate(x)) - f.table[x])
-        if dev > float(w.eps) + FLOAT_TOL:
-            raise AssertionError(f"witness violates band at {x}: {dev}")
 
 
 def approx_degree(f: BooleanFunction, eps=DEFAULT_EPS) -> int:
@@ -270,13 +381,7 @@ def _minimal_sensitive_blocks(f: BooleanFunction, index: int) -> list[int]:
     size = 1 << n
     tab = f.np_table
     sens = tab[np.arange(size) ^ index] != tab[index]
-    anysub = sens.copy()  # OR of sens over submasks
-    view = anysub.reshape([2] * n)
-    for ax in range(n):
-        hi = [slice(None)] * n
-        lo = [slice(None)] * n
-        hi[ax], lo[ax] = 1, 0
-        view[tuple(hi)] |= view[tuple(lo)]
+    anysub = _butterflies(sens.copy(), n, _any)  # OR of sens over submasks
     has_proper = np.zeros(size, dtype=bool)
     ks = np.arange(size)
     for bit in range(n):

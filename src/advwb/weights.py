@@ -95,6 +95,8 @@ class ExactWeight:
         fr = Fraction(value)
         if fr < 0:
             raise ValueError("square root of a negative value")
+        if fr == 0:
+            return _ZERO
         return cls(1, 1, fr)
 
     # ---- queries ----------------------------------------------------

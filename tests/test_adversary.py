@@ -20,7 +20,7 @@ from advwb.adversary import (
     verify,
 )
 from advwb.boolfn import f4, h6, nae3, parity, save_table
-from advwb.weights import ONE, ExactWeight
+from advwb.weights import ONE, ZERO, ExactWeight
 
 
 def test_f4_scheme_values():
@@ -154,6 +154,13 @@ def test_relation_bound_matches_unit_scheme():
     unit = unit_scheme(f, a, b, relation)
     assert verify(unit) == []
     assert loads(unit).bound == rb.bound
+
+
+def test_relation_bound_of_an_unpartnered_input_is_zero():
+    # input 3 is declared on side A but has no partner: m = 0
+    rb = relation_bound(parity(2), (0, 3), (1, 2), [(0, 1), (0, 2)])
+    assert (rb.m, rb.m_prime, rb.l, rb.l_prime) == (0, 1, 1, 1)
+    assert rb.bound == ZERO
 
 
 def test_relation_bound_input_checks():

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import pytest
 
 import advwb
 from advwb.adversary import ExplicitScheme, save_scheme, unit_scheme
-from advwb.boolfn import h6, nae3, or_n, parity, save_table
+from advwb import measures
+from advwb.boolfn import BooleanFunction, h6, nae3, or_n, parity, save_table
 from advwb.cli import BASE_ALIASES, MAX_DEPTH, fmt, main
 from advwb.weights import ONE, ExactWeight
 
@@ -94,6 +97,29 @@ def test_measures_force_and_skip(capsys):
     assert code == 0
     assert "c0" not in out
     assert "d_depth = 9" in out
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_measures_wide_random_table(capsys, tmp_path, n):
+    """Approximate degree at 7 and 8 bits takes well under a second."""
+    rng = random.Random(n)
+    path = tmp_path / f"rand{n}.tbl"
+    save_table(BooleanFunction(n, bytes(rng.randint(0, 1) for _ in range(1 << n))), path)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "measures", str(path), "--json")
+    assert time.perf_counter() - start < 10
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["approx_deg"] <= doc["deg"] <= doc["d_depth"]
+
+
+def test_measures_uncertified_approx_degree(capsys, monkeypatch):
+    monkeypatch.setattr(measures, "_certify_upper", lambda *args: None)
+    monkeypatch.setattr(measures, "_certify_lower", lambda *args: False)
+    code, out, err = run_cli(capsys, "measures", "or9", "--skip", "cert,bs,D")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("approximate degree not certified: degree 0 LP optimum")
 
 
 def test_measures_bad_skip_and_eps(capsys):

@@ -69,8 +69,7 @@ algorithm_docs = json_values | _replaced(
 
 
 # Truth-table text: free text, and the two-line "arity / row" format with
-# each part perturbed.  Tables are loaded through `verify-scheme` only:
-# `measures` runs the exact LP, which takes minutes from 7 bits on.
+# each part perturbed.
 table_texts = st.text(max_size=24) | st.builds(
     "{}{}{}{}".format,
     st.sampled_from(["3", " 3 ", "03", "1_0", "0", "-3", "17", "x", ""])
@@ -118,3 +117,30 @@ def test_generated_table_files_never_raise(text):
         doc = {key: value for key, value in VALID_SCHEME.items() if key not in ("arity", "table")}
         doc["path"] = str(table)
         assert _exit_code(doc, ["verify-scheme", "FILE"]) in (0, 1, 2)
+
+
+# `measures` on generated 1-5 bit tables and the table texts above, with
+# generated --eps strings: fractions in and out of [0, 1/2), decimals and
+# free text.
+eps_texts = (
+    st.fractions(min_value=-1, max_value=1, max_denominator=40).map(str)
+    | st.decimals(min_value=-1, max_value=1, allow_nan=False, places=3).map(str)
+    | st.sampled_from(["0", "1/3", "0.49", "1/2", "1e-3", "-0", "nan", "inf", "1/0", " 1/4 "])
+    | st.text(max_size=6)
+)
+small_tables = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.text(alphabet="01", min_size=1 << n, max_size=1 << n).map(
+        lambda row: f"{n}\n{row}\n"
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables | table_texts, eps_texts)
+def test_generated_measures_arguments_never_raise(text, eps):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "f.tbl"
+        table.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            assert main(["measures", str(table), f"--eps={eps}"]) in (0, 1, 2)

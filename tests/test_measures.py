@@ -1,16 +1,18 @@
 """Classical complexity measures and their certified values."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from advwb import measures
+from advwb import measures, simplex
 from advwb.boolfn import (
     ArityError,
     BooleanFunction,
     and_n,
+    builtin,
     f4,
     h6,
     iterate,
@@ -23,6 +25,7 @@ from advwb.measures import (
     TreeLeaf,
     TreeNode,
     CapExceeded,
+    CertificateError,
     approx_degree,
     approx_polynomial,
     block_sensitivity,
@@ -86,6 +89,153 @@ def test_approx_witness_properties():
     for x in range(16):
         assert abs(w.evaluate(x) - f.table[x]) <= w.eps
     assert w.deviation <= w.eps
+
+
+THIRD = Fraction(1, 3)
+
+
+def exact_simplex_degree(f, eps=THIRD):
+    """Approximate degree from the exact Fraction simplex alone."""
+    n = f.arity
+    return next(
+        k
+        for k in range(n + 1)
+        if measures._lp_exact(f, measures._monomials_up_to(n, k), eps) is not None
+    )
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """Counts calls of the exact simplex, the fallback of approx_polynomial."""
+    calls = []
+    real = simplex.solve_min
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_min", counting)
+    return calls
+
+
+# The exact simplex's approximate degrees for the builtins on which it takes
+# seconds (parity6 about 20 s), pinned instead of recomputed.
+SLOW_BUILTIN_DEGREES = {"h6": 3, "parity5": 5, "parity6": 6, "or6": 2, "and6": 2}
+FAST_BUILTINS = (
+    ["f4", "nae3", "or5", "and5"]
+    + [f"{family}{n}" for family in ("parity", "or", "and") for n in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("name", FAST_BUILTINS + sorted(SLOW_BUILTIN_DEGREES))
+def test_approx_degree_matches_exact_simplex_on_builtins(name, simplex_calls):
+    f = builtin(name)
+    got = approx_polynomial(f)
+    assert not simplex_calls, "the exact fallback ran"
+    want = SLOW_BUILTIN_DEGREES.get(name)
+    assert got.degree == (exact_simplex_degree(f) if want is None else want)
+    assert isinstance(got.deviation, Fraction) and got.deviation <= THIRD
+
+
+# Tables whose optimum at the approximate degree is exactly eps = 1/3: the
+# primal vertex must be recovered exactly, and no dual can certify.
+TIE_TABLES = (("00100011", 1), ("11011100", 1), ("0011011111001000", 2))
+
+
+def random_tables(seed, arities, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(arities)
+        yield BooleanFunction(n, bytes(rng.randint(0, 1) for _ in range(1 << n)))
+
+
+@pytest.mark.parametrize("bits,want", TIE_TABLES)
+def test_approx_degree_on_ties(bits, want, simplex_calls):
+    f = BooleanFunction.from_bits(bits)
+    w = approx_polynomial(f)
+    assert not simplex_calls
+    assert w.degree == want == exact_simplex_degree(f)
+    assert w.deviation == THIRD
+
+
+def test_approx_degree_matches_exact_simplex_on_random_tables(simplex_calls):
+    tables = list(random_tables(8, (3, 4), 16)) + list(random_tables(9, (5,), 3))
+    got = [approx_degree(f) for f in tables]
+    assert not simplex_calls
+    assert got == [exact_simplex_degree(f) for f in tables]
+
+
+def test_fallback_decides_when_certifiers_fail(monkeypatch, simplex_calls):
+    monkeypatch.setattr(measures, "_certify_upper", lambda *args: None)
+    monkeypatch.setattr(measures, "_certify_lower", lambda *args: False)
+    for bits, want in TIE_TABLES[:2]:
+        w = approx_polynomial(BooleanFunction.from_bits(bits))
+        assert (w.degree, w.deviation) == (want, THIRD)
+    assert approx_degree(f4()) == 2
+    assert approx_degree(or_n(4)) == 2
+    assert simplex_calls
+
+
+def test_no_fallback_above_the_exact_cap(monkeypatch, simplex_calls):
+    monkeypatch.setattr(measures, "_certify_upper", lambda *args: None)
+    monkeypatch.setattr(measures, "_certify_lower", lambda *args: False)
+    with pytest.raises(CertificateError, match="degree 0 .* at arity 9"):
+        approx_degree(or_n(9))
+    assert not simplex_calls
+
+
+def reference_deviation(f, coeffs):
+    return max(
+        abs(sum(c for m, c in coeffs.items() if m & x == m) - f.table[x])
+        for x in range(1 << f.arity)
+    )
+
+
+def test_max_deviation_matches_per_input_reference():
+    rng = random.Random(3)
+    for f in random_tables(4, (1, 3, 5), 12):
+        masks = rng.sample(range(1 << f.arity), rng.randint(0, 1 << f.arity))
+        coeffs = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for m in masks}
+        assert measures._max_deviation(f, coeffs) == reference_deviation(f, coeffs)
+
+
+def test_tampered_witness_is_rejected():
+    f, eps = or_n(4), THIRD
+    monomials = measures._monomials_up_to(4, 2)
+    value, x, _ = measures._lp_float(f, monomials)
+    w = measures._certify_upper(f, 2, monomials, x, eps)
+    assert w is not None and w.deviation == Fraction(1, 6)
+    tampered = x.copy()
+    tampered[monomials.index(0b0011)] += 0.2
+    assert measures._certify_upper(f, 2, monomials, tampered, eps) is None
+    # a shift that keeps the deviation within eps still certifies, exactly
+    nudged = x.copy()
+    nudged[0] += 0.125
+    w = measures._certify_upper(f, 2, monomials, nudged, eps)
+    assert w.deviation == Fraction(1, 6) + Fraction(1, 8)
+
+
+def test_dual_at_or_below_eps_is_rejected():
+    f = or_n(4)
+    for k, certifies in ((1, True), (2, False)):
+        _, _, psi = measures._lp_float(f, measures._monomials_up_to(4, k))
+        assert measures._certify_lower(f, k, psi, THIRD) is certifies
+    # at a tie the dual's correlation is exactly eps * |psi|_1: not above it
+    f = BooleanFunction.from_bits(TIE_TABLES[2][0])
+    _, _, psi = measures._lp_float(f, measures._monomials_up_to(4, 2))
+    assert not measures._certify_lower(f, 2, psi, THIRD)
+
+
+def test_dual_is_projected_off_low_degree():
+    f = parity(3)
+    chi = np.array([(-1) ** x.bit_count() for x in range(8)], dtype=float)
+    low = np.array([(-1) ** (x & 1) for x in range(8)], dtype=float)
+    # -chi has correlation 4 with parity3 and |-chi|_1 = 8: ratio 1/2
+    assert measures._certify_lower(f, 2, -chi, THIRD)
+    # a low-degree part is projected away; alone it certifies nothing
+    assert measures._certify_lower(f, 2, -chi + 5 * low + 3, THIRD)
+    assert not measures._certify_lower(f, 2, 5 * low + 3, THIRD)
+    assert not measures._certify_lower(f, 3, -chi, THIRD)
 
 
 def test_sensitivity_values():

@@ -139,3 +139,10 @@ def test_exact_sum_counts_duplicates_exactly():
 def test_zero_and_one_constants():
     assert ZERO.is_zero and not ONE.is_zero
     assert ONE * w(7, 3, 5) == w(7, 3, 5)
+
+
+def test_sqrt_of_zero_is_zero():
+    assert ExactWeight.sqrt_of(0) == ZERO
+    assert ExactWeight.sqrt_of(Fraction(0, 7)).is_zero
+    with pytest.raises(ValueError):
+        ExactWeight.sqrt_of(Fraction(-1, 4))
