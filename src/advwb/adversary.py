@@ -11,29 +11,26 @@ Protocol (duck-typed):
     a_side       sorted tuple of 0-input indices appearing in pairs
     b_side       sorted tuple of 1-input indices appearing in pairs
     pair_count   number of pairs in the relation
-    iter_pairs() yields (x, y) with x in a_side, y in b_side
-    weight(x, y) pair weight (either argument order)
-    wprime(x, y, i)      directional weight, first argument's direction
-    sweep_slices(side)   yields (source, slices) per source of the side; a
-                         Slice holds (xor, w, diffs) entries whose partner
-                         is source ^ xor, and diffs is a tuple of
-                         (i, fwd, bwd) over differing coordinates, fwd
-                         being w'(source, partner, i)
+    sweep_slices(side)   yields (source, slices) per source of the side
+                         ("a" or "b"); a Slice holds (xor, w, diffs)
+                         entries whose partner is source ^ xor, and diffs
+                         is a tuple of (i, fwd, bwd) over differing
+                         coordinates, fwd being w'(source, partner, i)
     sweep_pairs(side)    the flattening of sweep_slices: yields
                          (source, records) with (partner, w, diffs) records
                          in slice order
 
-A slice's entries do not depend on the source, so its pair-weight sum,
-forward sums and failed requirements are computed once (`Slice.wt`,
-`Slice.v`, `Slice.faults`) and hold for every source that reaches it.
-`verify` and `loads` read these aggregates.
+The records are the scheme: every pair appears once from each side, and
+there is no per-pair lookup.  A slice's entries do not depend on the
+source, so its pair-weight sum, forward sums and failed requirements are
+computed once (`Slice.wt`, `Slice.v`, `Slice.faults`) and hold for every
+source that reaches it.  `verify` and `loads` read these aggregates.
 
-Two classes implement the protocol: ExplicitScheme stores the pair and
-directional-weight tables and builds one slice per source, and
-compose.ComposedScheme reproduces them on demand from an outer and an
-inner scheme, sharing one slice among all sources with the same
-surroundings.  `balance` returns an ExplicitScheme, or its argument when
-that is already balanced.
+Two classes implement the protocol: ExplicitScheme builds one slice per
+source from literal pair tables, and compose.ComposedScheme builds its
+slices on demand from an outer and an inner scheme, sharing one slice
+among all sources with the same surroundings.  `balance` returns an
+ExplicitScheme, or its argument when that is already balanced.
 """
 
 from __future__ import annotations
@@ -170,34 +167,34 @@ def flatten_slices(sweep):
 
 
 class ExplicitScheme:
-    """A scheme stored as literal pair and directional-weight tables.
+    """A scheme given by its literal pair and directional-weight tables.
 
     pairs: iterable of (x, y, w, wp) where wp maps each differing
-    coordinate i to a pair (w'(x,y,i), w'(y,x,i)).  Duplicate (x, y)
-    entries are rejected.  Weights may be given as ExactWeight, int, or
-    Fraction; a missing coordinate entry is treated as a zero directional
-    weight (and will fail verification).
+    coordinate i to a pair (w'(x,y,i), w'(y,x,i)).  Duplicate pairs, in
+    either orientation, are rejected.  Weights may be given as
+    ExactWeight, int, or Fraction; a missing coordinate entry is treated
+    as a zero directional weight (and will fail verification).
+
+    The tables are kept only as the records of the two sides: one Slice
+    per source, partners in the order the pairs were given.
     """
 
     def __init__(self, f: BooleanFunction, pairs):
         self.f = f
         size = 1 << f.arity
-        self._w: dict[tuple[int, int], ExactWeight] = {}
-        # (x, y) -> diffs from x: (i, w'(x,y,i), w'(y,x,i)) in coordinate order
-        self._wp: dict[tuple[int, int], tuple] = {}
-        a_group: dict[int, list[int]] = {}
-        b_group: dict[int, list[int]] = {}
+        sides: tuple[dict, dict] = ({}, {})  # source -> [(xor, w, diffs)]
+        seen = set()
         # schemes repeat a few weights, so equal (i, fwd, bwd) triples are
-        # stored once; the cached slices then add little memory
+        # stored once
         shared: dict = {}
         for x, y, w, wp in pairs:
             if not (0 <= x < size and 0 <= y < size):
                 raise SchemeError(f"pair ({x}, {y}) out of range for arity {f.arity}")
             if x == y:
                 raise SchemeError(f"pair ({x}, {x}) relates an input to itself")
-            key = (x, y)
-            if key in self._w or (y, x) in self._w:
+            if (x, y) in seen or (y, x) in seen:
                 raise SchemeError(f"duplicate pair ({x}, {y})")
+            seen.add((x, y))
             diff = x ^ y
             table = {}
             for i, (fwd, bwd) in wp.items():
@@ -210,72 +207,27 @@ class ExplicitScheme:
             for i in range(1, f.arity + 1):
                 if diff & var_bit(f.arity, i) and i not in table:
                     table[i] = (ZERO, ZERO)
-            self._w[key] = ExactWeight.of(w)
-            self._wp[key] = _share(
-                ((i, fwd, bwd) for i, (fwd, bwd) in sorted(table.items())), shared
+            w = ExactWeight.of(w)
+            coords = sorted(table.items())
+            sides[0].setdefault(x, []).append(
+                (diff, w, _share(((i, fwd, bwd) for i, (fwd, bwd) in coords), shared))
             )
-            a_group.setdefault(x, []).append(y)
-            b_group.setdefault(y, []).append(x)
-        if not self._w:
+            sides[1].setdefault(y, []).append(
+                (diff, w, _share(((i, bwd, fwd) for i, (fwd, bwd) in coords), shared))
+            )
+        if not seen:
             raise SchemeError("a scheme needs at least one pair")
-        self._a_group = {x: tuple(ys) for x, ys in a_group.items()}
-        self._b_group = {y: tuple(xs) for y, xs in b_group.items()}
-        self.a_side = tuple(sorted(a_group))
-        self.b_side = tuple(sorted(b_group))
-        self._sweeps: dict[str, list] = {}
-
-    @property
-    def pair_count(self) -> int:
-        return len(self._w)
-
-    def iter_pairs(self):
-        yield from self._w
-
-    def weight(self, x: int, y: int) -> ExactWeight:
-        w = self._w.get((x, y))
-        if w is None:
-            w = self._w.get((y, x))
-        if w is None:
-            raise SchemeError(f"({x}, {y}) is not in the relation")
-        return w
-
-    def wprime(self, x: int, y: int, i: int) -> ExactWeight:
-        diffs = self._wp.get((x, y))
-        pick = 1
-        if diffs is None:
-            diffs = self._wp.get((y, x))
-            pick = 2
-        if diffs is None:
-            raise SchemeError(f"({x}, {y}) is not in the relation")
-        for entry in diffs:
-            if entry[0] == i:
-                return entry[pick]
-        raise SchemeError(f"pair ({x}, {y}) does not differ at coordinate {i}")
+        self.pair_count = len(seen)
+        self._slices = {
+            side: [(s, [Slice(tuple(group[s]), f.arity)]) for s in sorted(group)]
+            for side, group in zip("ab", sides)
+        }
+        self.a_side, self.b_side = (tuple(sorted(group)) for group in sides)
 
     def sweep_slices(self, side: str):
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        sweep = self._sweeps.get(side)
-        if sweep is None:
-            sweep = self._sweeps[side] = self._side_slices(side)
-        yield from sweep
-
-    def _side_slices(self, side: str) -> list:
-        """(source, [Slice]) per source of the side, partners in pair order."""
-        a = side == "a"
-        sources, group = (self.a_side, self._a_group) if a else (self.b_side, self._b_group)
-        out = []
-        shared: dict = {}
-        for source in sources:
-            entries = []
-            for partner in group[source]:
-                key = (source, partner) if a else (partner, source)
-                diffs = self._wp[key]
-                if not a:
-                    diffs = _share(((i, bwd, fwd) for i, fwd, bwd in diffs), shared)
-                entries.append((source ^ partner, self._w[key], diffs))
-            out.append((source, [Slice(tuple(entries), self.f.arity)]))
-        return out
+        yield from self._slices[side]
 
     def sweep_pairs(self, side: str):
         yield from flatten_slices(self.sweep_slices(side))
@@ -503,12 +455,12 @@ def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
 def balance(scheme, report: LoadReport | None = None):
     """Rescale directional weights so that both side loads equal v_max.
 
-    Multiplies every w'(x, y, i) with x on the A side by sqrt(v_b/v_a) and
-    divides the opposite direction by the same factor.  Pair weights and
-    the products w'(x,y,i)*w'(y,x,i) are untouched, so validity is
-    preserved.  Returns an ExplicitScheme with the pairs in the order of
-    `scheme.iter_pairs()`, or the scheme unchanged when it is already
-    balanced.
+    Multiplies every forward weight of the A-side records by
+    s = sqrt(v_b/v_a) and divides every backward weight by s.  Pair
+    weights and the products w'(x,y,i)*w'(y,x,i) are untouched, so
+    validity is preserved.  Returns an ExplicitScheme with the pairs in
+    the order of `scheme.sweep_pairs("a")`, or the scheme unchanged when
+    it is already balanced.
     """
     rep = report if report is not None else loads(scheme, keep_maps=False)
     v_a, v_b = rep.v_a, rep.v_b
@@ -522,15 +474,11 @@ def balance(scheme, report: LoadReport | None = None):
     if ratio.u != 1:
         raise SchemeError(f"load ratio {ratio} has no exact square root")
     s = ExactWeight.sqrt_of(ratio.rational)
-    n = scheme.f.arity
-    pairs = []
-    for x, y in scheme.iter_pairs():
-        wp = {
-            i: (scheme.wprime(x, y, i) * s, scheme.wprime(y, x, i) / s)
-            for i in range(1, n + 1)
-            if (x ^ y) & var_bit(n, i)
-        }
-        pairs.append((x, y, scheme.weight(x, y), wp))
+    pairs = [
+        (x, y, w, {i: (fwd * s, bwd / s) for i, fwd, bwd in diffs})
+        for x, records in scheme.sweep_pairs("a")
+        for y, w, diffs in records
+    ]
     return ExplicitScheme(scheme.f, pairs)
 
 

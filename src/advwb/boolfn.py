@@ -73,9 +73,6 @@ class Assignment:
             vars_ = (vars_,)
         return Assignment(self.arity, self.index ^ block_mask(self.arity, vars_))
 
-    def weight(self) -> int:
-        return self.index.bit_count()
-
     def __str__(self) -> str:
         return self.bits
 

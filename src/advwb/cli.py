@@ -52,7 +52,7 @@ def exact_str(value) -> str:
         return str(value)
     if isinstance(value, float):
         return f"~{value:.9g}"
-    return value if isinstance(value, str) else value
+    return value
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -234,6 +234,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_matchings(args) -> int:
+    if args.depth < 1:
+        print("depth must be at least 1", file=sys.stderr)
+        return 2
     try:
         checks = matchings.check_matchings(args.depth)
     except matchings.MatchingError as exc:
@@ -280,6 +283,9 @@ def cmd_matchings(args) -> int:
 def cmd_simulate(args) -> int:
     if args.eps is not None and not 0.0 <= args.eps < 0.5:
         print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
+        return 2
+    if args.count < 1:
+        print(f"bad count {args.count}: must be at least 1", file=sys.stderr)
         return 2
     try:
         scheme = _load_scheme(args.scheme)

@@ -84,18 +84,13 @@ def _ratio_records(scheme, div):
     }
 
 
-def _by_pair(records) -> dict:
-    """(source, partner) -> (w, ratio diffs) from `_ratio_records` output."""
-    return {(u, v): (w, rd) for u, recs in records.items() for v, w, rd in recs}
-
-
 class ComposedScheme:
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    Nothing is stored per pair: pairs, pair weights and directional
-    weights are reproduced on demand from the outer and inner schemes'
-    stored values, so sweeps over the ~n*10^6 pairs of the 4-bit base's
-    square stay cheap and exact.
+    Nothing is stored per pair.  The protocol's sweeps build each shared
+    slice on first use from the outer and inner schemes' records, so the
+    ~1.3*10^6 pairs of the 4-bit base's square stay cheap and exact;
+    there is no per-pair lookup.
     """
 
     def __init__(self, outer, inner):
@@ -134,8 +129,9 @@ class ComposedScheme:
         self._outer_wt = outer_report.wt
         self._o_records = _ratio_records(outer, self._div)
         self._i_records = _ratio_records(inner, self._div)
-        self._o_pairs = _by_pair(self._o_records)
-        self._i_pairs = _by_pair(self._i_records)
+        self._o_pairs = {
+            (p, z): (w, rd) for p, recs in self._o_records.items() for z, w, rd in recs
+        }
         # a slice sees its agreeing blocks only through their inner totals,
         # so blocks with equal totals share a class
         classes: dict = {}
@@ -196,65 +192,14 @@ class ComposedScheme:
         inner_sizes = (len(self.inner.a_side), len(self.inner.b_side))
         n = self.n
         total = 0
-        for p, z in self.outer.iter_pairs():
-            count = 1
-            for j in range(n):
-                bit = 1 << (n - 1 - j)
-                count *= inner_pairs if (p ^ z) & bit else inner_sizes[bool(p & bit)]
-            total += count
+        for p, records in self.outer.sweep_pairs("a"):
+            for z, _, _ in records:
+                count = 1
+                for j in range(n):
+                    bit = 1 << (n - 1 - j)
+                    count *= inner_pairs if (p ^ z) & bit else inner_sizes[bool(p & bit)]
+                total += count
         return total
-
-    def iter_pairs(self):
-        for x, records in self.sweep_pairs("a"):
-            for y, _, _ in records:
-                yield x, y
-
-    # ---- weights on demand ----------------------------------------------
-
-    def _oriented(self, x: int, y: int):
-        """Blocks, patterns and outer-pair data for an ordered pair."""
-        bx, by = self._blocks_of(x), self._blocks_of(y)
-        px, py = self._pattern_of(bx), self._pattern_of(by)
-        if (px, py) not in self._o_pairs:
-            raise SchemeError(f"block patterns ({px:b}, {py:b}) not in the outer relation")
-        for j in range(self.n):
-            bit = 1 << (self.n - 1 - j)
-            if (px & bit) == (py & bit):
-                if bx[j] != by[j]:
-                    raise SchemeError(
-                        f"pair ({x}, {y}) differs in block {j + 1} where the "
-                        "patterns agree"
-                    )
-            elif (bx[j], by[j]) not in self._i_pairs:
-                raise SchemeError(
-                    f"block {j + 1} of pair ({x}, {y}) is not an inner-relation pair"
-                )
-        return bx, by, px, py
-
-    def weight(self, x: int, y: int) -> ExactWeight:
-        bx, by, px, py = self._oriented(x, y)
-        mul = self._mul
-        w = self._o_pairs[(px, py)][0]
-        for j in range(self.n):
-            bit = 1 << (self.n - 1 - j)
-            if (px & bit) == (py & bit):
-                w = mul(w, self._inner_wt[bx[j]])
-            else:
-                w = mul(w, self._i_pairs[(bx[j], by[j])][0])
-        return w
-
-    def wprime(self, x: int, y: int, i: int) -> ExactWeight:
-        bx, by, px, py = self._oriented(x, y)
-        if not 1 <= i <= self.arity:
-            raise ValueError(f"coordinate {i} outside [1, {self.arity}]")
-        i1, i2 = (i - 1) // self.m + 1, (i - 1) % self.m + 1
-        r1 = dict(self._o_pairs[(px, py)][1]).get(i1)
-        if r1 is None:
-            raise SchemeError(f"patterns agree in block {i1}")
-        r2 = dict(self._i_pairs[(bx[i1 - 1], by[i1 - 1])][1]).get(i2)
-        if r2 is None:
-            raise SchemeError(f"pair ({x}, {y}) does not differ at coordinate {i}")
-        return self.weight(x, y) * self._sqrtp(r1, r2)
 
     # ---- sweeps -----------------------------------------------------------
 

@@ -189,14 +189,12 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     if len(inputs) > INPUT_CAP:
         raise QsimError(f"{len(inputs)} inputs exceed the cap {INPUT_CAP}")
     pos = {x: r for r, x in enumerate(inputs)}
-    pair_rows = []
-    weights = []
-    for x, y in scheme.iter_pairs():
-        pair_rows.append((pos[x], pos[y]))
-        weights.append(float(scheme.weight(x, y)))
-    w_arr = np.array(weights)
-    xi = np.array([r for r, _ in pair_rows])
-    yi = np.array([r for _, r in pair_rows])
+    rows = [
+        (pos[x], pos[y], float(w))
+        for x, records in scheme.sweep_pairs("a")
+        for y, w, _ in records
+    ]
+    xi, yi, w_arr = (np.array(col) for col in zip(*rows))
     values = []
     for states in _evolve_all(alg, inputs):
         inner = np.abs(np.sum(states[xi].conj() * states[yi], axis=1))

@@ -57,6 +57,7 @@ from advwb.qsim import (
     random_algorithm,
 )
 from advwb.weights import ExactWeight
+from scheme_records import assert_rescaled
 
 _shared: dict = {}
 
@@ -238,13 +239,7 @@ def test_criterion_10_invariant_suite():
         after = loads(bal, keep_maps=False)
         assert after.v_max == before.v_max
         assert after.v_a == after.v_b == before.v_max
-        for x, y in base.iter_pairs():
-            assert bal.weight(x, y) == base.weight(x, y)
-            for i in range(1, 7):
-                if (x ^ y) & (1 << (6 - i)):
-                    assert bal.wprime(x, y, i) * bal.wprime(y, x, i) == base.wprime(
-                        x, y, i
-                    ) * base.wprime(y, x, i)
+        assert_rescaled(base, bal)
 
         # unweighted partner counting agrees with the unit scheme's bound
         # on relations whose partner counts are uniform

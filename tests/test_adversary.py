@@ -21,6 +21,7 @@ from advwb.adversary import (
 )
 from advwb.boolfn import f4, h6, nae3, parity, save_table
 from advwb.weights import ONE, ZERO, ExactWeight
+from scheme_records import assert_rescaled, pair_table
 
 
 def test_f4_scheme_values():
@@ -76,15 +77,8 @@ def test_balance_h6_preserves_invariants():
     assert after.v_a == after.v_b == before.v_max
     assert after.v_max == before.v_max
     assert after.bound == before.bound
-    # pair weights and directional products survive the rescaling
-    for x, y in list(base.iter_pairs())[:10]:
-        assert bal.weight(x, y) == base.weight(x, y)
-        diff = x ^ y
-        for i in range(1, 7):
-            if diff & (1 << (6 - i)):
-                assert bal.wprime(x, y, i) * bal.wprime(y, x, i) == base.wprime(
-                    x, y, i
-                ) * base.wprime(y, x, i)
+    # every pair weight and directional product survives the rescaling
+    assert_rescaled(base, bal)
     # delegation
     assert bal.f == base.f
     assert bal.a_side == base.a_side and bal.b_side == base.b_side
@@ -107,16 +101,6 @@ def test_scheme_construction_errors():
     with pytest.raises(SchemeError):
         # coordinate 1 agrees on the pair (000, 001)
         ExplicitScheme(g, [(0, 1, ONE, {1: (ONE, ONE)})])
-
-
-def test_weight_lookup_errors():
-    s = builtin_scheme("nae3")
-    with pytest.raises(SchemeError):
-        s.weight(0, 7)  # both zero inputs, never paired
-    x, y = next(iter(s.iter_pairs()))
-    agree = next(i for i in range(1, 4) if not (x ^ y) & (1 << (3 - i)))
-    with pytest.raises(SchemeError):
-        s.wprime(x, y, agree)
 
 
 def test_verify_reports_violations():
@@ -248,13 +232,10 @@ def test_scheme_file_round_trip(name, tmp_path):
     assert back.f == s.f
     assert back.a_side == s.a_side and back.b_side == s.b_side
     assert back.pair_count == s.pair_count
-    for x, y in s.iter_pairs():
-        assert back.weight(x, y) == s.weight(x, y)
-        diff = x ^ y
-        n = s.f.arity
-        for i in range(1, n + 1):
-            if diff & (1 << (n - i)):
-                assert back.wprime(x, y, i) == s.wprime(x, y, i)
+    for side in "ab":
+        assert pair_table(back, side) == pair_table(s, side)
+    # files keep the A-side sweep order
+    assert list(pair_table(back, "a")) == list(pair_table(s, "a"))
     before, after = loads(s), loads(back)
     assert (before.bound, before.v_max) == (after.bound, after.v_max)
 

@@ -46,7 +46,6 @@ def test_assignment_bits():
     assert a.index == 0b0110
     assert a.bits == "0110"
     assert a.bit(2) == 1 and a.bit(1) == 0
-    assert a.weight() == 2
     assert a.flip(1).index == 0b1110
     assert a.flip((2, 3)).index == 0
     assert str(a) == "0110"

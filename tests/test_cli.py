@@ -142,6 +142,12 @@ def test_simulate_eps_out_of_range(capsys):
     assert_usage_error(result, "bad eps 2.0: must lie in [0, 1/2)")
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_count_below_one(capsys, count):
+    result = run_cli(capsys, "simulate", "random", "--scheme", "g", "--count", count)
+    assert_usage_error(result, f"bad count {count}: must be at least 1")
+
+
 def test_verify_scheme_builtins(capsys):
     code, out, _ = run_cli(capsys, "verify-scheme", "f4")
     assert code == 0
@@ -336,6 +342,12 @@ def test_matchings_depth_overflow(capsys):
     code, _, err = run_cli(capsys, "matchings", "--depth", "3")
     assert code == 1
     assert "matchings failed" in err
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_matchings_depth_below_one(capsys, depth):
+    result = run_cli(capsys, "matchings", "--depth", depth)
+    assert_usage_error(result, "depth must be at least 1")
 
 
 def test_simulate_identity(capsys):

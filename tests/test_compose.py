@@ -27,6 +27,7 @@ from advwb.compose import (
     predicted_bound,
 )
 from advwb.weights import ONE, ZERO, ExactWeight, exact_sum
+from scheme_records import assert_sides_agree, pair_table
 
 
 def test_block_index():
@@ -75,7 +76,7 @@ def test_nae3_squared_full():
     assert len(c.a_side) == 224 and len(c.b_side) == 288
     assert c.pair_count == 4896
     assert c.pair_count == sum(len(records) for _, records in c.sweep_pairs("a"))
-    assert c.pair_count == len(list(c.iter_pairs()))
+    assert_sides_agree(c)
     assert verify(c) == []
     rep = loads(c, keep_maps=False)
     assert rep.bound == ExactWeight(9, 2)
@@ -206,28 +207,83 @@ def test_verify_reports_what_a_record_level_check_reports(corruption):
     assert verify(c, limit=1) == want[:1]
 
 
-def _partners(scheme) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for x, y in scheme.iter_pairs():
-        out.setdefault(x, []).append(y)
-        out.setdefault(y, []).append(x)
+def _ratio_tables(scheme) -> dict:
+    """source -> partner -> (w, {i: fwd / bwd}), from both sides' records."""
+    out: dict = {}
+    for side in "ab":
+        for (x, y), (w, coords) in pair_table(scheme, side).items():
+            ratios = {i: fwd / bwd for i, (fwd, bwd) in coords.items()}
+            out.setdefault(x, {})[y] = (w, ratios)
     return out
 
 
-def _sample_pairs(c: ComposedScheme, rng: random.Random, count: int):
+class _Reference:
+    """Composed pair records rebuilt from the outer and inner schemes' records.
+
+    For a pair (x, y) with block patterns (p, z): w = the outer w(p, z)
+    times the inner w of the blocks where p and z differ times the inner
+    wt of the blocks where they agree.  At coordinate (j, i2) the forward
+    weight is w * sqrt(r1 * r2) and the backward weight w / sqrt(r1 * r2),
+    with r1 the outer fwd/bwd ratio at j and r2 the inner one at i2.
+    """
+
+    def __init__(self, c: ComposedScheme):
+        self.n, self.m, self.table = c.n, c.m, c.inner.f.table
+        self.outer, self.inner = _ratio_tables(c.outer), _ratio_tables(c.inner)
+        self.inner_wt = {
+            u: exact_sum([w for w, _ in partners.values()])
+            for u, partners in self.inner.items()
+        }
+
+    def blocks(self, x: int) -> list[int]:
+        mask = (1 << self.m) - 1
+        return [(x >> ((self.n - 1 - j) * self.m)) & mask for j in range(self.n)]
+
+    def pattern(self, x: int) -> int:
+        return sum(self.table[u] << (self.n - 1 - j) for j, u in enumerate(self.blocks(x)))
+
+    def record(self, x: int, y: int):
+        """(w, {i: (fwd, bwd)}) of the composed pair (x, y)."""
+        w, r_outer = self.outer[self.pattern(x)][self.pattern(y)]
+        roots = {}
+        for j, (u, v) in enumerate(zip(self.blocks(x), self.blocks(y)), start=1):
+            if j not in r_outer:
+                assert u == v, f"pair ({x}, {y}) differs where its patterns agree"
+                w = w * self.inner_wt[u]
+                continue
+            w_inner, r_inner = self.inner[u][v]
+            w = w * w_inner
+            for i2, r2 in r_inner.items():
+                roots[(j - 1) * self.m + i2] = (r_outer[j] * r2).sqrt()
+        return w, {i: (w * s, w / s) for i, s in roots.items()}
+
+
+def _swept(c: ComposedScheme, sources) -> dict:
+    """(x, y) -> (w, {i: (fwd, bwd)}) over the pairs of the given sources,
+    read from both sides' sweeps."""
+    wanted = set(sources)
+    out = {}
+    for side in "ab":
+        for x, slices in c.sweep_slices(side):
+            if x in wanted:
+                for sl in slices:
+                    for xor, w, diffs in sl.entries:
+                        out[(x, x ^ xor)] = (w, {i: (fwd, bwd) for i, fwd, bwd in diffs})
+    return out
+
+
+def _sample_pairs(c: ComposedScheme, ref: _Reference, rng: random.Random, count: int):
     """(x, z, y): a composed pair built from the outer and inner relations,
     with z the block pattern of y."""
-    outer, inner = _partners(c.outer), _partners(c.inner)
-    n, m, table = c.n, c.m, c.inner.f.table
+    n, m = c.n, c.m
     out = []
     for x in rng.sample(c.a_side + c.b_side, count):
-        blocks = [(x >> ((n - 1 - j) * m)) & ((1 << m) - 1) for j in range(n)]
-        p = sum(table[u] << (n - 1 - j) for j, u in enumerate(blocks))
-        z = rng.choice(outer[p])
+        p = ref.pattern(x)
+        z = rng.choice(list(ref.outer[p]))
         y = 0
-        for j, u in enumerate(blocks):
+        for j, u in enumerate(ref.blocks(x)):
             differs = (p ^ z) >> (n - 1 - j) & 1
-            y = (y << m) | (rng.choice(inner[u]) if differs else u)
+            y = (y << m) | (rng.choice(list(ref.inner[u])) if differs else u)
         out.append((x, z, y))
     return out
 
@@ -236,8 +292,12 @@ def _sample_pairs(c: ComposedScheme, rng: random.Random, count: int):
 def test_claim2_sampled(name):
     g = balance(builtin_scheme(name))
     c = compose_scheme(g, g)
-    for x, z, y in _sample_pairs(c, random.Random(7), 50):
-        c.weight(x, y)  # a pair of the composed relation
+    ref = _Reference(c)
+    sample = _sample_pairs(c, ref, random.Random(7), 50)
+    swept = _swept(c, [x for x, _, _ in sample])
+    for x, z, y in sample:
+        # a pair of the composed relation, with the weights the factors give
+        assert swept[(x, y)] == ref.record(x, y)
         for i in range(1, c.arity + 1):
             if (x ^ y) & var_bit(c.arity, i):
                 assert check_claim2(c, x, z, i)
@@ -246,62 +306,43 @@ def test_claim2_sampled(name):
 def test_claim_checks_reject_non_partners():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    x = c.a_side[0]
-    with pytest.raises(SchemeError):
-        check_claim1(c, x, _nae3_pattern(x))  # own pattern is never a partner
-    # a coordinate in a block where the patterns agree is rejected
-    for x, y in c.iter_pairs():
-        z = _nae3_pattern(y)
-        agreeing = [
-            j for j in (1, 2, 3) if not (x ^ y) & (0b111 << (3 * (3 - j)))
-        ]
-        if agreeing:
-            i = 3 * (agreeing[0] - 1) + 1
-            with pytest.raises(SchemeError):
-                check_claim2(c, x, z, i)
-            break
+    for x in c.a_side + c.b_side:
+        with pytest.raises(SchemeError):
+            check_claim1(c, x, _nae3_pattern(x))  # own pattern is never a partner
+    # every coordinate in a block where the patterns agree is rejected
+    rejected = 0
+    for side in "ab":
+        for x, y in pair_table(c, side):
+            z = _nae3_pattern(y)
+            for j in (1, 2, 3):
+                if not (x ^ y) & (0b111 << (3 * (3 - j))):
+                    for i in range(3 * (j - 1) + 1, 3 * j + 1):
+                        with pytest.raises(SchemeError):
+                            check_claim2(c, x, z, i)
+                        rejected += 1
+    assert rejected
 
 
 def test_composed_constraint_holds_with_equality():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    rng = random.Random(11)
-    for x, y in rng.sample(list(c.iter_pairs()), 60):
-        w = c.weight(x, y)
-        diff = x ^ y
-        for i in range(1, 10):
-            if diff & var_bit(9, i):
-                assert c.wprime(x, y, i) * c.wprime(y, x, i) == w * w
+    for side in "ab":
+        for (x, y), (w, coords) in pair_table(c, side).items():
+            assert sum(var_bit(9, i) for i in coords) == x ^ y
+            for fwd, bwd in coords.values():
+                assert fwd * bwd == w * w
+    assert_sides_agree(c)
 
 
-def test_sweep_matches_point_queries():
+def test_sweep_matches_a_reference_from_the_factors():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    seen = 0
-    for source, records in c.sweep_pairs("a"):
-        for partner, w, diffs in records:
-            assert w == c.weight(source, partner)
-            for i, fwd, bwd in diffs:
-                assert fwd == c.wprime(source, partner, i)
-                assert bwd == c.wprime(partner, source, i)
-            seen += 1
-        if seen > 200:
-            break
-    assert seen > 200
-
-
-def test_weight_errors():
-    g = builtin_scheme("nae3")
-    c = compose_scheme(g, g)
-    a0, b0 = c.a_side[0], c.b_side[0]
-    with pytest.raises(SchemeError):
-        c.weight(a0, c.a_side[1])
-    x, y = next(iter(c.iter_pairs()))
-    agree = next(i for i in range(1, 10) if not (x ^ y) & var_bit(9, i))
-    with pytest.raises(SchemeError):
-        c.wprime(x, y, agree)
-    with pytest.raises(ValueError):
-        c.wprime(x, y, 10)
+    ref = _Reference(c)
+    for side in "ab":
+        table = pair_table(c, side)
+        assert len(table) == c.pair_count
+        for (x, y), record in table.items():
+            assert record == ref.record(x, y)
 
 
 def test_f4_squared_construction():
@@ -314,14 +355,16 @@ def test_f4_squared_construction():
     assert c.predicted_bound == ExactWeight(25, 4)
     assert predicted_bound(s, 5) == ExactWeight(5, 2) ** 5
 
-    # spot-check one source sweep against the point API
-    source, records = next(iter(c.sweep_pairs("a")))
-    assert exact_sum([r[1] for r in records]) == ExactWeight(10, 3) ** 5
-    for partner, w, diffs in records[:5]:
-        assert w == c.weight(source, partner)
-        for i, fwd, bwd in diffs:
-            assert fwd == c.wprime(source, partner, i)
-            assert bwd == c.wprime(partner, source, i)
+    # one source of each side against the records rebuilt from the factors
+    ref = _Reference(c)
+    for side in "ab":
+        source, records = next(iter(c.sweep_pairs(side)))
+        assert exact_sum([r[1] for r in records]) == ExactWeight(10, 3) ** 5
+        assert len(records) == 40
+        for partner, w, diffs in records:
+            want_w, want_coords = ref.record(source, partner)
+            assert w == want_w
+            assert {i: (fwd, bwd) for i, fwd, bwd in diffs} == want_coords
 
 
 def test_predicted_bound_validations():
