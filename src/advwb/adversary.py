@@ -36,7 +36,6 @@ ExplicitScheme, or its argument when that is already balanced.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .boolfn import BooleanFunction, var_bit
-from .weights import ONE, ZERO, ExactWeight, MixedRadicandError, exact_sum
+from .weights import ONE, ZERO, ExactWeight, exact_sum
 
 
 class SchemeError(ValueError):
@@ -277,9 +276,10 @@ class LoadReport:
     """Aggregate weights and loads of a scheme.
 
     v_a and v_b are the per-side maxima of v(x, i) / wt(x); v_max is their
-    geometric mean and bound its reciprocal.  Values are ExactWeight when
-    the sums stay within one radicand, float otherwise.  wt and v maps are
-    kept only when requested (they can be large for composed schemes).
+    geometric mean and bound its reciprocal.  Values are exact sums of
+    radicals (ExactWeight); v_max and bound are a weights.Root when v_A * v_B
+    is not rational and v_A != v_B.  wt and v maps are kept only when
+    requested (they can be large for composed schemes).
     """
 
     v_a: object
@@ -292,59 +292,6 @@ class LoadReport:
     v_hi: object
     wt: dict | None = None
     v: dict | None = None
-
-
-def _less(a, b) -> bool:
-    if isinstance(a, ExactWeight) and isinstance(b, ExactWeight):
-        return a < b
-    return float(a) < float(b)
-
-
-def _ratio(num, den):
-    if isinstance(num, ExactWeight) and isinstance(den, ExactWeight):
-        return num / den
-    return float(num) / float(den)
-
-
-def _geometric_mean(a, b):
-    if isinstance(a, ExactWeight) and isinstance(b, ExactWeight):
-        prod = a * b
-        if prod.u == 1:
-            return ExactWeight.sqrt_of(prod.rational)
-        return math.sqrt(float(prod))
-    return math.sqrt(float(a) * float(b))
-
-
-def _reciprocal(v):
-    if isinstance(v, ExactWeight):
-        return ONE / v
-    return 1.0 / v
-
-
-def _plus(a, b):
-    """a + b, exact within one radicand and float otherwise (as exact_sum)."""
-    if isinstance(a, ExactWeight) and isinstance(b, ExactWeight):
-        try:
-            return a + b
-        except MixedRadicandError:
-            pass
-    return float(a) + float(b)
-
-
-def _smallest(values):
-    best = None
-    for v in values:
-        if best is None or _less(v, best):
-            best = v
-    return best
-
-
-def _largest(values):
-    best = None
-    for v in values:
-        if best is None or _less(best, v):
-            best = v
-    return best
 
 
 class _Sums:
@@ -371,7 +318,7 @@ class _Sums:
     def add(self, a: int, b: int) -> int:
         k = self._sums.get((a, b))
         if k is None:
-            k = self._sums[(a, b)] = self.id(_plus(self.values[a], self.values[b]))
+            k = self._sums[(a, b)] = self.id(self.values[a] + self.values[b])
         return k
 
     def source(self, slices) -> tuple[int, dict]:
@@ -423,26 +370,26 @@ def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
                     v_map[(source, i)] = value[term]
         if not by_wt:
             raise SchemeError(f"side {side!r} has no pairs")
-        side_best[side] = _largest(
-            _ratio(_largest(value[k] for k in group), value[wt])
-            for wt, group in by_wt.items()
+        side_best[side] = max(
+            max(value[k] for k in group) / value[wt] for wt, group in by_wt.items()
         )
         wts.update(dict.fromkeys(by_wt))
         for group in by_wt.values():
             vs.update(group)
-    wt_min, wt_max = _smallest(value[k] for k in wts), _largest(value[k] for k in wts)
-    v_lo, v_hi = _smallest(value[k] for k in vs), _largest(value[k] for k in vs)
+    wt_min, wt_max = min(value[k] for k in wts), max(value[k] for k in wts)
+    v_lo, v_hi = min(value[k] for k in vs), max(value[k] for k in vs)
     v_a, v_b = side_best["a"], side_best["b"]
-    if (isinstance(v_a, ExactWeight) and v_a.is_zero) or (
-        isinstance(v_b, ExactWeight) and v_b.is_zero
-    ):
+    if v_a.is_zero or v_b.is_zero:
         raise SchemeError("degenerate scheme: a side load is zero")
-    v_max = _geometric_mean(v_a, v_b)
+    if v_a == v_b:
+        v_max, bound = v_a, ONE / v_a
+    else:
+        v_max, bound = (v_a * v_b).sqrt(), (ONE / (v_a * v_b)).sqrt()
     return LoadReport(
         v_a=v_a,
         v_b=v_b,
         v_max=v_max,
-        bound=_reciprocal(v_max),
+        bound=bound,
         wt_min=wt_min,
         wt_max=wt_max,
         v_lo=v_lo,
@@ -464,8 +411,6 @@ def balance(scheme, report: LoadReport | None = None):
     """
     rep = report if report is not None else loads(scheme, keep_maps=False)
     v_a, v_b = rep.v_a, rep.v_b
-    if not (isinstance(v_a, ExactWeight) and isinstance(v_b, ExactWeight)):
-        raise SchemeError("cannot balance exactly: side loads are not exact")
     if v_a.is_zero or v_b.is_zero:
         raise SchemeError("degenerate scheme: a side load is zero")
     if v_a == v_b:
@@ -473,7 +418,7 @@ def balance(scheme, report: LoadReport | None = None):
     ratio = v_b / v_a
     if ratio.u != 1:
         raise SchemeError(f"load ratio {ratio} has no exact square root")
-    s = ExactWeight.sqrt_of(ratio.rational)
+    s = ratio.sqrt()
     pairs = [
         (x, y, w, {i: (fwd * s, bwd / s) for i, fwd, bwd in diffs})
         for x, records in scheme.sweep_pairs("a")

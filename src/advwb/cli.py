@@ -1,9 +1,9 @@
 """Command-line front end: deterministic text or JSON reports.
 
-Exact quantities print as rational/radical strings followed by a
-six-place decimal in parentheses; JSON output carries the exact strings
-so nothing is lost to floating point.  Exit codes: 0 success, 1
-validation failure, 2 usage or parse error.
+Exact quantities (sums of radicals, or sqrt(...) of one) print as exact
+strings followed by a six-place decimal in parentheses; JSON output
+carries the exact strings, and a leading ~ marks only simulator floats.
+Exit codes: 0 success, 1 validation failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import adversary, boolfn, compose, matchings, measures, qsim
-from .weights import ExactWeight
+from .weights import ExactWeight, Root
 
 BASE_ALIASES = {
     "f": "f4",
@@ -35,24 +35,11 @@ MAX_DEPTH = 512
 
 def fmt(value) -> str:
     """Exact string plus parenthesized 6-place decimal."""
-    if isinstance(value, ExactWeight):
-        return f"{value} ({value.decimal(6)})"
-    if isinstance(value, Fraction):
+    if isinstance(value, (ExactWeight, Root, Fraction)):
         return f"{value} ({float(value):.6f})"
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"~{value:.6f}"
     return str(value)
-
-
-def exact_str(value) -> str:
-    """The exact part alone, for JSON payloads."""
-    if isinstance(value, (ExactWeight, Fraction)):
-        return str(value)
-    if isinstance(value, float):
-        return f"~{value:.9g}"
-    return value
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -154,14 +141,14 @@ def cmd_verify_scheme(args) -> int:
     ]
     payload = {
         "valid": True,
-        "bound": exact_str(report.bound),
-        "wt_min": exact_str(report.wt_min),
-        "wt_max": exact_str(report.wt_max),
-        "v_min": exact_str(report.v_lo),
-        "v_max_entry": exact_str(report.v_hi),
-        "v_A": exact_str(report.v_a),
-        "v_B": exact_str(report.v_b),
-        "v_max": exact_str(report.v_max),
+        "bound": str(report.bound),
+        "wt_min": str(report.wt_min),
+        "wt_max": str(report.wt_max),
+        "v_min": str(report.v_lo),
+        "v_max_entry": str(report.v_hi),
+        "v_A": str(report.v_a),
+        "v_B": str(report.v_b),
+        "v_max": str(report.v_max),
     }
     _emit(args, lines, payload)
     return 0
@@ -192,7 +179,7 @@ def cmd_compose(args) -> int:
             f"(cap: depth 2, arity {compose.COMPOSE_ARITY_CAP})"
         )
         lines.append(f"predicted bound = {fmt(predicted)}")
-        payload.update(materialized=False, predicted_bound=exact_str(predicted))
+        payload.update(materialized=False, predicted_bound=str(predicted))
         if args.export:
             print("cannot export: composition not materialized", file=sys.stderr)
             return 1
@@ -215,8 +202,8 @@ def cmd_compose(args) -> int:
     payload.update(
         materialized=True,
         pairs=scheme.pair_count,
-        measured_bound=exact_str(report.bound),
-        predicted_bound=exact_str(predicted),
+        measured_bound=str(report.bound),
+        predicted_bound=str(predicted),
     )
     if args.export:
         try:
@@ -259,7 +246,7 @@ def cmd_matchings(args) -> int:
             "l": chk.l,
             "l_prime": chk.l_prime,
             "disjoint": chk.disjoint,
-            "bound": exact_str(chk.bound),
+            "bound": str(chk.bound),
         }
     if args.export:
         files = []

@@ -38,7 +38,9 @@ def test_fmt():
     assert fmt(ExactWeight(1, 2, 39)) == "1/2*sqrt(39) (3.122499)"
     assert fmt(Fraction(1, 3)) == "1/3 (0.333333)"
     assert fmt(True) == "yes" and fmt(False) == "no"
-    assert fmt(0.25) == "~0.250000"
+    two_r2 = ExactWeight(2) - ExactWeight(1, 1, 2)
+    assert fmt(two_r2) == "2 - sqrt(2) (0.585786)"
+    assert fmt(two_r2.sqrt()) == "sqrt(2 - sqrt(2)) (0.765367)"
     assert fmt(7) == "7"
 
 
@@ -167,6 +169,69 @@ def test_verify_scheme_alias_and_json(capsys):
     assert doc["valid"] is True
     assert doc["bound"] == "3/2*sqrt(2)"
     assert doc["v_max"] == "1/3*sqrt(2)"
+
+
+def _mixed_or2_file(tmp_path) -> str:
+    """A valid or2 scheme whose weights 1 and sqrt(2) meet in wt(0) = 1 + sqrt(2)."""
+    root2 = ExactWeight(1, 1, 2)
+    mixed = ExplicitScheme(
+        or_n(2), [(0, 1, ONE, {2: (ONE, ONE)}), (0, 2, root2, {1: (root2, root2)})]
+    )
+    path = tmp_path / "or2.scheme.json"
+    save_scheme(mixed, path)
+    return str(path)
+
+
+def test_verify_scheme_mixed_radicands_are_exact(capsys, tmp_path):
+    path = _mixed_or2_file(tmp_path)
+    code, out, _ = run_cli(capsys, "verify-scheme", path)
+    assert code == 0 and "~" not in out
+    assert out.splitlines() == [
+        "valid, bound = sqrt(1 + 1/2*sqrt(2)) (1.306563)",
+        "wt min = 1 (1.000000)",
+        "wt max = 1 + sqrt(2) (2.414214)",
+        "v min = 1 (1.000000)",
+        "v max = sqrt(2) (1.414214)",
+        "v_A = 2 - sqrt(2) (0.585786)",
+        "v_B = 1 (1.000000)",
+        "v_max = sqrt(2 - sqrt(2)) (0.765367)",
+    ]
+    code, out, _ = run_cli(capsys, "verify-scheme", path, "--json")
+    assert code == 0 and "~" not in out
+    assert json.loads(out) == {
+        "valid": True,
+        "bound": "sqrt(1 + 1/2*sqrt(2))",
+        "wt_min": "1",
+        "wt_max": "1 + sqrt(2)",
+        "v_min": "1",
+        "v_max_entry": "sqrt(2)",
+        "v_A": "2 - sqrt(2)",
+        "v_B": "1",
+        "v_max": "sqrt(2 - sqrt(2))",
+    }
+
+
+def test_verify_scheme_large_prime_weight_finishes(tmp_path):
+    # v_A * v_B is the prime 10^18 + 3, so v_max needs its squarefree part
+    doc = {
+        "arity": 3,
+        "table": "01111110",
+        "a": [0],
+        "b": [1],
+        "pairs": [{"x": 0, "y": 1, "w": "2", "wp": {"3": ["1000000000000000003", "4"]}}],
+    }
+    path = tmp_path / "prime.scheme.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(advwb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "advwb", "verify-scheme", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "v_max = sqrt(1000000000000000003) " in proc.stdout
+    assert time.monotonic() - start < 10
 
 
 def test_verify_scheme_rejects_invalid_file(capsys, tmp_path):
@@ -427,17 +492,14 @@ def test_simulate_rejects_invalid_scheme(capsys, tmp_path):
 
 
 def test_simulate_unbalanceable_scheme_is_an_error(capsys, tmp_path):
-    # valid, but wt(0) = 1 + sqrt(2) mixes radicands, so loads are floats
-    root2 = ExactWeight(1, 1, 2)
-    mixed = ExplicitScheme(
-        or_n(2), [(0, 1, ONE, {2: (ONE, ONE)}), (0, 2, root2, {1: (root2, root2)})]
-    )
-    path = tmp_path / "or2.scheme.json"
-    save_scheme(mixed, path)
-    code, out, err = run_cli(capsys, "simulate", "identity", "--scheme", str(path))
+    # valid, with exact loads v_A = 2 - sqrt(2) and v_B = 1, but balancing
+    # needs the square root of v_B / v_A = 1 + sqrt(2)/2, which no sum of
+    # rational multiples of square roots equals
+    path = _mixed_or2_file(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "identity", "--scheme", path)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("cannot trace scheme: ")
+    assert err == "cannot trace scheme: load ratio 1 + 1/2*sqrt(2) has no exact square root\n"
 
 
 # the identity on the 4-dimensional space of n = 3, work = 1

@@ -1,9 +1,10 @@
-"""Generated valid schemes as an oracle for verify, files, balance and sweeps.
+"""Generated valid schemes as an oracle for verify, files, loads, balance and sweeps.
 
-The strategy builds an ExplicitScheme with rational weights on a random
-function of arity 2-4: a relation between some 0- and some 1-inputs, and
-directional weights that meet w'(x,y,i) * w'(y,x,i) >= w^2 either with
-equality (tight) or with room to spare (slack).  The first pair is always
+The strategy builds an ExplicitScheme on a random function of arity 2-4: a
+relation between some 0- and some 1-inputs, and directional weights that
+meet w'(x,y,i) * w'(y,x,i) >= w^2 either with equality (tight) or with room
+to spare (slack).  Weights are rationals, some multiplied by sqrt(2), sqrt(3)
+or sqrt(6), so one source's sums can mix radicands.  The first pair is always
 tight, so every scheme has a constraint that halving one weight breaks.
 """
 
@@ -11,10 +12,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from advwb.adversary import (
     ExplicitScheme,
+    LoadReport,
+    SchemeError,
     balance,
     load_scheme,
     loads,
@@ -22,14 +26,16 @@ from advwb.adversary import (
     verify,
 )
 from advwb.boolfn import BooleanFunction, var_bit
-from advwb.weights import ExactWeight
+from advwb.weights import ONE, ZERO, ExactWeight, Root
 from scheme_records import assert_rescaled, assert_sides_agree, pair_table
 
-# Small rationals: `loads` takes exact square roots by trial-division
-# factoring (`weights.squarefree_split`), which does not finish on weights
-# with large prime factors, such as a 19-digit prime.
-weights = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
-slacks = st.fractions(min_value=1, max_value=4, max_denominator=6)
+# `loads` and `balance` take exact square roots, which factor radicands by
+# trial division up to their cube root; that stays fast for numerators and
+# denominators up to about 10^18, far above what these draws multiply to.
+rationals = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+radicals = st.sampled_from([1, 1, 2, 3, 6]).map(lambda u: ExactWeight(1, 1, u))
+weights = st.builds(lambda r, s: ExactWeight.of(r) * s, rationals, radicals)
+slacks = st.fractions(min_value=1, max_value=4, max_denominator=6).map(ExactWeight.of)
 
 
 @st.composite
@@ -57,10 +63,39 @@ def schemes(draw) -> ExplicitScheme:
         for i in range(1, n + 1):
             if (x ^ y) & var_bit(n, i):
                 fwd = draw(weights)
-                slack = 1 if tight else draw(slacks)
+                slack = ONE if tight else draw(slacks)
                 wp[i] = (fwd, w * w / fwd * slack)
         pairs.append((x, y, w, wp))
     return ExplicitScheme(f, pairs)
+
+
+def reference_loads(scheme) -> LoadReport:
+    """`loads` as plain sums, quotients and maxima over the swept records.
+
+    v_max and bound are left out: they are checked through their squares.
+    """
+    wt, v, side_max = {}, {}, {}
+    for side in "ab":
+        for x, records in scheme.sweep_pairs(side):
+            wt[x] = ZERO
+            for _, w, diffs in records:
+                wt[x] += w
+                for i, fwd, _ in diffs:
+                    v[(x, i)] = v.get((x, i), ZERO) + fwd
+            load = max(v[(x, i)] / wt[x] for i in range(1, scheme.f.arity + 1) if (x, i) in v)
+            side_max[side] = max(side_max.get(side, load), load)
+    return LoadReport(
+        v_a=side_max["a"],
+        v_b=side_max["b"],
+        v_max=None,
+        bound=None,
+        wt_min=min(wt.values()),
+        wt_max=max(wt.values()),
+        v_lo=min(v.values()),
+        v_hi=max(v.values()),
+        wt=wt,
+        v=v,
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -83,15 +118,26 @@ def test_generated_scheme_properties(scheme):
     for side in "ab":
         assert pair_table(back, side) == pair_table(scheme, side)
 
-    # balance keeps the bound, every w and every fwd * bwd; with rational
-    # loads the factor sqrt(v_B / v_A) has one radicand, so all stays exact
-    rep = loads(scheme, keep_maps=False)
-    bal = balance(scheme, rep)
-    after = loads(bal, keep_maps=False)
-    assert after.v_a == after.v_b == rep.v_max
-    assert after.bound == rep.bound
-    assert verify(bal) == []
-    assert_rescaled(scheme, bal)
+    # every loads field matches the record-level sums, exactly
+    rep = loads(scheme, keep_maps=True)
+    want = reference_loads(scheme)
+    assert rep.v_max**2 == rep.v_a * rep.v_b
+    assert rep.bound**2 * rep.v_a * rep.v_b == ONE
+    want.v_max, want.bound = rep.v_max, rep.bound
+    assert rep == want
+
+    # balance keeps the bound, every w and every fwd * bwd when the factor
+    # sqrt(v_B / v_A) is exact, which needs a rational v_B / v_A
+    if isinstance((rep.v_b / rep.v_a).sqrt(), Root):
+        with pytest.raises(SchemeError, match="no exact square root"):
+            balance(scheme, rep)
+    else:
+        bal = balance(scheme, rep)
+        after = loads(bal, keep_maps=False)
+        assert after.v_a == after.v_b == rep.v_max
+        assert after.bound == rep.bound
+        assert verify(bal) == []
+        assert_rescaled(scheme, bal)
 
     # halving the forward weight of one tight constraint makes verify fail
     # there and nowhere else

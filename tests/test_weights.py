@@ -5,14 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from advwb.weights import (
-    ONE,
-    ZERO,
-    ExactWeight,
-    MixedRadicandError,
-    exact_sum,
-    squarefree_split,
-)
+from advwb.weights import ONE, ZERO, ExactWeight, Root, exact_sum, squarefree_split
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30
@@ -21,6 +14,16 @@ positive_rationals = st.fractions(
     min_value=Fraction(1, 30), max_value=Fraction(50), max_denominator=30
 )
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 13, 39])
+
+
+@st.composite
+def sums(draw):
+    """A signed sum of a few (a/b)*sqrt(u) terms, possibly zero."""
+    total = ZERO
+    for a, u in draw(st.lists(st.tuples(rationals, radicands), max_size=4)):
+        term = ExactWeight(abs(a.numerator), a.denominator, u)
+        total = total - term if a < 0 else total + term
+    return total
 
 
 def w(p, q=1, u=1):
@@ -45,6 +48,22 @@ def test_radicand_squarefree_reduction():
     assert squarefree_split(1) == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (1000003, (1, 1000003)),
+        (1000003**2, (1000003, 1)),
+        (1000003 * 1000033, (1, 1000003 * 1000033)),
+        (12 * 1000033**2, (2 * 1000033, 3)),
+        (10**18 + 3, (1, 10**18 + 3)),
+        ((10**9 + 7) ** 2, (10**9 + 7, 1)),
+    ],
+)
+def test_squarefree_split_of_large_primes(n, want):
+    # trial division up to the cube root leaves p, p*p or p*q, told apart exactly
+    assert squarefree_split(n) == want
+
+
 def test_multiplication_merges_radicands():
     assert w(1, 1, 2) * w(1, 1, 2) == w(2)
     assert w(1, 1, 2) * w(1, 1, 3) == w(1, 1, 6)
@@ -60,12 +79,24 @@ def test_division_and_pow():
         w(1) / ZERO
 
 
-def test_addition_same_radicand_only():
+def test_addition_is_exact_across_radicands():
     assert w(1, 3, 2) + w(2, 3, 2) == w(1, 1, 2)
     assert w(1, 2) + w(1, 2) == ONE
     assert ZERO + w(7, 1, 5) == w(7, 1, 5)
-    with pytest.raises(MixedRadicandError):
-        w(1, 1, 2) + w(1, 1, 3)
+    mixed = w(1, 1, 2) + w(1, 2, 3)
+    assert str(mixed) == "sqrt(2) + 1/2*sqrt(3)"
+    assert mixed - w(1, 1, 2) == w(1, 2, 3)
+    assert str(ONE - w(1, 1, 2)) == "1 - sqrt(2)"
+    assert str(w(1, 1, 2) - w(3)) == "-3 + sqrt(2)"
+    with pytest.raises(ValueError):  # weights are nonnegative
+        ExactWeight.of(ONE - w(1, 1, 2))
+    # (1 + sqrt(2))^2 = 3 + 2*sqrt(2), and division undoes it
+    one_r2 = ONE + w(1, 1, 2)
+    assert one_r2 * one_r2 == w(3) + w(2, 1, 2)
+    assert (w(3) + w(2, 1, 2)) / one_r2 == one_r2
+    assert ONE / (w(1, 1, 2) + w(1, 1, 3) + w(1, 1, 5)) * (
+        w(1, 1, 2) + w(1, 1, 3) + w(1, 1, 5)
+    ) == ONE
 
 
 def test_comparison_crosses_radicands():
@@ -74,6 +105,10 @@ def test_comparison_crosses_radicands():
     assert w(2, 39, 39) == ExactWeight.sqrt_of(Fraction(4, 39))
     assert not w(5, 2) < w(5, 2)
     assert w(5, 2) <= w(5, 2)
+    # sums within 1e-11 of each other: convergents of sqrt(2) from both sides
+    below, above = w(275807, 195025), w(665857, 470832)
+    assert ONE + below < ONE + w(1, 1, 2) < ONE + above
+    assert (below - w(1, 1, 2)) * (above - w(1, 1, 2)) < ZERO
 
 
 def test_parse_round_trip():
@@ -88,8 +123,23 @@ def test_parse_round_trip():
 def test_squared_and_rational():
     assert w(3, 2, 2).squared() == Fraction(9, 2)
     assert w(5, 3).rational == Fraction(5, 3)
-    with pytest.raises(MixedRadicandError):
+    with pytest.raises(ValueError):
         _ = w(1, 1, 2).rational
+    with pytest.raises(ValueError):
+        _ = (ONE + w(1, 1, 2)).squared()
+
+
+def test_sqrt_is_exact_or_a_root():
+    assert w(9, 2).sqrt() == w(3, 2, 2)
+    root = (ONE + w(1, 1, 2)).sqrt()
+    assert isinstance(root, Root) and str(root) == "sqrt(1 + sqrt(2))"
+    assert root.square == ONE + w(1, 1, 2)
+    assert root == Root(ONE + w(1, 1, 2)) and root != ONE
+    assert Root(w(3) + w(2, 1, 2)) == ONE + w(1, 1, 2)
+    assert abs(float(root) - (1 + 2**0.5) ** 0.5) < 1e-12
+    assert root**2 == ONE + w(1, 1, 2) and root**3 == Root((ONE + w(1, 1, 2)) ** 3)
+    with pytest.raises(ValueError):
+        (ONE - w(1, 1, 2)).sqrt()
 
 
 def test_decimal_places():
@@ -131,9 +181,8 @@ def test_exact_sum_counts_duplicates_exactly():
     vals = [w(2, 3)] * 1000 + [w(1, 3)] * 500
     assert exact_sum(vals) == w(2500, 3)
     mixed = [w(1, 1, 2)] * 4 + [w(1, 1, 3)] * 9
-    total = exact_sum(mixed)
-    assert isinstance(total, float)
-    assert abs(total - (4 * 2**0.5 + 9 * 3**0.5)) < 1e-9
+    assert exact_sum(mixed) == w(4, 1, 2) + w(9, 1, 3)
+    assert str(exact_sum(mixed)) == "4*sqrt(2) + 9*sqrt(3)"
 
 
 def test_zero_and_one_constants():
@@ -146,3 +195,31 @@ def test_sqrt_of_zero_is_zero():
     assert ExactWeight.sqrt_of(Fraction(0, 7)).is_zero
     with pytest.raises(ValueError):
         ExactWeight.sqrt_of(Fraction(-1, 4))
+
+
+@given(sums(), sums())
+def test_sum_arithmetic_round_trips(x, y):
+    assert x - x == ZERO
+    assert (x + y) - y == x
+    if not y.is_zero:
+        assert (x / y) * y == x
+        assert (x * y) / y == x
+
+
+@given(sums(), sums())
+def test_sum_order_matches_floats(x, y):
+    fx, fy = float(x), float(y)
+    if abs(fx - fy) > 1e-9:
+        assert (x < y) == (fx < fy)
+        assert (x > y) == (fx > fy)
+    assert (x <= y) != (x > y)
+    # exact ties: (x + y)^2 against its expansion
+    square, expanded = (x + y) * (x + y), x * x + ExactWeight(2) * x * y + y * y
+    assert square == expanded and square <= expanded and not square < expanded
+
+
+@given(sums(), sums())
+def test_equal_sums_hash_equally(x, y):
+    assert hash(x * y) == hash(y * x) and x * y == y * x
+    assert hash(x + y) == hash(y + x) and x + y == y + x
+    assert hash((x + y) - y) == hash(x)
