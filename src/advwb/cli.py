@@ -104,9 +104,9 @@ def cmd_measures(args) -> int:
         print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
         return 2
     try:
-        rep = measures.compute_report(f, eps, skip=skip, force=args.force)
+        rep = measures.compute_report(f, eps, skip=skip)
     except measures.CapExceeded as exc:
-        print(f"cap exceeded: {exc} (use --force or --skip)", file=sys.stderr)
+        print(f"cap exceeded: {exc} (use --skip)", file=sys.stderr)
         return 1
     except measures.CertificateError as exc:
         print(f"approximate degree not certified: {exc}", file=sys.stderr)
@@ -432,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fn", help="truth-table file or builtin name (f4, parity3, ...)")
     p.add_argument("--eps", default="1/3", help="approximation error (exact fraction)")
     p.add_argument("--skip", default="", help=f"comma list from {measures.SKIPPABLE}")
-    p.add_argument("--force", action="store_true", help="override arity caps")
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser(

@@ -4,6 +4,10 @@ Exact multilinear polynomials, approximate degree by linear programming,
 sensitivity, block sensitivity, certificate complexity, decision-tree depth
 with a witness tree, and certified values for iterates of the 4-bit base.
 
+Decision-tree depth and certificate complexity are array passes over the
+3^n subcubes, each variable fixed to 0 or 1 or free: depth goes level by
+level in the number of free variables, certificates by superset minima.
+
 Approximate degree is exact at every arity: HiGHS solves each degree's LP
 in floats, and one side of its answer is then certified in integers, a
 rationalised primal polynomial when the degree suffices and a projected
@@ -22,11 +26,8 @@ import numpy as np
 from . import simplex
 from .boolfn import ArityError, BooleanFunction, iterate, var_bit
 
-APPROX_ARITY_CAP = 12
+ARITY_CAP = 12  # approximate degree, block sensitivity, certificates, depth
 EXACT_LP_ARITY_CAP = 8
-BS_ARITY_CAP = 12
-CERT_ARITY_CAP = 8
-DEPTH_ARITY_CAP = 12
 # HiGHS values are rationalised to the nearest fraction with at most this
 # denominator.  The LP vertices of these small programs have small
 # denominators, and at a tie, an optimum of exactly eps = 1/3, only the
@@ -37,7 +38,7 @@ DEFAULT_EPS = Fraction(1, 3)
 
 
 class CapExceeded(ArityError):
-    """Arity above the cap for an exhaustive measure; override to force."""
+    """Arity above ARITY_CAP for an exhaustive measure; skip the measure."""
 
 
 class CertificateError(RuntimeError):
@@ -47,18 +48,19 @@ class CertificateError(RuntimeError):
 # ---- subset transforms ---------------------------------------------------
 
 
-def _butterflies(arr: np.ndarray, n: int, step) -> np.ndarray:
-    """Apply step(lo, hi) in place along every bit of a 2^n array.
+def _butterflies(arr: np.ndarray, n: int, step, radix: int = 2) -> np.ndarray:
+    """Apply step(lo, hi, ...) in place along every digit of a radix^n array.
 
-    lo and hi are the views of the entries with that bit clear and set.
-    Summing hi += lo is the zeta transform (sum over submasks); its
-    inverse, the Moebius transform, is hi -= lo.
+    lo and hi are the views of the entries with that digit 0 and 1, and a
+    radix-3 subcube array adds the view with it free.  Summing hi += lo
+    is the zeta transform (sum over submasks); its inverse, the Moebius
+    transform, is hi -= lo.
     """
-    view = arr.reshape([2] * n)
+    view = arr.reshape([radix] * n)
     for ax in range(n):
         lead = (slice(None),) * ax
         # the trailing Ellipsis keeps a view even when n = 1
-        step(view[lead + (0, ...)], view[lead + (1, ...)])
+        step(*(view[lead + (d, ...)] for d in range(radix)))
     return arr
 
 
@@ -72,6 +74,21 @@ def _moebius(lo, hi):
 
 def _any(lo, hi):
     hi |= lo
+
+
+def _constant(lo, hi, free):
+    # entries with a later digit free read unfinished halves here, and are
+    # rewritten by the pass along their last free digit
+    free[...] = np.where(lo == hi, lo, -1)
+
+
+def _count_free(lo, hi, free):
+    free += 1
+
+
+def _superset_min(lo, hi, free):
+    np.minimum(lo, free, out=lo)
+    np.minimum(hi, free, out=hi)
 
 
 def _walsh(lo, hi):
@@ -332,8 +349,8 @@ def approx_polynomial(f: BooleanFunction, eps=DEFAULT_EPS) -> ApproxWitness:
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
     n = f.arity
-    if n > APPROX_ARITY_CAP:
-        raise CapExceeded(f"approximate degree capped at arity {APPROX_ARITY_CAP}")
+    if n > ARITY_CAP:
+        raise CapExceeded(f"approximate degree capped at arity {ARITY_CAP}")
     if eps == 0:
         poly = exact_polynomial(f)
         coeffs = {m: Fraction(c) for m, c in poly.coeffs.items()}
@@ -415,61 +432,51 @@ def _max_disjoint(blocks: list[int]) -> int:
 
 
 def block_sensitivity_at(f: BooleanFunction, index: int) -> int:
-    if f.arity > BS_ARITY_CAP:
-        raise CapExceeded(f"block sensitivity capped at arity {BS_ARITY_CAP}")
+    if f.arity > ARITY_CAP:
+        raise CapExceeded(f"block sensitivity capped at arity {ARITY_CAP}")
     return _max_disjoint(_minimal_sensitive_blocks(f, index))
 
 
 def block_sensitivity(f: BooleanFunction) -> int:
-    if f.arity > BS_ARITY_CAP:
-        raise CapExceeded(f"block sensitivity capped at arity {BS_ARITY_CAP}")
     return max(block_sensitivity_at(f, x) for x in range(1 << f.arity))
 
 
-# ---- certificate complexity ----------------------------------------------
+# ---- subcube lattice -------------------------------------------------------
 
 
-def certificate_at(f: BooleanFunction, index: int) -> int:
-    """Fewest fixed variables forcing f to f(index) on the whole subcube."""
+def _subcubes(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(value, free count) of every subcube, as flat int8 arrays of 3^n.
+
+    Subcube sum_a d_a * 3^(n-1-a) fixes variable a + 1 to d_a when d_a is 0
+    or 1 and leaves it free when d_a = 2, so its all-fixed corner is f's
+    table.  value is f's value on the subcube when f is constant there,
+    else -1.
+    """
     n = f.arity
-    full = (1 << n) - 1
-    target = f.table[index]
-    tab = f.table
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            sm = 0
-            for i in combo:
-                sm |= var_bit(n, i)
-            free = full ^ sm
-            base = index & sm
-            sub = free
-            ok = True
-            while True:
-                if tab[base | sub] != target:
-                    ok = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-            if ok:
-                return size
-    return n
+    value = np.full(3**n, -1, dtype=np.int8)
+    value.reshape([3] * n)[(slice(0, 2),) * n] = f.np_table.reshape([2] * n)
+    _butterflies(value, n, _constant, radix=3)
+    free = _butterflies(np.zeros(3**n, dtype=np.int8), n, _count_free, radix=3)
+    return value, free
 
 
-def certificate_complexity(f: BooleanFunction, *, force: bool = False) -> tuple[int, int]:
-    """(C_0, C_1): worst-case certificate sizes over each preimage."""
-    if f.arity > CERT_ARITY_CAP and not force:
-        raise CapExceeded(
-            f"certificate complexity capped at arity {CERT_ARITY_CAP}; pass force=True"
-        )
-    c0 = c1 = 0
-    for x in range(1 << f.arity):
-        c = certificate_at(f, x)
-        if f.table[x]:
-            c1 = max(c1, c)
-        else:
-            c0 = max(c0, c)
-    return c0, c1
+def certificate_complexity(f: BooleanFunction) -> tuple[int, int]:
+    """(C_0, C_1): worst-case certificate sizes over each preimage.
+
+    The certificate size of x is the least codimension of a constant
+    subcube holding x.  Constant subcubes start at their codimension and
+    the rest at 127; a minimum over supersets, one pass per variable,
+    leaves that least codimension at every input.
+    """
+    n = f.arity
+    if n > ARITY_CAP:
+        raise CapExceeded(f"certificate complexity capped at arity {ARITY_CAP}")
+    value, free = _subcubes(f)
+    size = np.where(value >= 0, n - free, 127)
+    _butterflies(size, n, _superset_min, radix=3)
+    cert = size.reshape([3] * n)[(slice(0, 2),) * n].reshape(-1)
+    tab = f.np_table
+    return int(cert[tab == 0].max(initial=0)), int(cert[tab == 1].max(initial=0))
 
 
 # ---- deterministic decision-tree depth ------------------------------------
@@ -507,51 +514,37 @@ def run_tree(tree: DecisionTree, index: int, arity: int) -> tuple[int, int]:
 
 
 def det_complexity(f: BooleanFunction) -> tuple[int, DecisionTree]:
-    """Exact decision-tree depth with an optimal witness tree."""
-    if f.arity > DEPTH_ARITY_CAP:
-        raise CapExceeded(f"decision-tree depth capped at arity {DEPTH_ARITY_CAP}")
+    """Exact decision-tree depth with an optimal witness tree.
+
+    D(S) = 0 on a constant subcube S, else 1 + the least, over free
+    variables i, of max(D(S with x_i = 0), D(S with x_i = 1)), filled in
+    level by level in the number of free variables.  Each subcube queries
+    the lowest-numbered i at that least value, and the witness tree makes
+    those queries from the all-free subcube down.
+    """
     n = f.arity
-    full = (1 << n) - 1
-    tab = f.table
-    memo: dict[tuple[int, int], tuple[int, DecisionTree]] = {}
+    if n > ARITY_CAP:
+        raise CapExceeded(f"decision-tree depth capped at arity {ARITY_CAP}")
+    value, free = _subcubes(f)
+    depth = np.where(value >= 0, 0, 127).astype(np.int8)
+    query = np.zeros(3**n, dtype=np.int8)  # 0-based variable queried
+    steps = [3 ** (n - 1 - a) for a in range(n)]  # index weight of digit a
+    for k in range(1, n + 1):
+        idx = np.flatnonzero((free == k) & (value < 0))
+        for a, step in enumerate(steps):
+            sub = idx[idx // step % 3 == 2]  # variable a + 1 free; fix it to 0, 1
+            cand = 1 + np.maximum(depth[sub - 2 * step], depth[sub - step])
+            better = cand < depth[sub]  # strict, so the lowest i wins ties
+            depth[sub[better]] = cand[better]
+            query[sub[better]] = a
 
-    def constant_value(fixed_mask: int, fixed_vals: int) -> int | None:
-        free = full ^ fixed_mask
-        first = tab[fixed_vals | free]
-        sub = free
-        while True:
-            if tab[fixed_vals | sub] != first:
-                return None
-            if sub == 0:
-                return first
-            sub = (sub - 1) & free
+    def tree(i: int) -> DecisionTree:
+        if value[i] >= 0:
+            return TreeLeaf(int(value[i]))
+        a = int(query[i])
+        return TreeNode(a + 1, tree(i - 2 * steps[a]), tree(i - steps[a]))
 
-    def rec(fixed_mask: int, fixed_vals: int) -> tuple[int, DecisionTree]:
-        key = (fixed_mask, fixed_vals)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cv = constant_value(fixed_mask, fixed_vals)
-        if cv is not None:
-            out = (0, TreeLeaf(cv))
-        else:
-            best = None
-            for i in range(1, n + 1):
-                b = var_bit(n, i)
-                if fixed_mask & b:
-                    continue
-                d0, t0 = rec(fixed_mask | b, fixed_vals)
-                d1, t1 = rec(fixed_mask | b, fixed_vals | b)
-                d = 1 + max(d0, d1)
-                if best is None or d < best[0]:
-                    best = (d, TreeNode(i, t0, t1))
-                    if d == 1:
-                        break
-            out = best
-        memo[key] = out
-        return out
-
-    return rec(0, 0)
+    return int(depth[-1]), tree(3**n - 1)
 
 
 # ---- iterated base certificates --------------------------------------------
@@ -753,13 +746,7 @@ class ComplexityReport:
 SKIPPABLE = ("deg", "approx_deg", "s", "bs", "cert", "D")
 
 
-def compute_report(
-    f: BooleanFunction,
-    eps=DEFAULT_EPS,
-    *,
-    skip=(),
-    force: bool = False,
-) -> ComplexityReport:
+def compute_report(f: BooleanFunction, eps=DEFAULT_EPS, *, skip=()) -> ComplexityReport:
     """All measures of f, honoring skip tokens and arity caps.
 
     skip tokens: deg, approx_deg, s, bs, cert, D.
@@ -779,7 +766,7 @@ def compute_report(
     if "bs" not in skip:
         rep.bs = block_sensitivity(f)
     if "cert" not in skip:
-        rep.c0, rep.c1 = certificate_complexity(f, force=force)
+        rep.c0, rep.c1 = certificate_complexity(f)
     if "D" not in skip:
         rep.d_depth = det_complexity(f)[0]
     return rep

@@ -52,7 +52,7 @@ def _coprime_base(radicands) -> list[int]:
 
 
 _WEIGHT_RE = re.compile(
-    r"^\s*(?:(\d+)\s*(?:/\s*(\d+))?)?\s*(?:\*?\s*sqrt\(\s*(\d+)\s*(?:/\s*(\d+))?\s*\))?\s*$"
+    r"^\s*(-)?\s*(?:(\d+)\s*(?:/\s*(\d+))?)?\s*(?:\*?\s*sqrt\(\s*(\d+)\s*(?:/\s*(\d+))?\s*\))?\s*$"
 )
 
 
@@ -296,17 +296,27 @@ class ExactWeight:
 
     @classmethod
     def parse(cls, text: str) -> "ExactWeight":
-        """Parse 'p/q', 'p/q*sqrt(u/v)', 'sqrt(u)' and obvious variants."""
-        m = _WEIGHT_RE.match(text)
-        if not m or (m.group(1) is None and m.group(3) is None):
-            raise ValueError(f"not a weight literal: {text!r}")
-        p = int(m.group(1)) if m.group(1) else 1
-        q = int(m.group(2)) if m.group(2) else 1
-        un = int(m.group(3)) if m.group(3) else 1
-        ud = int(m.group(4)) if m.group(4) else 1
-        if q == 0 or ud == 0:
-            raise ValueError(f"zero denominator in weight literal: {text!r}")
-        return cls(p, q, Fraction(un, ud))
+        """Parse what str prints: 'p/q', 'p/q*sqrt(u/v)', 'sqrt(u)' and obvious
+        variants, joined by + and -; a negative total is refused."""
+        terms = text.replace("-", "+-").split("+")  # each term keeps its minus
+        if len(terms) > 1 and not terms[0].strip():
+            terms = terms[1:]  # the first term is signed
+        total = _ZERO
+        for term in terms:
+            m = _WEIGHT_RE.match(term)
+            if not m or (m.group(2) is None and m.group(4) is None):
+                raise ValueError(f"not a weight literal: {text!r}")
+            p = int(m.group(2)) if m.group(2) else 1
+            q = int(m.group(3)) if m.group(3) else 1
+            un = int(m.group(4)) if m.group(4) else 1
+            ud = int(m.group(5)) if m.group(5) else 1
+            if q == 0 or ud == 0:
+                raise ValueError(f"zero denominator in weight literal: {text!r}")
+            w = cls(p, q, Fraction(un, ud))
+            total = total - w if m.group(1) else total + w
+        if total._sign() < 0:
+            raise ValueError(f"negative weight literal: {text!r}")
+        return total
 
 
 _ZERO = ExactWeight(0)

@@ -19,7 +19,7 @@ from advwb.adversary import (
     unit_scheme,
     verify,
 )
-from advwb.boolfn import f4, h6, nae3, parity, save_table
+from advwb.boolfn import f4, h6, nae3, or_n, parity, save_table
 from advwb.weights import ONE, ZERO, ExactWeight
 from scheme_records import assert_rescaled, pair_table
 
@@ -254,6 +254,19 @@ def test_scheme_file_with_external_table(tmp_path):
     back = load_scheme(path)
     assert back.f == f4()
     assert loads(back).bound == ExactWeight(5, 2)
+
+
+def test_scheme_file_with_a_sum_weight(tmp_path):
+    one_root2 = ONE + ExactWeight(1, 1, 2)
+    pairs = [(0, 1, one_root2, {2: (one_root2, one_root2)}), (0, 2, ONE, {1: (ONE, ONE)})]
+    s = ExplicitScheme(or_n(2), pairs)
+    path = tmp_path / "or2.scheme.json"
+    save_scheme(s, path)
+    assert '"w": "1 + sqrt(2)"' in path.read_text()
+    back = load_scheme(path)
+    assert pair_table(back, "a") == pair_table(s, "a")
+    assert verify(back) == []
+    assert loads(back) == loads(s)
 
 
 def test_load_scheme_rejects_stray_pairs(tmp_path):

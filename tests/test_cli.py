@@ -85,15 +85,28 @@ def test_measures_unknown_function(capsys):
 
 
 def test_measures_cap_exceeded(capsys):
-    code, _, err = run_cli(capsys, "measures", "or9")
-    assert code == 1
-    assert "cap exceeded" in err
+    capped = {
+        "approx_deg": "approximate degree",
+        "bs": "block sensitivity",
+        "cert": "certificate complexity",
+        "D": "decision-tree depth",
+    }
+    for token, name in capped.items():
+        skip = ",".join(sorted(set(capped) - {token}))
+        code, out, err = run_cli(capsys, "measures", "or13", "--skip", skip)
+        assert code == 1 and out == ""
+        assert err == f"cap exceeded: {name} capped at arity 12 (use --skip)\n"
 
 
 def test_measures_force_and_skip(capsys):
-    code, out, _ = run_cli(capsys, "measures", "or9", "--force")
+    code, out, _ = run_cli(capsys, "measures", "or9")
     assert code == 0
     assert "c0 = 9" in out and "c1 = 1" in out
+
+    # the knob that lifted the certificate cap is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["measures", "or9", "--force"])
+    assert exc.value.code == 2
 
     code, out, _ = run_cli(capsys, "measures", "or9", "--skip", "cert")
     assert code == 0
@@ -113,6 +126,14 @@ def test_measures_wide_random_table(capsys, tmp_path, n):
     doc = json.loads(out)
     assert code == 0
     assert doc["approx_deg"] <= doc["deg"] <= doc["d_depth"]
+
+
+def test_measures_parity12_depth_is_fast(capsys):
+    """Decision-tree depth at the 12-bit cap is one pass over 3^12 subcubes."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "measures", "parity12", "--skip", "approx_deg,cert")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and "d_depth = 12" in out
 
 
 def test_measures_uncertified_approx_degree(capsys, monkeypatch):
@@ -279,6 +300,8 @@ _PAIR = {"x": 0, "y": 1, "w": "1", "wp": {"3": ["1", "1"]}}
         ]},
         {**_NAE3, "a": [False], "pairs": [_PAIR]},
         {**_NAE3, "pairs": [{**_PAIR, "x": False}]},
+        {**_NAE3, "pairs": [{**_PAIR, "w": "1 - sqrt(2)"}]},
+        {**_NAE3, "pairs": [{**_PAIR, "wp": {"3": ["1", "sqrt(2) - 3/2"]}}]},
     ],
 )
 @pytest.mark.parametrize("command", ["verify-scheme", "simulate"])

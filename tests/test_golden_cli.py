@@ -38,6 +38,8 @@ CASES = {
         0,
     ),
     **{f"measures_{s}_json": (["measures", s, "--json"], 0) for s in ("f4", "nae3", "h6")},
+    "measures_or12_json": (["measures", "or12", "--skip", "approx_deg", "--json"], 0),
+    "measures_parity12": (["measures", "parity12", "--skip", "approx_deg"], 0),
 }
 
 

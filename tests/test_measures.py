@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import measures_reference as reference
 from advwb import measures, simplex
 from advwb.boolfn import (
     ArityError,
@@ -266,9 +267,12 @@ def test_certificate_values():
 
 
 def test_certificate_cap_and_force():
+    assert certificate_complexity(or_n(9)) == (9, 1)
+    assert certificate_complexity(and_n(12)) == (1, 12)
     with pytest.raises(CapExceeded):
-        certificate_complexity(or_n(9))
-    assert certificate_complexity(or_n(9), force=True) == (9, 1)
+        certificate_complexity(or_n(13))
+    with pytest.raises(TypeError):  # no knob lifts the cap
+        certificate_complexity(or_n(9), force=True)
 
 
 def test_det_complexity_and_run_tree():
@@ -281,11 +285,32 @@ def test_det_complexity_and_run_tree():
             assert queries <= depth
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_functions())
+def test_subcube_lattice_matches_reference(f):
+    assert det_complexity(f) == reference.det_complexity(f)
+    assert certificate_complexity(f) == reference.certificate_complexity(f)
+
+
+@pytest.mark.parametrize("density", [0.5, 0.1])
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_depth_matches_reference_on_wide_tables(n, density):
+    rng = random.Random(n)
+    f = BooleanFunction(n, bytes(rng.random() < density for _ in range(1 << n)))
+    assert det_complexity(f) == reference.det_complexity(f)
+
+
 def test_caps_raise():
-    with pytest.raises(CapExceeded):
-        block_sensitivity(parity(13))
-    with pytest.raises(CapExceeded):
-        det_complexity(parity(13))
+    assert measures.ARITY_CAP == 12
+    for measure in (
+        approx_degree,
+        block_sensitivity,
+        lambda f: block_sensitivity_at(f, 0),
+        certificate_complexity,
+        det_complexity,
+    ):
+        with pytest.raises(CapExceeded, match="capped at arity 12"):
+            measure(parity(13))
 
 
 def test_iterated_certificates_shallow():
@@ -396,8 +421,17 @@ def test_compute_report_skip_and_errors():
     assert rep.s == 9
     with pytest.raises(ValueError):
         compute_report(f4(), skip=("nonsense",))
-    with pytest.raises(CapExceeded):
-        compute_report(or_n(9))
+    rep = compute_report(or_n(12), skip=("approx_deg", "bs"))
+    assert (rep.c0, rep.c1, rep.d_depth) == (12, 1, 12)
+    capped = {
+        "approx_deg": "approximate degree",
+        "bs": "block sensitivity",
+        "cert": "certificate complexity",
+        "D": "decision-tree depth",
+    }
+    for token, name in capped.items():
+        with pytest.raises(CapExceeded, match=f"^{name} capped at arity 12$"):
+            compute_report(or_n(13), skip=set(capped) - {token})
 
 
 @settings(max_examples=40, deadline=None)

@@ -114,10 +114,24 @@ def test_comparison_crosses_radicands():
 def test_parse_round_trip():
     for s in ["0", "3", "5/2", "1/2*sqrt(39)", "sqrt(2)", "100000/243"]:
         assert str(ExactWeight.parse(s)) == s
-    with pytest.raises(ValueError):
-        ExactWeight.parse("banana")
-    with pytest.raises(ValueError):
-        ExactWeight.parse("1/0")
+    for s in ["1 + sqrt(2)", "2 - sqrt(2)", "-1 + sqrt(2)", "1/2 + sqrt(2) + 1/3*sqrt(6)"]:
+        assert str(ExactWeight.parse(s)) == s
+    assert ExactWeight.parse(str(ONE + ExactWeight.sqrt_of(2))) == ONE + w(1, 1, 2)
+    for bad in ["banana", "1/0", "1 +", "+", "1 - -1", "1 + + 2", "sqrt(2)sqrt(3)"]:
+        with pytest.raises(ValueError, match="weight literal"):
+            ExactWeight.parse(bad)
+    for negative in ["-1", "- sqrt(2)", "1 - sqrt(2)", "-1/2*sqrt(3) + 1/2*sqrt(2)"]:
+        with pytest.raises(ValueError, match="^negative weight literal"):
+            ExactWeight.parse(negative)
+
+
+@given(sums())
+def test_parse_reads_what_str_prints(x):
+    if x < ZERO:
+        with pytest.raises(ValueError, match="^negative weight literal"):
+            ExactWeight.parse(str(x))
+    else:
+        assert ExactWeight.parse(str(x)) == x
 
 
 def test_squared_and_rational():
