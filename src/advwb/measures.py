@@ -8,10 +8,16 @@ Decision-tree depth and certificate complexity are array passes over the
 3^n subcubes, each variable fixed to 0 or 1 or free: depth goes level by
 level in the number of free variables, certificates by superset minima.
 
-Approximate degree is exact at every arity: HiGHS solves each degree's LP
-in floats, and one side of its answer is then certified in integers, a
+Approximate degree is exact at every arity.  Each degree is first tried
+against the spectral dual psi = 2f - 1, projected off the low-degree
+characters in integers; only a degree it does not rule out goes to HiGHS,
+whose float answer is then certified on one side in integers, a
 rationalised primal polynomial when the degree suffices and a projected
 dual polynomial when it does not.
+
+Block sensitivity is sandwiched by s <= bs(x) <= C(x) (Nisan 1989): it
+starts from s, packs blocks only at inputs whose certificate size exceeds
+the best so far, and stops each packing once it reaches C(x).
 """
 
 from __future__ import annotations
@@ -28,10 +34,14 @@ from .boolfn import ArityError, BooleanFunction, iterate, var_bit
 
 ARITY_CAP = 12  # approximate degree, block sensitivity, certificates, depth
 EXACT_LP_ARITY_CAP = 8
-# HiGHS values are rationalised to the nearest fraction with at most this
-# denominator.  The LP vertices of these small programs have small
+# HiGHS primal values are rationalised to the nearest fraction with at most
+# this denominator.  The LP vertices of these small programs have small
 # denominators, and at a tie, an optimum of exactly eps = 1/3, only the
-# exact vertex certifies: rounding to a binary grid would miss it.
+# exact vertex certifies: rounding to a binary grid would miss it.  Duals,
+# the spectral one tried before each LP and the LP's own, are instead
+# rounded to integers at scale 2^30 and projected exactly.  At a tie no
+# dual certifies the strict bound anyway, and away from one the margin
+# above eps outlasts a 2^-30 rounding.
 DENOMINATOR_LIMIT = 10**4
 
 DEFAULT_EPS = Fraction(1, 3)
@@ -218,7 +228,8 @@ def _max_deviation(f: BooleanFunction, coeffs: dict[int, Fraction]) -> Fraction:
 
 
 def _certify_lower(f: BooleanFunction, k: int, psi: np.ndarray, eps: Fraction) -> bool:
-    """Whether the float dual psi, rationalised, proves that degree k fails.
+    """Whether the dual psi, rounded to integers at scale 2^30, proves that
+    degree k fails.
 
     Its Walsh-Hadamard coefficients of degree <= k are zeroed exactly, in
     integers, which leaves phi orthogonal to every degree-k polynomial p.
@@ -226,7 +237,7 @@ def _certify_lower(f: BooleanFunction, k: int, psi: np.ndarray, eps: Fraction) -
     correlation above eps * |phi|_1 rules out every such p.
     """
     n = f.arity
-    phi, _ = _scaled(_rationalise(psi))
+    phi = np.rint(np.ldexp(psi, 30)).astype(np.int64).astype(object)
     _butterflies(phi, n, _walsh)
     phi[np.bitwise_count(np.arange(1 << n)) <= k] = 0
     _butterflies(phi, n, _walsh)  # 2^n times the projection; the scale cancels
@@ -247,6 +258,8 @@ def _lp_float(f: BooleanFunction, monomials: list[int]):
     """HiGHS solution of min t s.t. |p(x) - f(x)| <= t, p in span(monomials).
 
     Returns (t, the coefficients of p, the dual polynomial psi) in floats.
+    The interior-point method with its default crossover returns a vertex,
+    as the simplex does, so its values rationalise the same way.
     """
     import scipy.optimize
     import scipy.sparse
@@ -268,7 +281,7 @@ def _lp_float(f: BooleanFunction, monomials: list[int]):
     c = np.zeros(nmono + 1)
     c[0] = 1.0
     bounds = [(0, None)] + [(None, None)] * nmono
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
     if not res.success:
         raise CertificateError(f"LP solve failed: {res.message}")
     # the row multipliers are <= 0; psi = lambda_minus - lambda_plus in
@@ -335,15 +348,19 @@ def _degree_witness(f: BooleanFunction, k: int, eps: Fraction) -> ApproxWitness 
 def approx_polynomial(f: BooleanFunction, eps=DEFAULT_EPS) -> ApproxWitness:
     """Lowest-degree polynomial within eps of f pointwise, with witness.
 
-    Degrees are tried upwards from 0.  Each LP is solved by HiGHS and one
-    side of its answer is certified exactly in integers: a rationalised
-    primal whose exact deviation is <= eps (the degree suffices), or a
-    rationalised dual polynomial, projected off the low-degree characters,
-    whose correlation with f exceeds eps (the degree fails).  So the
-    returned degree carries an upper certificate and every smaller degree
-    a lower one.  If neither side certifies, the exact Fraction simplex
-    decides that degree up to arity 8; above it CertificateError is raised.
-    eps = 0 returns the exact polynomial.
+    Degrees are tried upwards from 0.  Each degree is first checked against
+    the spectral dual psi = 2f - 1 (the dual-polynomial method with its
+    simplest witness): projected off the characters of degree <= k, its
+    correlation with f above eps proves the degree fails, with no LP.  A
+    degree it does not rule out is solved by HiGHS, and one side of the
+    answer is certified exactly in integers: a rationalised primal whose
+    exact deviation is <= eps (the degree suffices), or the LP's dual
+    polynomial, projected the same way, whose correlation with f exceeds
+    eps (the degree fails).  So the returned degree carries an upper
+    certificate and every smaller degree a lower one.  If neither side
+    certifies, the exact Fraction simplex decides that degree up to arity
+    8; above it CertificateError is raised.  eps = 0 returns the exact
+    polynomial.
     """
     eps = Fraction(eps)
     if not 0 <= eps < Fraction(1, 2):
@@ -355,7 +372,10 @@ def approx_polynomial(f: BooleanFunction, eps=DEFAULT_EPS) -> ApproxWitness:
         poly = exact_polynomial(f)
         coeffs = {m: Fraction(c) for m, c in poly.coeffs.items()}
         return ApproxWitness(poly.degree, eps, coeffs, Fraction(0))
+    spectral = 2.0 * f.np_table - 1
     for k in range(n + 1):
+        if _certify_lower(f, k, spectral, eps):
+            continue
         witness = _degree_witness(f, k, eps)
         if witness is not None:
             return witness
@@ -410,18 +430,17 @@ def _minimal_sensitive_blocks(f: BooleanFunction, index: int) -> list[int]:
     return [int(m) for m in np.nonzero(minimal)[0]]
 
 
-def _max_disjoint(blocks: list[int]) -> int:
-    """Largest pairwise-disjoint subcollection (branch and bound)."""
+def _max_disjoint(blocks: list[int], limit: int) -> int:
+    """Size of the largest pairwise-disjoint subcollection, capped at limit:
+    branch and bound that stops once it packs limit blocks."""
     blocks = sorted(blocks, key=lambda m: m.bit_count())
     nbl = len(blocks)
     best = 0
 
     def rec(i: int, used: int, count: int) -> None:
         nonlocal best
-        if count + (nbl - i) <= best:
-            return
-        if i == nbl:
-            best = max(best, count)
+        best = max(best, count)
+        if best >= limit or count + (nbl - i) <= best:
             return
         if not blocks[i] & used:
             rec(i + 1, used | blocks[i], count + 1)
@@ -434,11 +453,26 @@ def _max_disjoint(blocks: list[int]) -> int:
 def block_sensitivity_at(f: BooleanFunction, index: int) -> int:
     if f.arity > ARITY_CAP:
         raise CapExceeded(f"block sensitivity capped at arity {ARITY_CAP}")
-    return _max_disjoint(_minimal_sensitive_blocks(f, index))
+    return _max_disjoint(_minimal_sensitive_blocks(f, index), f.arity)
 
 
 def block_sensitivity(f: BooleanFunction) -> int:
-    return max(block_sensitivity_at(f, x) for x in range(1 << f.arity))
+    """bs(f), by the sandwich s(f) <= bs(x) <= C(x) (Nisan 1989).
+
+    The best packing starts at s(f).  Inputs are visited in decreasing
+    certificate size, and the search stops at the first whose C(x) cannot
+    beat the best; each packing stops once it reaches C(x).  When s(f) =
+    max(C_0, C_1), no blocks are packed at all.
+    """
+    if f.arity > ARITY_CAP:
+        raise CapExceeded(f"block sensitivity capped at arity {ARITY_CAP}")
+    best = sensitivity(f)
+    cert = _certificates(f)
+    for x in np.argsort(-cert, kind="stable").tolist():
+        if cert[x] <= best:
+            break
+        best = max(best, _max_disjoint(_minimal_sensitive_blocks(f, x), int(cert[x])))
+    return best
 
 
 # ---- subcube lattice -------------------------------------------------------
@@ -460,21 +494,26 @@ def _subcubes(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
     return value, free
 
 
-def certificate_complexity(f: BooleanFunction) -> tuple[int, int]:
-    """(C_0, C_1): worst-case certificate sizes over each preimage.
+def _certificates(f: BooleanFunction) -> np.ndarray:
+    """C(x) for every input x, as an int8 array indexed like f's table.
 
-    The certificate size of x is the least codimension of a constant
-    subcube holding x.  Constant subcubes start at their codimension and
-    the rest at 127; a minimum over supersets, one pass per variable,
-    leaves that least codimension at every input.
+    C(x) is the least codimension of a constant subcube holding x.
+    Constant subcubes start at their codimension and the rest at 127; a
+    minimum over supersets, one pass per variable, leaves that least
+    codimension at every input.
     """
     n = f.arity
-    if n > ARITY_CAP:
-        raise CapExceeded(f"certificate complexity capped at arity {ARITY_CAP}")
     value, free = _subcubes(f)
     size = np.where(value >= 0, n - free, 127)
     _butterflies(size, n, _superset_min, radix=3)
-    cert = size.reshape([3] * n)[(slice(0, 2),) * n].reshape(-1)
+    return size.reshape([3] * n)[(slice(0, 2),) * n].reshape(-1)
+
+
+def certificate_complexity(f: BooleanFunction) -> tuple[int, int]:
+    """(C_0, C_1): worst-case certificate sizes over each preimage."""
+    if f.arity > ARITY_CAP:
+        raise CapExceeded(f"certificate complexity capped at arity {ARITY_CAP}")
+    cert = _certificates(f)
     tab = f.np_table
     return int(cert[tab == 0].max(initial=0)), int(cert[tab == 1].max(initial=0))
 

@@ -1,9 +1,11 @@
-"""Brute-force decision-tree depth and certificate complexity, for tests.
+"""Brute-force decision-tree depth, certificate and block sensitivity, for tests.
 
-Both walk subcubes one at a time as (fixed mask, fixed values) pairs of
-table-index bits: depth by a memoised recursion that queries the
-lowest-numbered variable among those at the minimum, certificates by
-trying every fixed set of each size at each input.
+Depth and certificates walk subcubes one at a time as (fixed mask, fixed
+values) pairs of table-index bits: depth by a memoised recursion that
+queries the lowest-numbered variable among those at the minimum,
+certificates by trying every fixed set of each size at each input.  Block
+sensitivity packs minimal sensitive blocks at every input with no bound
+from sensitivity or certificates.
 """
 
 import itertools
@@ -69,3 +71,34 @@ def certificate_complexity(f) -> tuple[int, int]:
     for x in range(1 << f.arity):
         c[f.table[x]] = max(c[f.table[x]], certificate_at(f, x))
     return c[0], c[1]
+
+
+def minimal_sensitive_blocks(f, index: int) -> list[int]:
+    """Sensitive blocks at index with no sensitive proper sub-block."""
+    sensitive = [
+        b for b in range(1, 1 << f.arity) if f.table[index ^ b] != f.table[index]
+    ]
+    minimal = []
+    for b in sorted(sensitive, key=int.bit_count):
+        if not any(m & b == m for m in minimal):
+            minimal.append(b)
+    return minimal
+
+
+def block_sensitivity_at(f, index: int) -> int:
+    """Most disjoint sensitive blocks at index, memoised on the used variables."""
+    blocks = minimal_sensitive_blocks(f, index)
+    memo = {}
+
+    def pack(used: int) -> int:
+        if used not in memo:
+            memo[used] = max(
+                (1 + pack(used | b) for b in blocks if not b & used), default=0
+            )
+        return memo[used]
+
+    return pack(0)
+
+
+def block_sensitivity(f) -> int:
+    return max(block_sensitivity_at(f, x) for x in range(1 << f.arity))

@@ -14,6 +14,7 @@ from advwb.boolfn import (
     BooleanFunction,
     and_n,
     builtin,
+    compose,
     f4,
     h6,
     iterate,
@@ -185,6 +186,51 @@ def test_no_fallback_above_the_exact_cap(monkeypatch, simplex_calls):
     assert not simplex_calls
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts HiGHS solves, one per degree the spectral dual leaves open."""
+    calls = []
+    real = measures._lp_float
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(measures, "_lp_float", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_parity_needs_one_lp(n, lp_calls):
+    # the spectral dual of parity is its top character, which rules out
+    # every degree below n; the LP runs only to certify degree n
+    assert approx_degree(parity(n)) == n
+    assert len(lp_calls) == 1
+
+
+# A random 9-bit table whose degree-5 LP optimum, 0.33337998..., lies just
+# above eps = 1/3.  Its LP dual, rationalised with denominators up to 10^4,
+# does not beat eps; rounded at scale 2^30 it does, so degree 6 is
+# certified without the exact simplex, which does not run at 9 bits.
+NINE_BIT_NEAR_TIE = (
+    "1011110001000101101011001001010110111100110110100000110100101010"
+    "1010010011000011101001000010110101101000001110000100110110001111"
+    "1001111001010111011110101010100100000110000100101011001101101110"
+    "0011110101101001101110001111000101011110101110111001000110100000"
+    "1100111011111001001011011111101101010001010010000010011000001111"
+    "0001101100001110011100101101111011111101101010010100101111100100"
+    "0101010101011101111000100101111000010111000111110000011101110110"
+    "1010001100011001101010100111111101011011010011110100010010111101"
+)
+
+
+def test_near_tie_nine_bit_table_is_certified(lp_calls):
+    f = BooleanFunction.from_bits("".join(NINE_BIT_NEAR_TIE))
+    assert approx_degree(f) == 6
+    # the spectral dual rules out degrees 0-4; LPs decide 5 and 6
+    assert len(lp_calls) == 2
+
+
 def reference_deviation(f, coeffs):
     return max(
         abs(sum(c for m, c in coeffs.items() if m & x == m) - f.table[x])
@@ -257,6 +303,37 @@ def test_block_sensitivity_values():
     assert block_sensitivity(or_n(3)) == 3
     assert block_sensitivity(parity(4)) == 4
     assert block_sensitivity(nae3()) == 3
+
+
+def f4_compositions(seed, count):
+    """f4 on random nonconstant 1- or 2-bit inner functions: 4- and 8-bit
+    tables with s < max(C_0, C_1), so that block sensitivity packs blocks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice((1, 2))
+        inners = []
+        while len(inners) < 4:
+            tab = bytes(rng.randint(0, 1) for _ in range(1 << m))
+            if 0 < sum(tab) < len(tab):
+                inners.append(BooleanFunction(m, tab))
+        yield compose(f4(), inners)
+
+
+def test_block_sensitivity_matches_unpruned_packing():
+    names = ["f4", "nae3", "h6"] + [
+        f"{family}{n}" for family in ("parity", "or", "and") for n in range(1, 9)
+    ]
+    tables = (
+        [builtin(name) for name in names]
+        + list(random_tables(10, range(1, 9), 40))
+        + list(f4_compositions(11, 20))
+    )
+    below = 0
+    for f in tables:
+        assert block_sensitivity(f) == reference.block_sensitivity(f)
+        below += sensitivity(f) < max(certificate_complexity(f))
+    # f4 and the 20 compositions; on every other table s = C settles bs
+    assert below == 21
 
 
 def test_certificate_values():
