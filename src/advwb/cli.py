@@ -65,14 +65,26 @@ def _load_scheme(spec: str):
     return adversary.builtin_scheme(name)
 
 
-def _report_violations(scheme) -> bool:
-    """Print the violations of an invalid scheme; True when there are any."""
+def _checked_scheme(spec: str):
+    """The scheme named by spec and its loads, once verified; otherwise the
+    exit code after the message: 2 when the scheme cannot be read or
+    weighed exactly, 1 when it is invalid (each violation is printed)."""
+    try:
+        scheme = _load_scheme(spec)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"cannot load scheme: {exc}", file=sys.stderr)
+        return 2
     violations = adversary.verify(scheme)
     if violations:
         print(f"invalid: {len(violations)} violation(s)")
         for v in violations:
             print(f"  {v}")
-    return bool(violations)
+        return 1
+    try:
+        return scheme, adversary.loads(scheme, keep_maps=False)
+    except ValueError as exc:
+        print(f"cannot load scheme: {exc}", file=sys.stderr)
+        return 2
 
 
 # ---- measures ----------------------------------------------------------
@@ -121,14 +133,10 @@ def cmd_measures(args) -> int:
 
 
 def cmd_verify_scheme(args) -> int:
-    try:
-        scheme = _load_scheme(args.scheme)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot load scheme: {exc}", file=sys.stderr)
-        return 2
-    if _report_violations(scheme):
-        return 1
-    report = adversary.loads(scheme, keep_maps=False)
+    checked = _checked_scheme(args.scheme)
+    if isinstance(checked, int):
+        return checked
+    _, report = checked
     lines = [
         f"valid, bound = {fmt(report.bound)}",
         f"wt min = {fmt(report.wt_min)}",
@@ -274,20 +282,17 @@ def cmd_simulate(args) -> int:
     if args.count < 1:
         print(f"bad count {args.count}: must be at least 1", file=sys.stderr)
         return 2
-    try:
-        scheme = _load_scheme(args.scheme)
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot load scheme: {exc}", file=sys.stderr)
-        return 2
-    if _report_violations(scheme):
-        return 1
-    report = adversary.loads(scheme, keep_maps=False)
+    checked = _checked_scheme(args.scheme)
+    if isinstance(checked, int):
+        return checked
+    scheme, report = checked
     if report.v_a != report.v_b:
         try:
             scheme = adversary.balance(scheme, report)
         except adversary.SchemeError as exc:
             print(f"cannot trace scheme: {exc}", file=sys.stderr)
             return 2
+        report = adversary.loads(scheme, keep_maps=False)
         note = "note: scheme balanced before tracing"
     else:
         note = None
@@ -335,7 +340,7 @@ def cmd_simulate(args) -> int:
         except qsim.QsimError as exc:
             print(f"{label}: {exc}", file=sys.stderr)
             return 1
-        ok = qsim.check_drop_bound(trace)
+        ok = qsim.check_drop_bound(trace, report.v_max)
         entry = {
             "algorithm": label,
             "queries": alg.queries,
@@ -351,7 +356,7 @@ def cmd_simulate(args) -> int:
             failures += 1
         if args.eps is not None:
             try:
-                final_ok = qsim.check_final_bound(alg, scheme, args.eps)
+                final_ok = qsim.check_final_bound(trace, args.eps)
                 lines.append(
                     f"  final bound at eps = {args.eps}: "
                     f"{'ok' if final_ok else 'VIOLATED'}"
@@ -363,7 +368,7 @@ def cmd_simulate(args) -> int:
                 lines.append(f"  precondition failed: {exc}")
                 entry["precondition_failed"] = str(exc)
                 failures += 1
-            lower = qsim.query_lower_bound(args.eps, trace.v_max)
+            lower = qsim.query_lower_bound(args.eps, report.v_max)
             lines.append(f"  query lower bound: {lower:.6f}")
             entry["query_lower_bound"] = f"~{lower:.9g}"
         payload["algorithms"].append(entry)

@@ -359,27 +359,26 @@ def approx_polynomial(f: BooleanFunction, eps=DEFAULT_EPS) -> ApproxWitness:
     eps (the degree fails).  So the returned degree carries an upper
     certificate and every smaller degree a lower one.  If neither side
     certifies, the exact Fraction simplex decides that degree up to arity
-    8; above it CertificateError is raised.  eps = 0 returns the exact
-    polynomial.
+    8; above it CertificateError is raised.  No LP runs at deg(f): the
+    exact polynomial is its witness, with deviation 0.  At eps = 0 the
+    spectral dual rules out every lower degree k, since its correlation
+    with f is |P_{>k}(2f - 1)|^2 / 2 > 0.
     """
     eps = Fraction(eps)
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    n = f.arity
-    if n > ARITY_CAP:
+    if f.arity > ARITY_CAP:
         raise CapExceeded(f"approximate degree capped at arity {ARITY_CAP}")
-    if eps == 0:
-        poly = exact_polynomial(f)
-        coeffs = {m: Fraction(c) for m, c in poly.coeffs.items()}
-        return ApproxWitness(poly.degree, eps, coeffs, Fraction(0))
+    exact = exact_polynomial(f)
     spectral = 2.0 * f.np_table - 1
-    for k in range(n + 1):
+    for k in range(exact.degree):
         if _certify_lower(f, k, spectral, eps):
             continue
         witness = _degree_witness(f, k, eps)
         if witness is not None:
             return witness
-    raise RuntimeError("unreachable: degree-n polynomial is exact")
+    coeffs = {m: Fraction(c) for m, c in exact.coeffs.items()}
+    return ApproxWitness(exact.degree, eps, coeffs, Fraction(0))
 
 
 def approx_degree(f: BooleanFunction, eps=DEFAULT_EPS) -> int:

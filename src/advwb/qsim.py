@@ -2,12 +2,15 @@
 
 An algorithm is a sequence of unitaries interleaved with an
 input-dependent oracle that flips the sign of basis state |i, z> when
-the i-th input variable is 1 (the i = 0 states are left alone).  The
-simulator evolves every relevant input's state vector, measures the
-designated output bit, and tracks the weighted sum of pairwise inner
-products that any valid weight scheme guarantees can only shrink
-slowly: each query moves it by at most 2 * v_max * W_0, and a
-low-error algorithm must finish with it below 2 sqrt(eps(1-eps)) * W_0.
+the i-th input variable is 1 (the i = 0 states are left alone).  A trace
+evolves the state vectors of every input a scheme's pairs touch, once
+and as one batch: after each oracle call it reads the weighted sum W_t
+of pairwise inner products, and after the last unitary it measures the
+designated output bit for each input's error.  The checks then read
+that trace alone: each query may move W by at most 2 * v_max * W_0, and
+an eps-error algorithm must finish with it below 2 sqrt(eps(1-eps)) * W_0.
+The simulator needs only the scheme's records (`f`, its sides and
+`sweep_pairs`); v_max is the caller's, from the scheme's loads.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from .adversary import loads
 
 DIMENSION_CAP = 64
 INPUT_CAP = 4096
@@ -116,41 +117,14 @@ class QueryAlgorithm:
         return phases
 
 
-def apply_oracle(state: np.ndarray, x: int, n: int, work: int = 2) -> np.ndarray:
-    """Flip the sign of every |i, z> amplitude with i >= 1 and x_i = 1."""
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != ((n + 1) * work,):
-        raise QsimError(
-            f"state has shape {state.shape}, expected {((n + 1) * work,)}"
-        )
-    phases = np.ones((n + 1) * work)
-    for i in range(1, n + 1):
-        if (x >> (n - i)) & 1:
-            phases[i * work : (i + 1) * work] = -1.0
-    return state * phases
-
-
-def run(alg: QueryAlgorithm, x: int) -> tuple[np.ndarray, float]:
-    """Full evolution on input x: final state and acceptance probability."""
-    state = np.zeros(alg.dimension, dtype=np.complex128)
-    state[0] = 1.0
-    phases = alg.phase_vector(x)
-    for t, u in enumerate(alg.unitaries):
-        state = u @ state
-        if t < alg.queries:
-            state = state * phases
-    p = float(np.sum(np.abs(state[alg.accept_mask()]) ** 2))
-    return state, p
-
-
 @dataclass(frozen=True, eq=False)
 class ProgressTrace:
-    """Weighted inner-product sums W_0..W_T and their per-step drops."""
+    """Weighted inner-product sums W_0..W_T, their per-step drops, and the
+    algorithm's error on each input the scheme's pairs touch, by input."""
 
-    scheme: object
-    v_max: object
     values: tuple[float, ...]
     drops: tuple[float, ...]
+    errors: dict[int, float]
 
     @property
     def w0(self) -> float:
@@ -161,26 +135,13 @@ class ProgressTrace:
         return self.values[-1]
 
 
-def _evolve_all(alg: QueryAlgorithm, inputs: list[int]):
-    """States of every input after 0..T queries, as one matrix per step.
-
-    Row order follows `inputs`.  Yields T+1 matrices; the t-th holds the
-    states right after the t-th oracle call (pairwise inner products are
-    unchanged by the unitary that follows, so these determine W_t).
-    """
-    dim = alg.dimension
-    states = np.zeros((len(inputs), dim), dtype=np.complex128)
-    states[:, 0] = 1.0
-    phases = np.stack([alg.phase_vector(x) for x in inputs])
-    yield states.copy()
-    for t in range(alg.queries):
-        states = states @ alg.unitaries[t].T
-        states = states * phases
-        yield states.copy()
-
-
 def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
-    """W_t for t = 0..T against the scheme's weighted pair relation."""
+    """One batched evolution against the scheme's weighted pair relation.
+
+    W_t is read right after the t-th oracle call: the unitary that follows
+    leaves pairwise inner products unchanged.  U_T is applied once at the
+    end, and each input's acceptance probability gives its error.
+    """
     if scheme.f.arity != alg.n:
         raise QsimError(
             f"scheme arity {scheme.f.arity} does not match algorithm n = {alg.n}"
@@ -195,49 +156,48 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
         for y, w, _ in records
     ]
     xi, yi, w_arr = (np.array(col) for col in zip(*rows))
-    values = []
-    for states in _evolve_all(alg, inputs):
+
+    def weighted_overlap(states: np.ndarray) -> float:
         inner = np.abs(np.sum(states[xi].conj() * states[yi], axis=1))
-        values.append(float(np.dot(w_arr, inner)))
-    report = loads(scheme, keep_maps=False)
+        return float(np.dot(w_arr, inner))
+
+    states = np.zeros((len(inputs), alg.dimension), dtype=np.complex128)
+    states[:, 0] = 1.0
+    phases = np.stack([alg.phase_vector(x) for x in inputs])
+    values = [weighted_overlap(states)]
+    for u in alg.unitaries[:-1]:
+        states = (states @ u.T) * phases
+        values.append(weighted_overlap(states))
+    states = states @ alg.unitaries[-1].T
+    accept = np.sum(np.abs(states[:, alg.accept_mask()]) ** 2, axis=1)
+    table = scheme.f.table
+    errors = {
+        x: 1.0 - float(p) if table[x] else float(p) for x, p in zip(inputs, accept)
+    }
     drops = tuple(
         abs(values[t] - values[t - 1]) for t in range(1, len(values))
     )
-    return ProgressTrace(
-        scheme=scheme, v_max=report.v_max, values=tuple(values), drops=drops
-    )
+    return ProgressTrace(values=tuple(values), drops=drops, errors=errors)
 
 
-def check_drop_bound(trace: ProgressTrace) -> bool:
+def check_drop_bound(trace: ProgressTrace, v_max) -> bool:
     """Every per-query change obeys |W_t - W_(t-1)| <= 2 v_max W_0."""
-    limit = 2.0 * float(trace.v_max) * trace.w0 + CHECK_TOL
+    limit = 2.0 * float(v_max) * trace.w0 + CHECK_TOL
     return all(d <= limit for d in trace.drops)
 
 
-def algorithm_errors(alg: QueryAlgorithm, scheme) -> dict[int, float]:
-    """Per-input error of the algorithm on the scheme's inputs."""
-    table = scheme.f.table
-    errors = {}
-    for x in sorted(set(scheme.a_side) | set(scheme.b_side)):
-        _, p = run(alg, x)
-        errors[x] = 1.0 - p if table[x] else p
-    return errors
-
-
-def check_final_bound(alg: QueryAlgorithm, scheme, eps: float) -> bool:
+def check_final_bound(trace: ProgressTrace, eps: float) -> bool:
     """W_T <= 2 sqrt(eps(1-eps)) W_0 for an algorithm meeting error eps.
 
-    Raises AlgorithmErrorTooLarge when the algorithm's actual error
-    exceeds eps somewhere (the inequality's precondition, not a
-    violation of the inequality itself).
+    Raises AlgorithmErrorTooLarge when the traced error exceeds eps on
+    some input (the inequality's precondition, not a violation of the
+    inequality itself).
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 1/2), got {eps}")
-    errors = algorithm_errors(alg, scheme)
-    bad = [(x, e) for x, e in errors.items() if e > eps + CHECK_TOL]
+    bad = [(x, e) for x, e in trace.errors.items() if e > eps + CHECK_TOL]
     if bad:
         raise AlgorithmErrorTooLarge(bad, eps)
-    trace = progress_trace(alg, scheme)
     limit = 2.0 * float(np.sqrt(eps * (1.0 - eps))) * trace.w0 + CHECK_TOL
     return trace.final <= limit
 

@@ -15,16 +15,21 @@ import math
 import re
 from fractions import Fraction
 
+TRIAL_DIVISION_LIMIT = 10**6
+
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Factor n > 0 as s*s*u with u squarefree; returns (s, u).
 
-    Trial division stops at d**3 > m, which leaves m = 1, p, p*q or p*p.
+    Trial division stops at d**3 > m, which leaves m = 1, p, p*q or p*p,
+    or past TRIAL_DIVISION_LIMIT.  A cofactor left there at or above d**3
+    may hide a square factor, so unless it is itself a square the split
+    raises ValueError rather than guess.
     """
     if n <= 0:
         raise ValueError(f"positive integer required, got {n}")
     s, u, m, d = 1, 1, n, 2
-    while d * d * d <= m:
+    while d * d * d <= m and d <= TRIAL_DIVISION_LIMIT:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -35,7 +40,14 @@ def squarefree_split(n: int) -> tuple[int, int]:
                 u *= d
         d += 1 if d == 2 else 2
     r = math.isqrt(m)
-    return (s * r, u) if r * r == m else (s, u * m)
+    if r * r == m:
+        return s * r, u
+    if m >= d * d * d:
+        raise ValueError(
+            f"cannot find the squarefree part of {n}: its cofactor {m} has no "
+            f"factor below {d} and may still hide a square"
+        )
+    return s, u * m
 
 
 def _coprime_base(radicands) -> list[int]:

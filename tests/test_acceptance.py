@@ -48,7 +48,6 @@ from advwb.measures import (
     sensitivity_counts,
 )
 from advwb.qsim import (
-    algorithm_errors,
     check_drop_bound,
     check_final_bound,
     identity_algorithm,
@@ -212,18 +211,19 @@ def test_criterion_08_matching_families(tmp_path):
 def test_criterion_09_simulator_properties():
     with criterion(9, "simulator progress bounds", budget=30.0):
         scheme = balance(builtin_scheme("f4"))
+        v_max = loads(scheme, keep_maps=False).v_max
         for seed in range(100):
             alg = random_algorithm(4, 2, seed=seed)
-            assert check_drop_bound(progress_trace(alg, scheme))
+            assert check_drop_bound(progress_trace(alg, scheme), v_max)
 
         exact = parity2_algorithm()
         punit = unit_scheme(
             parity(2), (0, 3), (1, 2), [(0, 1), (0, 2), (3, 1), (3, 2)]
         )
-        assert all(e <= 1e-12 for e in algorithm_errors(exact, punit).values())
         trace = progress_trace(exact, punit)
+        assert all(e <= 1e-12 for e in trace.errors.values())
         assert trace.values[1] <= 1e-9
-        assert check_final_bound(exact, punit, 0.0)
+        assert check_final_bound(trace, 0.0)
 
         for n, sch in ((4, scheme), (2, punit)):
             idle = progress_trace(identity_algorithm(n, 3), sch)

@@ -255,6 +255,29 @@ def test_verify_scheme_large_prime_weight_finishes(tmp_path):
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("command", ["verify-scheme", "simulate"])
+def test_unfactorable_radicand_is_a_load_error(capsys, tmp_path, command):
+    # v_A * v_B is the product of two 15-digit primes, past what trial
+    # division can split, so v_max has no exact squarefree form
+    doc = {
+        "arity": 3,
+        "table": "01111110",
+        "a": [0],
+        "b": [1],
+        "pairs": [
+            {"x": 0, "y": 1, "w": "2", "wp": {"3": ["30000000000018200000000002759", "4"]}}
+        ],
+    }
+    path = tmp_path / "semiprime.scheme.json"
+    path.write_text(json.dumps(doc))
+    argv = ("verify-scheme", str(path))
+    if command == "simulate":
+        argv = ("simulate", "identity", "--scheme", str(path))
+    start = time.monotonic()
+    assert_usage_error(run_cli(capsys, *argv), "cannot load scheme: ")
+    assert time.monotonic() - start < 1
+
+
 def test_verify_scheme_rejects_invalid_file(capsys, tmp_path):
     bad = ExplicitScheme(nae3(), [(0, 1, ExactWeight(2), {3: (ONE, ONE)})])
     path = tmp_path / "bad.scheme.json"
@@ -463,6 +486,31 @@ def test_simulate_balances_when_needed(capsys):
     code, out, _ = run_cli(capsys, "simulate", "identity", "--scheme", "h6")
     assert code == 0
     assert "note: scheme balanced before tracing" in out
+
+
+@pytest.mark.parametrize(
+    "scheme, want", [("f4", 1), ("h6", 2)], ids=["balanced", "balanced-first"]
+)
+@pytest.mark.parametrize("eps", [[], ["--eps", "0.3"]], ids=["", "eps"])
+def test_simulate_calls_loads_once_per_scheme(capsys, monkeypatch, scheme, want, eps):
+    # once on the scheme as given, once more on a scheme it had to balance;
+    # never per trace, and never inside qsim
+    from advwb import adversary, qsim
+
+    calls = []
+    real = adversary.loads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "loads", counting)
+    assert not hasattr(qsim, "loads") and not hasattr(qsim, "adversary")
+    argv = ["simulate", "random", "--scheme", scheme, "--count", "3", *eps]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (1 if eps else 0)
+    assert out.count("drop bound: ok") == 3
+    assert len(calls) == want
 
 
 def test_simulate_parity2_with_final_bound(capsys, tmp_path):

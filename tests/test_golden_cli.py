@@ -37,6 +37,19 @@ CASES = {
         + ["--count", "20"],
         0,
     ),
+    **{
+        f"simulate_identity_g_eps{suffix}": (
+            ["simulate", "identity", "--scheme", "g", "--queries", "2"]
+            + ["--eps", "0.25", *flags],
+            1,
+        )
+        for suffix, flags in (("", []), ("_json", ["--json"]))
+    },
+    "simulate_f_4_eps": (
+        ["simulate", "random", "--scheme", "f", "--queries", "4", "--seed", "5"]
+        + ["--count", "5", "--eps", "0.3"],
+        1,
+    ),
     **{f"measures_{s}_json": (["measures", s, "--json"], 0) for s in ("f4", "nae3", "h6")},
     "measures_or12_json": (["measures", "or12", "--skip", "approx_deg", "--json"], 0),
     "measures_parity12": (["measures", "parity12", "--skip", "approx_deg"], 0),

@@ -200,12 +200,13 @@ def lp_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_parity_needs_one_lp(n, lp_calls):
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_parity_needs_no_lp(n, lp_calls):
     # the spectral dual of parity is its top character, which rules out
-    # every degree below n; the LP runs only to certify degree n
+    # every degree below n; degree n = deg(f) needs no LP, since the exact
+    # polynomial is its witness
     assert approx_degree(parity(n)) == n
-    assert len(lp_calls) == 1
+    assert lp_calls == []
 
 
 # A random 9-bit table whose degree-5 LP optimum, 0.33337998..., lies just

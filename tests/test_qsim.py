@@ -5,14 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from advwb.adversary import builtin_scheme, unit_scheme
-from advwb.boolfn import f4, parity
+from advwb.adversary import builtin_scheme, loads, unit_scheme
+from advwb.boolfn import parity
 from advwb.qsim import (
     AlgorithmErrorTooLarge,
     QsimError,
     QueryAlgorithm,
-    algorithm_errors,
-    apply_oracle,
     check_drop_bound,
     check_final_bound,
     identity_algorithm,
@@ -21,7 +19,6 @@ from advwb.qsim import (
     progress_trace,
     query_lower_bound,
     random_algorithm,
-    run,
     save_algorithm,
 )
 
@@ -31,14 +28,50 @@ def parity2_scheme():
     return unit_scheme(f, (0, 3), (1, 2), [(0, 1), (0, 2), (3, 1), (3, 2)])
 
 
+def v_max(scheme):
+    return loads(scheme, keep_maps=False).v_max
+
+
+def dense_errors(alg, scheme):
+    """Reference: one dense state vector per input, evolved on its own."""
+    errors = {}
+    for x in sorted(set(scheme.a_side) | set(scheme.b_side)):
+        state = np.zeros(alg.dimension, dtype=np.complex128)
+        state[0] = 1.0
+        phases = alg.phase_vector(x)
+        for t, u in enumerate(alg.unitaries):
+            state = u @ state
+            if t < alg.queries:
+                state = state * phases
+        p = float(np.sum(np.abs(state[alg.accept_mask()]) ** 2))
+        errors[x] = 1.0 - p if scheme.f.table[x] else p
+    return errors
+
+
 def test_parity2_algorithm_is_exact():
     alg = parity2_algorithm()
     assert alg.queries == 1
     assert alg.dimension == 6
-    f = parity(2)
+    errors = progress_trace(alg, parity2_scheme()).errors
+    assert sorted(errors) == [0, 1, 2, 3]
     for x in range(4):
-        _, p = run(alg, x)
-        assert p == pytest.approx(float(f.table[x]), abs=1e-12)
+        assert errors[x] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["f4", "nae3", "h6", "parity2"])
+def test_trace_errors_match_dense_reference(name):
+    if name == "parity2":
+        scheme, algs = parity2_scheme(), [parity2_algorithm()]
+    else:
+        scheme = builtin_scheme(name)
+        n = scheme.f.arity
+        algs = [random_algorithm(n, q, work=w, seed=q) for q, w in ((1, 2), (3, 3))]
+        algs.append(identity_algorithm(n, 2))
+    for alg in algs:
+        want = dense_errors(alg, scheme)
+        got = progress_trace(alg, scheme).errors
+        assert list(got) == list(want)
+        assert list(got.values()) == pytest.approx(list(want.values()), abs=1e-12)
 
 
 def test_parity2_trace_saturates_the_drop_bound():
@@ -49,9 +82,9 @@ def test_parity2_trace_saturates_the_drop_bound():
     assert trace.values[1] == pytest.approx(0.0, abs=1e-9)
     # one query kills all progress: the drop equals 2 * v_max * W_0 exactly
     assert trace.drops[0] == pytest.approx(2 * 0.5 * 4.0, abs=1e-9)
-    assert check_drop_bound(trace)
-    assert check_final_bound(alg, scheme, 0.0)
-    assert all(e <= 1e-12 for e in algorithm_errors(alg, scheme).values())
+    assert check_drop_bound(trace, v_max(scheme))
+    assert check_final_bound(trace, 0.0)
+    assert all(e <= 1e-12 for e in trace.errors.values())
     # zero-error lower bound: 1/(2 v_max) = 1 query, which the algorithm meets
     assert query_lower_bound(0.0, 0.5) == pytest.approx(1.0)
 
@@ -61,9 +94,9 @@ def test_identity_algorithm_never_progresses():
     alg = identity_algorithm(2, 3)
     trace = progress_trace(alg, scheme)
     assert all(d == pytest.approx(0.0, abs=1e-12) for d in trace.drops)
-    assert check_drop_bound(trace)
+    assert check_drop_bound(trace, v_max(scheme))
     with pytest.raises(AlgorithmErrorTooLarge) as err:
-        check_final_bound(alg, scheme, 1.0 / 3.0)
+        check_final_bound(trace, 1.0 / 3.0)
     assert err.value.eps == pytest.approx(1.0 / 3.0)
     assert {x for x, _ in err.value.bad_inputs} == {1, 2}
 
@@ -75,7 +108,7 @@ def test_random_algorithm_obeys_drop_bound():
         trace = progress_trace(alg, scheme)
         # eight A-side sources, each carrying total weight 10/3
         assert trace.w0 == pytest.approx(8 * 10.0 / 3.0)
-        assert check_drop_bound(trace)
+        assert check_drop_bound(trace, v_max(scheme))
 
 
 def test_random_algorithm_is_reproducible():
@@ -87,15 +120,19 @@ def test_random_algorithm_is_reproducible():
     assert not np.allclose(a.unitaries[0], c.unitaries[0])
 
 
-def test_apply_oracle_signs_and_involution():
+def test_phase_vector_signs_and_involution():
+    alg = identity_algorithm(2, 1)
     state = np.arange(1.0, 7.0, dtype=np.complex128)
-    out = apply_oracle(state, 0b10, 2)
+    out = state * alg.phase_vector(0b10)
     # x_1 = 1 flips the i = 1 block (indices 2, 3) and nothing else
     assert np.array_equal(out, np.array([1, 2, -3, -4, 5, 6], dtype=np.complex128))
-    again = apply_oracle(out, 0b10, 2)
+    again = out * alg.phase_vector(0b10)
     assert np.array_equal(again, state)
-    with pytest.raises(QsimError):
-        apply_oracle(np.ones(5, dtype=np.complex128), 0b10, 2)
+    # x_2 = 1 flips the i = 2 block; the i = 0 block never flips
+    assert np.array_equal(alg.phase_vector(0b01), [1, 1, 1, 1, -1, -1])
+    assert np.array_equal(alg.phase_vector(0b11), [1, 1, -1, -1, -1, -1])
+    wide = identity_algorithm(3, 1, work=3)
+    assert np.array_equal(wide.phase_vector(0b100), [1] * 3 + [-1] * 3 + [1] * 6)
 
 
 def test_algorithm_validation():
@@ -133,10 +170,11 @@ def test_selector_override():
     flipped = QueryAlgorithm(
         n=2, unitaries=base.unitaries, work=2, selector=lambda i, z: z % 2 == 0
     )
+    scheme = parity2_scheme()
+    errors = progress_trace(base, scheme).errors
+    flipped_errors = progress_trace(flipped, scheme).errors
     for x in range(4):
-        _, p = run(base, x)
-        _, q = run(flipped, x)
-        assert p + q == pytest.approx(1.0, abs=1e-12)
+        assert errors[x] + flipped_errors[x] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_ignores_trailing_unitary():
@@ -202,4 +240,4 @@ def test_eps_range_checks():
     with pytest.raises(ValueError):
         query_lower_bound(-0.1, 0.5)
     with pytest.raises(ValueError):
-        check_final_bound(parity2_algorithm(), parity2_scheme(), 0.7)
+        check_final_bound(progress_trace(parity2_algorithm(), parity2_scheme()), 0.7)

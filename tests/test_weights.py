@@ -64,6 +64,15 @@ def test_squarefree_split_of_large_primes(n, want):
     assert squarefree_split(n) == want
 
 
+def test_squarefree_split_refuses_what_trial_division_cannot_settle():
+    # two 15-digit primes: no factor below the trial-division limit, and a
+    # cofactor above its cube, which could as well be p*p*q
+    with pytest.raises(ValueError, match="squarefree part"):
+        squarefree_split(30000000000018200000000002759)
+    # a square cofactor is settled whatever its size
+    assert squarefree_split(3 * (10**15 + 37) ** 2) == (10**15 + 37, 3)
+
+
 def test_multiplication_merges_radicands():
     assert w(1, 1, 2) * w(1, 1, 2) == w(2)
     assert w(1, 1, 2) * w(1, 1, 3) == w(1, 1, 6)
