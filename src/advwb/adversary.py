@@ -704,6 +704,14 @@ def load_scheme(path) -> ExplicitScheme:
         if f.arity != arity:
             raise SchemeError(f"declared arity {arity} but table has arity {f.arity}")
     declared_a, declared_b = set(_int_list(doc, "a")), set(_int_list(doc, "b"))
+    parsed: dict[str, ExactWeight] = {}  # literal -> its weight, parsed once
+
+    def weight(text: str) -> ExactWeight:
+        w = parsed.get(text)
+        if w is None:
+            w = parsed[text] = ExactWeight.parse(text)
+        return w
+
     pairs = []
     for rec in _field(doc, "pairs", list):
         if not isinstance(rec, dict):
@@ -719,10 +727,7 @@ def load_scheme(path) -> ExplicitScheme:
             )
         if x not in declared_a or y not in declared_b:
             raise SchemeError(f"pair ({x}, {y}) outside the declared sides")
-        w = ExactWeight.parse(_field(rec, "w", str))
-        wp = {
-            int(i): (ExactWeight.parse(fb[0]), ExactWeight.parse(fb[1]))
-            for i, fb in wp.items()
-        }
+        w = weight(_field(rec, "w", str))
+        wp = {int(i): (weight(fb[0]), weight(fb[1])) for i, fb in wp.items()}
         pairs.append((x, y, w, wp))
     return ExplicitScheme(f, pairs)

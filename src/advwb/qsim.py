@@ -11,6 +11,12 @@ that trace alone: each query may move W by at most 2 * v_max * W_0, and
 an eps-error algorithm must finish with it below 2 sqrt(eps(1-eps)) * W_0.
 The simulator needs only the scheme's records (`f`, its sides and
 `sweep_pairs`); v_max is the caller's, from the scheme's loads.
+
+Set-up works on whole arrays: every input's oracle row comes from its
+bits in one pass, each distinct pair weight becomes a float once (a
+scheme file's weights are one object per distinct weight string, parsed
+once per file), and `random_algorithm` draws and factors all its
+unitaries in one batch, after the dimension cap has been checked.
 """
 
 from __future__ import annotations
@@ -53,6 +59,18 @@ def _default_selector(i: int, z: int) -> bool:
     return z % 2 == 1
 
 
+def _checked_dimension(n: int, work: int) -> int:
+    """The dimension (n+1)*work, once n, work and the cap allow it."""
+    if n < 1:
+        raise QsimError(f"need n >= 1, got {n}")
+    if work < 1:
+        raise QsimError(f"need work >= 1, got {work}")
+    dim = (n + 1) * work
+    if dim > DIMENSION_CAP:
+        raise QsimError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+    return dim
+
+
 @dataclass(frozen=True, eq=False)
 class QueryAlgorithm:
     """T-query algorithm: unitaries U_0..U_T on the (n+1)*work space.
@@ -69,13 +87,7 @@ class QueryAlgorithm:
     seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise QsimError(f"need n >= 1, got {self.n}")
-        if self.work < 1:
-            raise QsimError(f"need work >= 1, got {self.work}")
-        dim = self.dimension
-        if dim > DIMENSION_CAP:
-            raise QsimError(f"dimension {dim} exceeds cap {DIMENSION_CAP}")
+        dim = _checked_dimension(self.n, self.work)
         if not self.unitaries:
             raise QsimError("need at least one unitary")
         mats = []
@@ -107,14 +119,13 @@ class QueryAlgorithm:
             [bool(sel(i, z)) for i in range(self.n + 1) for z in range(self.work)]
         )
 
-    def phase_vector(self, x: int) -> np.ndarray:
-        """Diagonal of the oracle for input x: -1 on |i, z> with x_i = 1."""
-        phases = np.ones(self.dimension)
-        for i in range(1, self.n + 1):
-            if (x >> (self.n - i)) & 1:
-                s = i * self.work
-                phases[s : s + self.work] = -1.0
-        return phases
+    def phase_rows(self, inputs) -> np.ndarray:
+        """Oracle diagonals, one row per input x: -1 on |i, z> with x_i = 1."""
+        xs = np.asarray(inputs, dtype=np.int64)
+        bits = (xs[:, None] >> np.arange(self.n - 1, -1, -1)) & 1  # x_1 .. x_n
+        signs = np.ones((len(xs), self.n + 1))
+        signs[:, 1:] -= 2.0 * bits
+        return np.repeat(signs, self.work, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +161,14 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     if len(inputs) > INPUT_CAP:
         raise QsimError(f"{len(inputs)} inputs exceed the cap {INPUT_CAP}")
     pos = {x: r for r, x in enumerate(inputs)}
+    code: dict = {}  # each distinct pair weight, numbered in order of first use
     rows = [
-        (pos[x], pos[y], float(w))
+        (pos[x], pos[y], code.setdefault(w, len(code)))
         for x, records in scheme.sweep_pairs("a")
         for y, w, _ in records
     ]
-    xi, yi, w_arr = (np.array(col) for col in zip(*rows))
+    xi, yi, wi = (np.array(col) for col in zip(*rows))
+    w_arr = np.array([float(w) for w in code])[wi]
 
     def weighted_overlap(states: np.ndarray) -> float:
         inner = np.abs(np.sum(states[xi].conj() * states[yi], axis=1))
@@ -163,7 +176,7 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
 
     states = np.zeros((len(inputs), alg.dimension), dtype=np.complex128)
     states[:, 0] = 1.0
-    phases = np.stack([alg.phase_vector(x) for x in inputs])
+    phases = alg.phase_rows(inputs)
     values = [weighted_overlap(states)]
     for u in alg.unitaries[:-1]:
         states = (states @ u.T) * phases
@@ -213,21 +226,22 @@ def random_algorithm(
     n: int, queries: int, *, work: int = 2, seed: int | None = None
 ) -> QueryAlgorithm:
     """Seeded algorithm with Haar-ish unitaries (QR of complex Gaussians)."""
+    dim = _checked_dimension(n, work)
+    if queries < 0:
+        raise QsimError("need at least one unitary")
     rng = np.random.default_rng(seed)
-    dim = (n + 1) * work
-    mats = []
-    for _ in range(queries + 1):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        # fix the phase convention so the factorization is unique
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        mats.append(q)
-    return QueryAlgorithm(n=n, unitaries=tuple(mats), work=work, seed=seed)
+    # real then imaginary part of each matrix in turn, one draw for all
+    g = rng.standard_normal((queries + 1, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    # fix the phase convention so the factorization is unique
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    return QueryAlgorithm(n=n, unitaries=tuple(q), work=work, seed=seed)
 
 
 def identity_algorithm(n: int, queries: int, *, work: int = 2) -> QueryAlgorithm:
     """Does nothing: every unitary is the identity."""
-    dim = (n + 1) * work
+    dim = _checked_dimension(n, work)
     return QueryAlgorithm(
         n=n, unitaries=tuple(np.eye(dim) for _ in range(queries + 1)), work=work
     )

@@ -269,6 +269,55 @@ def test_scheme_file_with_a_sum_weight(tmp_path):
     assert loads(back) == loads(s)
 
 
+def loaded_weights(scheme) -> list:
+    """Every weight object the A side holds, pair and directional."""
+    return [
+        v
+        for _, records in scheme.sweep_pairs("a")
+        for _, w, diffs in records
+        for v in (w, *(u for _, fwd, bwd in diffs for u in (fwd, bwd)))
+    ]
+
+
+def test_load_scheme_parses_each_literal_once(tmp_path):
+    import json
+
+    zeros = [x for x in range(64) if not parity(6).table[x]]
+    unit = unit_scheme(parity(6), zeros, [x ^ 1 for x in zeros], [(x, x ^ 1) for x in zeros])
+    path = tmp_path / "unit.scheme.json"
+    save_scheme(unit, path)
+    weights = loaded_weights(load_scheme(path))
+    assert len(weights) == 3 * 32 and all(w is weights[0] for w in weights)
+    assert weights[0] == ONE
+
+    path = tmp_path / "h6bal.scheme.json"
+    save_scheme(balance(builtin_scheme("h6")), path)
+    literals = {
+        text
+        for rec in json.loads(path.read_text())["pairs"]
+        for text in (rec["w"], *(t for fb in rec["wp"].values() for t in fb))
+    }
+    assert len({id(w) for w in loaded_weights(load_scheme(path))}) == len(literals) > 1
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [("x1", "not a weight literal: 'x1'"), ("-1", "negative weight literal: '-1'")],
+)
+def test_load_scheme_bad_literal_after_good_ones(tmp_path, literal, message):
+    import json
+
+    path = tmp_path / "f4.scheme.json"
+    save_scheme(builtin_scheme("f4"), path)
+    doc = json.loads(path.read_text())
+    rec = doc["pairs"][-1]
+    rec["wp"][next(iter(rec["wp"]))][0] = literal
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_scheme(path)
+    assert str(err.value) == message
+
+
 def test_load_scheme_rejects_stray_pairs(tmp_path):
     import json
 

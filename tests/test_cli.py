@@ -15,7 +15,7 @@ import advwb
 from advwb.adversary import ExplicitScheme, save_scheme, unit_scheme
 from advwb import measures
 from advwb.boolfn import BooleanFunction, h6, nae3, or_n, parity, save_table
-from advwb.cli import BASE_ALIASES, MAX_DEPTH, fmt, main
+from advwb.cli import BASE_ALIASES, MAX_DEPTH, build_parser, fmt, main
 from advwb.weights import ONE, ExactWeight
 
 
@@ -480,6 +480,51 @@ def test_simulate_random_count(capsys):
     for seed in (5, 6, 7):
         assert f"random[seed={seed}]" in out
     assert out.count("drop bound: ok") == 3
+
+
+@pytest.mark.parametrize("algorithm", ["random", "identity"])
+def test_simulate_huge_work_is_refused_before_any_draw(capsys, algorithm):
+    start = time.perf_counter()
+    result = run_cli(capsys, "simulate", algorithm, "--scheme", "f", "--work", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert_usage_error(result, "cannot build algorithm: dimension 5000 exceeds cap 64")
+
+
+def run_fresh_parser(capsys, argv):
+    """What main(argv) gave before it kept its parser: a new one per call."""
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_its_parser_between_calls(capsys):
+    seeded = ["simulate", "random", "--scheme", "f", "--seed", "5", "--json"]
+    calls = [
+        seeded,
+        seeded[:4] + ["--json"],  # no --seed: the default comes back
+        ["measures", "f4", "--skip", "cert"],
+        ["measures", "f4"],  # no --skip: the cert fields come back
+        ["simulate", "random", "--scheme", "f", "--queries", "x"],  # rejected
+        ["verify-scheme", "f4"],
+    ]
+    results = []
+    for argv in calls:
+        try:
+            result = run_cli(capsys, *argv)
+        except SystemExit as exc:
+            result = (exc.code, *capsys.readouterr())
+        assert result == run_fresh_parser(capsys, argv)
+        results.append(result)
+    seeds = [json.loads(out)["algorithms"][0]["seed"] for _, out, _ in results[:2]]
+    assert seeds == [5, 0]
+    assert "c0 = " not in results[2][1] and "c0 = 3" in results[3][1]
+    code, out, err = results[4]
+    assert code == 2 and out == "" and "invalid int value: 'x'" in err
+    assert results[5][0] == 0 and results[5][1].startswith("valid, bound = 5/2")
 
 
 def test_simulate_balances_when_needed(capsys):

@@ -32,13 +32,36 @@ def v_max(scheme):
     return loads(scheme, keep_maps=False).v_max
 
 
+def phase_vector(alg, x):
+    """Reference: the oracle diagonal for one input, built coordinate by
+    coordinate: -1 on |i, z> with x_i = 1."""
+    phases = np.ones(alg.dimension)
+    for i in range(1, alg.n + 1):
+        if (x >> (alg.n - i)) & 1:
+            s = i * alg.work
+            phases[s : s + alg.work] = -1.0
+    return phases
+
+
+def unitaries_one_by_one(n, queries, work, seed):
+    """Reference: one Gaussian draw and one QR per unitary, in turn."""
+    rng = np.random.default_rng(seed)
+    dim = (n + 1) * work
+    mats = []
+    for _ in range(queries + 1):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g)
+        mats.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    return mats
+
+
 def dense_errors(alg, scheme):
     """Reference: one dense state vector per input, evolved on its own."""
     errors = {}
     for x in sorted(set(scheme.a_side) | set(scheme.b_side)):
         state = np.zeros(alg.dimension, dtype=np.complex128)
         state[0] = 1.0
-        phases = alg.phase_vector(x)
+        phases = phase_vector(alg, x)
         for t, u in enumerate(alg.unitaries):
             state = u @ state
             if t < alg.queries:
@@ -120,19 +143,57 @@ def test_random_algorithm_is_reproducible():
     assert not np.allclose(a.unitaries[0], c.unitaries[0])
 
 
-def test_phase_vector_signs_and_involution():
+@pytest.mark.parametrize(
+    "n, queries, work, seed",
+    # the last two sit at DIMENSION_CAP
+    [(1, 0, 1, 0), (4, 8, 4, 7), (6, 5, 2, 9), (11, 6, 5, 3), (3, 2, 16, 1), (31, 2, 2, 5)],
+)
+def test_random_algorithm_matches_one_by_one_draws(n, queries, work, seed):
+    alg = random_algorithm(n, queries, work=work, seed=seed)
+    want = unitaries_one_by_one(n, queries, work, seed)
+    assert len(alg.unitaries) == len(want)
+    assert all(np.array_equal(u, w) for u, w in zip(alg.unitaries, want))
+
+
+def test_builders_check_shapes_before_drawing():
+    for build in (
+        lambda n, q, w: random_algorithm(n, q, work=w, seed=0),
+        lambda n, q, w: identity_algorithm(n, q, work=w),
+    ):
+        with pytest.raises(QsimError, match="need n >= 1, got 0"):
+            build(0, 2, 2)
+        with pytest.raises(QsimError, match="need work >= 1, got -1"):
+            build(4, 2, -1)
+        with pytest.raises(QsimError, match="dimension 5000000000 exceeds cap"):
+            build(4, 2, 10**9)  # refused before any matrix is allocated
+        with pytest.raises(QsimError, match="dimension 65 exceeds cap"):
+            build(4, -3, 13)
+        with pytest.raises(QsimError, match="need at least one unitary"):
+            build(4, -3, 2)
+
+
+def test_phase_rows_signs_and_involution():
     alg = identity_algorithm(2, 1)
     state = np.arange(1.0, 7.0, dtype=np.complex128)
-    out = state * alg.phase_vector(0b10)
+    out = state * alg.phase_rows([0b10])[0]
     # x_1 = 1 flips the i = 1 block (indices 2, 3) and nothing else
     assert np.array_equal(out, np.array([1, 2, -3, -4, 5, 6], dtype=np.complex128))
-    again = out * alg.phase_vector(0b10)
+    again = out * alg.phase_rows([0b10])[0]
     assert np.array_equal(again, state)
     # x_2 = 1 flips the i = 2 block; the i = 0 block never flips
-    assert np.array_equal(alg.phase_vector(0b01), [1, 1, 1, 1, -1, -1])
-    assert np.array_equal(alg.phase_vector(0b11), [1, 1, -1, -1, -1, -1])
+    assert np.array_equal(alg.phase_rows([0b01])[0], [1, 1, 1, 1, -1, -1])
+    assert np.array_equal(alg.phase_rows([0b11])[0], [1, 1, -1, -1, -1, -1])
     wide = identity_algorithm(3, 1, work=3)
-    assert np.array_equal(wide.phase_vector(0b100), [1] * 3 + [-1] * 3 + [1] * 6)
+    assert np.array_equal(wide.phase_rows([0b100])[0], [1] * 3 + [-1] * 3 + [1] * 6)
+
+
+@pytest.mark.parametrize("n, work", [(6, 2), (6, 9), (12, 1), (12, 4)])
+def test_phase_rows_match_the_per_input_loop(n, work):
+    alg = identity_algorithm(n, 1, work=work)
+    inputs = range(1 << n)
+    rows = alg.phase_rows(inputs)
+    assert rows.shape == (1 << n, alg.dimension)
+    assert np.array_equal(rows, np.stack([phase_vector(alg, x) for x in inputs]))
 
 
 def test_algorithm_validation():
