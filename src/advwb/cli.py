@@ -4,6 +4,11 @@ Exact quantities (sums of radicals, or sqrt(...) of one) print as exact
 strings followed by a six-place decimal in parentheses; JSON output
 carries the exact strings, and a leading ~ marks only simulator floats.
 Exit codes: 0 success, 1 validation failure, 2 usage or parse error.
+
+A process checks each scheme once: `main` keeps the verified scheme and
+its loads (and its balanced form, once needed) for each builtin name and
+each scheme-file content it has checked, so repeated calls skip the
+rebuild, `verify` and `loads`.  Failures are not kept.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import argparse
 import functools
 import json
 import sys
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,20 +65,46 @@ def _load_function(spec: str) -> boolfn.BooleanFunction:
     return boolfn.builtin(spec)
 
 
-def _load_scheme(spec: str):
-    path = Path(spec)
-    if path.exists():
-        return adversary.load_scheme(path)
-    name = BASE_ALIASES.get(spec, spec)
-    return adversary.builtin_scheme(name)
+# Verified schemes kept by `_checked`, keyed by builtin name or by file
+# content, least recently used first; past this many the first is dropped.
+CHECKED_SCHEME_CAP = 8
+
+_checked_schemes: OrderedDict = OrderedDict()
 
 
-def _checked_scheme(spec: str):
-    """The scheme named by spec and its loads, once verified; otherwise the
-    exit code after the message: 2 when the scheme cannot be read or
-    weighed exactly, 1 when it is invalid (each violation is printed)."""
+@dataclass(eq=False)
+class _Checked:
+    """A verified scheme and its loads; its balanced form on first need."""
+
+    scheme: object
+    report: adversary.LoadReport
+    _balanced: tuple | None = field(default=None, init=False, repr=False)
+
+    def balanced(self) -> tuple:
+        """The balanced scheme and its loads (the scheme itself when already
+        balanced); raises SchemeError when the loads cannot be balanced."""
+        if self._balanced is None:
+            scheme = adversary.balance(self.scheme, self.report)
+            report = (
+                self.report
+                if scheme is self.scheme
+                else adversary.loads(scheme, keep_maps=False)
+            )
+            self._balanced = scheme, report
+        return self._balanced
+
+
+def _checked(key, load):
+    """The checked scheme memoized under key, or the one `load` returns,
+    once verified; otherwise the exit code after the message: 2 when the
+    scheme cannot be read or weighed exactly, 1 when it is invalid (each
+    violation is printed).  Only successes are kept."""
+    checked = _checked_schemes.get(key)
+    if checked is not None:
+        _checked_schemes.move_to_end(key)
+        return checked
     try:
-        scheme = _load_scheme(spec)
+        scheme = load()
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load scheme: {exc}", file=sys.stderr)
         return 2
@@ -82,10 +115,42 @@ def _checked_scheme(spec: str):
             print(f"  {v}")
         return 1
     try:
-        return scheme, adversary.loads(scheme, keep_maps=False)
+        report = adversary.loads(scheme, keep_maps=False)
     except ValueError as exc:
         print(f"cannot load scheme: {exc}", file=sys.stderr)
         return 2
+    checked = _checked_schemes[key] = _Checked(scheme, report)
+    if len(_checked_schemes) > CHECKED_SCHEME_CAP:
+        _checked_schemes.popitem(last=False)
+    return checked
+
+
+def _checked_builtin(name: str):
+    return _checked(name, lambda: adversary.builtin_scheme(name))
+
+
+def _scheme_file_key(path: Path) -> tuple:
+    """All that the scheme in a file depends on: the file's text, read as
+    `load_scheme` reads it, and the bytes of the table it names by "path"."""
+    text = path.read_text()
+    try:
+        table = (path.parent / json.loads(text)["path"]).resolve()
+    except (ValueError, RecursionError, TypeError, KeyError):
+        return text, None  # no table named; `load_scheme` reports any defect
+    return text, table.read_bytes()
+
+
+def _checked_scheme(spec: str):
+    """`_checked` for a scheme file, keyed by its content, or a builtin."""
+    path = Path(spec)
+    if not path.exists():
+        return _checked_builtin(BASE_ALIASES.get(spec, spec))
+    try:
+        key = _scheme_file_key(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load scheme: {exc}", file=sys.stderr)
+        return 2
+    return _checked(key, lambda: adversary.load_scheme(path))
 
 
 # ---- measures ----------------------------------------------------------
@@ -137,7 +202,7 @@ def cmd_verify_scheme(args) -> int:
     checked = _checked_scheme(args.scheme)
     if isinstance(checked, int):
         return checked
-    _, report = checked
+    report = checked.report
     lines = [
         f"valid, bound = {fmt(report.bound)}",
         f"wt min = {fmt(report.wt_min)}",
@@ -174,11 +239,12 @@ def cmd_compose(args) -> int:
     if not 1 <= args.depth <= MAX_DEPTH:
         print(f"depth must be in 1..{MAX_DEPTH}", file=sys.stderr)
         return 2
-    base = adversary.builtin_scheme(name)
-    base_report = adversary.loads(base, keep_maps=False)
-    balanced = adversary.balance(base, base_report)
-    predicted = compose.predicted_bound(balanced, args.depth)
-    arity = base.f.arity**args.depth
+    checked = _checked_builtin(name)
+    if isinstance(checked, int):
+        return checked
+    balanced, balanced_report = checked.balanced()
+    predicted = balanced_report.bound**args.depth
+    arity = balanced.f.arity**args.depth
     lines = []
     payload = {"base": name, "depth": args.depth}
     materializable = args.depth <= 2 and arity <= compose.COMPOSE_ARITY_CAP
@@ -286,17 +352,11 @@ def cmd_simulate(args) -> int:
     checked = _checked_scheme(args.scheme)
     if isinstance(checked, int):
         return checked
-    scheme, report = checked
-    if report.v_a != report.v_b:
-        try:
-            scheme = adversary.balance(scheme, report)
-        except adversary.SchemeError as exc:
-            print(f"cannot trace scheme: {exc}", file=sys.stderr)
-            return 2
-        report = adversary.loads(scheme, keep_maps=False)
-        note = "note: scheme balanced before tracing"
-    else:
-        note = None
+    try:
+        scheme, report = checked.balanced()
+    except adversary.SchemeError as exc:
+        print(f"cannot trace scheme: {exc}", file=sys.stderr)
+        return 2
 
     algs: list[tuple[str, qsim.QueryAlgorithm]] = []
     spec = args.algorithm
@@ -332,7 +392,9 @@ def cmd_simulate(args) -> int:
         print(f"cannot build algorithm: {exc}", file=sys.stderr)
         return 2
 
-    lines = [] if note is None else [note]
+    lines = []
+    if scheme is not checked.scheme:
+        lines.append("note: scheme balanced before tracing")
     payload = {"scheme": args.scheme, "algorithms": []}
     failures = 0
     for label, alg in algs:

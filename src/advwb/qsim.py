@@ -15,8 +15,9 @@ The simulator needs only the scheme's records (`f`, its sides and
 Set-up works on whole arrays: every input's oracle row comes from its
 bits in one pass, each distinct pair weight becomes a float once (a
 scheme file's weights are one object per distinct weight string, parsed
-once per file), and `random_algorithm` draws and factors all its
-unitaries in one batch, after the dimension cap has been checked.
+once per file), `random_algorithm` draws and factors all its unitaries
+in one batch, after the dimension and query caps have been checked, and
+an algorithm's unitarity is checked with one batched product.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 DIMENSION_CAP = 64
 INPUT_CAP = 4096
+QUERY_CAP = 1024
 UNITARY_TOL = 1e-9
 CHECK_TOL = 1e-9
 
@@ -71,6 +73,14 @@ def _checked_dimension(n: int, work: int) -> int:
     return dim
 
 
+def _check_queries(queries: int) -> None:
+    """A builder's query count: 0 up to the cap, checked before any matrix."""
+    if queries < 0:
+        raise QsimError("need at least one unitary")
+    if queries > QUERY_CAP:
+        raise QsimError(f"{queries} queries exceed the cap {QUERY_CAP}")
+
+
 @dataclass(frozen=True, eq=False)
 class QueryAlgorithm:
     """T-query algorithm: unitaries U_0..U_T on the (n+1)*work space.
@@ -90,19 +100,20 @@ class QueryAlgorithm:
         dim = _checked_dimension(self.n, self.work)
         if not self.unitaries:
             raise QsimError("need at least one unitary")
-        mats = []
         for t, u in enumerate(self.unitaries):
-            m = np.asarray(u, dtype=np.complex128)
-            if m.shape != (dim, dim):
-                raise QsimError(
-                    f"unitary {t} has shape {m.shape}, expected {(dim, dim)}"
-                )
-            defect = np.abs(m.conj().T @ m - np.eye(dim)).max()
-            if not defect <= UNITARY_TOL:  # NaN entries fail too
-                raise QsimError(
-                    f"matrix {t} is not unitary (defect {defect:.3e} > {UNITARY_TOL})"
-                )
-            mats.append(m)
+            shape = np.shape(u)
+            if shape != (dim, dim):
+                raise QsimError(f"unitary {t} has shape {shape}, expected {(dim, dim)}")
+        mats = np.array(self.unitaries, dtype=np.complex128)
+        gram = mats.conj().transpose(0, 2, 1) @ mats  # U_t^H U_t, all t at once
+        gram -= np.eye(dim)
+        defects = np.abs(gram).max(axis=(1, 2))
+        bad = np.flatnonzero(~(defects <= UNITARY_TOL))  # NaN entries fail too
+        if bad.size:
+            t = bad[0]
+            raise QsimError(
+                f"matrix {t} is not unitary (defect {defects[t]:.3e} > {UNITARY_TOL})"
+            )
         object.__setattr__(self, "unitaries", tuple(mats))
 
     @property
@@ -227,8 +238,7 @@ def random_algorithm(
 ) -> QueryAlgorithm:
     """Seeded algorithm with Haar-ish unitaries (QR of complex Gaussians)."""
     dim = _checked_dimension(n, work)
-    if queries < 0:
-        raise QsimError("need at least one unitary")
+    _check_queries(queries)
     rng = np.random.default_rng(seed)
     # real then imaginary part of each matrix in turn, one draw for all
     g = rng.standard_normal((queries + 1, 2, dim, dim))
@@ -242,6 +252,7 @@ def random_algorithm(
 def identity_algorithm(n: int, queries: int, *, work: int = 2) -> QueryAlgorithm:
     """Does nothing: every unitary is the identity."""
     dim = _checked_dimension(n, work)
+    _check_queries(queries)
     return QueryAlgorithm(
         n=n, unitaries=tuple(np.eye(dim) for _ in range(queries + 1)), work=work
     )

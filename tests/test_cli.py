@@ -12,11 +12,30 @@ from pathlib import Path
 import pytest
 
 import advwb
-from advwb.adversary import ExplicitScheme, save_scheme, unit_scheme
-from advwb import measures
+from advwb import adversary, cli, measures
+from advwb.adversary import ExplicitScheme, builtin_scheme, save_scheme, unit_scheme
 from advwb.boolfn import BooleanFunction, h6, nae3, or_n, parity, save_table
 from advwb.cli import BASE_ALIASES, MAX_DEPTH, build_parser, fmt, main
 from advwb.weights import ONE, ExactWeight
+
+
+@pytest.fixture(autouse=True)
+def no_checked_schemes():
+    """Every test starts with no scheme checked by an earlier one."""
+    cli._checked_schemes.clear()
+
+
+def counting_calls(monkeypatch, name) -> list:
+    """Replace adversary.<name> by a wrapper that records its first argument."""
+    calls = []
+    real = getattr(adversary, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, name, counting)
+    return calls
 
 
 def run_cli(capsys, *argv):
@@ -490,6 +509,15 @@ def test_simulate_huge_work_is_refused_before_any_draw(capsys, algorithm):
     assert_usage_error(result, "cannot build algorithm: dimension 5000 exceeds cap 64")
 
 
+@pytest.mark.parametrize("algorithm", ["random", "identity"])
+def test_simulate_huge_queries_are_refused_before_any_draw(capsys, algorithm):
+    start = time.perf_counter()
+    argv = ["simulate", algorithm, "--scheme", "f", "--queries", "1000000000"]
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert_usage_error(result, "cannot build algorithm: 1000000000 queries exceed the cap 1024")
+
+
 def run_fresh_parser(capsys, argv):
     """What main(argv) gave before it kept its parser: a new one per call."""
     try:
@@ -539,23 +567,89 @@ def test_simulate_balances_when_needed(capsys):
 @pytest.mark.parametrize("eps", [[], ["--eps", "0.3"]], ids=["", "eps"])
 def test_simulate_calls_loads_once_per_scheme(capsys, monkeypatch, scheme, want, eps):
     # once on the scheme as given, once more on a scheme it had to balance;
-    # never per trace, and never inside qsim
-    from advwb import adversary, qsim
+    # never per trace, never inside qsim, and never again in the process
+    from advwb import qsim
 
-    calls = []
-    real = adversary.loads
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(adversary, "loads", counting)
+    calls = counting_calls(monkeypatch, "loads")
+    verified = counting_calls(monkeypatch, "verify")
     assert not hasattr(qsim, "loads") and not hasattr(qsim, "adversary")
     argv = ["simulate", "random", "--scheme", scheme, "--count", "3", *eps]
-    code, out, _ = run_cli(capsys, *argv)
+    first = run_cli(capsys, *argv)
+    code, out, _ = first
     assert code == (1 if eps else 0)
     assert out.count("drop bound: ok") == 3
-    assert len(calls) == want
+    assert (len(calls), len(verified)) == (want, 1)
+    assert run_cli(capsys, *argv) == first
+    assert (len(calls), len(verified)) == (want, 1)
+
+
+def test_scheme_file_rewritten_in_place_is_checked_again(capsys, tmp_path):
+    path = tmp_path / "nae3.scheme.json"
+    save_scheme(builtin_scheme("nae3"), path)
+    assert run_cli(capsys, "verify-scheme", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["pairs"][0]["w"] = "3"  # w'*w' = 4 < w^2 = 9 at the pair's one coordinate
+    path.write_text(json.dumps(doc))
+    for argv in (["verify-scheme"], ["simulate", "identity", "--scheme"]):
+        code, out, _ = run_cli(capsys, *argv, str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "invalid: 1 violation(s)",
+            "  [constraint] pair (0, 1), coordinate 3: w'*w' = 4 < w^2 = 9",
+        ]
+
+
+def test_scheme_file_that_failed_to_load_loads_once_fixed(capsys, tmp_path):
+    path = tmp_path / "nae3.scheme.json"
+    path.write_text("{")
+    for _ in range(2):  # a failure is not kept: the same message each time
+        assert_usage_error(run_cli(capsys, "verify-scheme", str(path)), "cannot load scheme: ")
+    save_scheme(builtin_scheme("nae3"), path)
+    code, out, _ = run_cli(capsys, "verify-scheme", str(path))
+    assert code == 0 and out.startswith("valid, bound = 3/2*sqrt(2)")
+
+
+def test_scheme_file_reads_the_current_table(capsys, tmp_path):
+    path = tmp_path / "parity2.scheme.json"
+    save_scheme(unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (0, 2), (3, 1), (3, 2)]), path)
+    doc = json.loads(path.read_text())
+    del doc["table"]
+    doc["path"] = "parity2.tbl"
+    path.write_text(json.dumps(doc))
+    save_table(parity(2), tmp_path / "parity2.tbl")
+    assert run_cli(capsys, "verify-scheme", str(path))[0] == 0
+    save_table(or_n(2), tmp_path / "parity2.tbl")  # 3 is a 1-input of or2
+    code, out, _ = run_cli(capsys, "verify-scheme", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "invalid: 1 violation(s)",
+        "  [side] input 3: A-side input is not a 0-input",
+    ]
+
+
+def test_least_recently_used_scheme_file_is_checked_again(capsys, monkeypatch, tmp_path):
+    doc = json.loads(Path(_mixed_or2_file(tmp_path)).read_text())
+    paths = []
+    for k in range(cli.CHECKED_SCHEME_CAP + 1):  # equal schemes, distinct texts
+        paths.append(tmp_path / f"or2.{k}.json")
+        paths[-1].write_text(json.dumps(doc, indent=k))
+    verified = counting_calls(monkeypatch, "verify")
+    outs = {run_cli(capsys, "verify-scheme", str(p)) for p in paths}
+    assert len(outs) == 1 and len(verified) == len(paths)
+    assert run_cli(capsys, "verify-scheme", str(paths[-1])) in outs
+    assert len(verified) == len(paths)
+    assert run_cli(capsys, "verify-scheme", str(paths[0])) in outs  # dropped
+    assert len(verified) == len(paths) + 1
+
+
+def test_compose_verifies_its_base(capsys, monkeypatch):
+    verified = counting_calls(monkeypatch, "verify")
+    code, out, _ = run_cli(capsys, "compose", "--base", "h", "--depth", "1")
+    assert code == 0 and "measured bound = 1/2*sqrt(39)" in out
+    base = builtin_scheme("h6")
+    assert len(verified) == 2  # the base, then the balanced scheme it composes
+    assert list(verified[0].sweep_pairs("a")) == list(base.sweep_pairs("a"))
+    assert list(verified[1].sweep_pairs("a")) != list(base.sweep_pairs("a"))
 
 
 def test_simulate_parity2_with_final_bound(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from advwb.adversary import builtin_scheme, loads, unit_scheme
 from advwb.boolfn import parity
 from advwb.qsim import (
+    QUERY_CAP,
     AlgorithmErrorTooLarge,
     QsimError,
     QueryAlgorithm,
@@ -170,6 +171,32 @@ def test_builders_check_shapes_before_drawing():
             build(4, -3, 13)
         with pytest.raises(QsimError, match="need at least one unitary"):
             build(4, -3, 2)
+
+
+def test_builders_refuse_queries_over_the_cap():
+    for build in (
+        lambda q: random_algorithm(1, q, work=1, seed=0),
+        lambda q: identity_algorithm(1, q, work=1),
+    ):
+        assert build(QUERY_CAP).queries == QUERY_CAP
+        with pytest.raises(QsimError, match=f"^{QUERY_CAP + 1} queries exceed the cap"):
+            build(QUERY_CAP + 1)
+        # refused before (10^9 + 1) * 2 * 4 * 4 Gaussians are drawn
+        with pytest.raises(QsimError, match=f"^1000000000 queries exceed the cap {QUERY_CAP}$"):
+            build(10**9)
+
+
+@pytest.mark.parametrize(
+    "bad, defect",
+    [(np.diag([1.0, 1, 1, 1, 1, 2]), "3.000e+00"), (np.full((6, 6), np.nan), "nan")],
+    ids=["scaled", "nan"],
+)
+def test_unitarity_check_names_the_first_bad_matrix(bad, defect):
+    eye = np.eye(6)
+    later = 3.0 * eye  # also not unitary, but after matrix 2
+    with pytest.raises(QsimError) as info:
+        QueryAlgorithm(n=2, unitaries=(eye, eye, bad, later))
+    assert str(info.value) == f"matrix 2 is not unitary (defect {defect} > 1e-09)"
 
 
 def test_phase_rows_signs_and_involution():
