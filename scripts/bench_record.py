@@ -1,10 +1,13 @@
 """Assemble a benchmark record, BENCH_<n>.json, from `bench/run.py` result lines.
 
-Runs every benchmark workload in two checkouts, alternating parent and
-change, `--runs` times each; keeps the last JSON line of each run and
-reports min and median of every end-to-end metric per side.  Then one
-`--trace 1` run of each traced workload per side adds its per-layer
-metrics block.  Both checkouts must hold `bench/` and `src/`:
+Runs every benchmark workload in two checkouts, `--runs` pairs each: pair k
+runs the parent first when k is even and the change first when k is odd.
+Keeps the last JSON line of each run and reports min, quartiles and median
+of every end-to-end metric per side, and per workload and metric the
+number of pairs the change won (a strictly better value, in the direction
+`BENCHMARK.json` declares).  Then one `--trace 1` run of each traced
+workload per side adds its per-layer metrics block.  Both checkouts must
+hold `bench/` and `src/`:
 
     mkdir /tmp/parent && git archive <parent> | tar -x -C /tmp/parent
     python3 scripts/bench_record.py --parent /tmp/parent --change . \\
@@ -38,7 +41,22 @@ def summary(lines: list[dict]) -> dict:
     out["attempted"] = sum(line["attempted"] for line in lines)
     for name in lines[0]["metrics"]:
         values = [line["metrics"][name]["value"] for line in lines]
-        out[name] = {"min": min(values), "median": statistics.median(values), "values": values}
+        q1, median, q3 = (
+            statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        )
+        out[name] = {"min": min(values), "q1": q1, "median": median, "q3": q3, "values": values}
+    return out
+
+
+def change_wins(parent: list[dict], change: list[dict], better: dict) -> dict:
+    """Per metric, the pairs whose change run beat its parent run."""
+    out = {}
+    for name, sign in better.items():
+        wins = sum(
+            sign * (p["metrics"][name]["value"] - c["metrics"][name]["value"]) > 0
+            for p, c in zip(parent, change)
+        )
+        out[name] = {"wins": wins, "pairs": len(parent)}
     return out
 
 
@@ -54,16 +72,20 @@ def main() -> None:
     args = ap.parse_args()
 
     sides = {"parent": args.parent, "change": args.change}
+    # +1: lower is better, -1: higher is better
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: 1 if m["better"] == "lower" else -1 for m in declared}
     lines = {side: {w: [] for w in WORKLOADS} for side in sides}
-    for _ in range(args.runs):
+    for k in range(args.runs):
         for workload in WORKLOADS:
-            for side, root in sides.items():
-                line = last_line(root, workload, args.seed, args.seconds, 0)
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                line = last_line(sides[side], workload, args.seed, args.seconds, 0)
                 lines[side][workload].append(line)
-                print(side, workload, json.dumps(line["metrics"]), flush=True)
+                print(k, side, workload, json.dumps(line["metrics"]), flush=True)
     record = {
         "command": f"bench/run.py --seed {args.seed} --seconds {args.seconds}",
-        "order": "alternating parent/change runs, workloads in turn",
+        "order": "pairs of runs, parent first in even pairs and change first in odd "
+        "pairs, workloads in turn",
         "env": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -72,6 +94,9 @@ def main() -> None:
         "end_to_end": {
             side: {w: summary(runs) for w, runs in by_workload.items()}
             for side, by_workload in lines.items()
+        },
+        "change_wins": {
+            w: change_wins(lines["parent"][w], lines["change"][w], better) for w in WORKLOADS
         },
         "traced": {
             side: {

@@ -11,30 +11,40 @@ Protocol (duck-typed):
     a_side       sorted tuple of 0-input indices appearing in pairs
     b_side       sorted tuple of 1-input indices appearing in pairs
     pair_count   number of pairs in the relation
-    sweep_slices(side)   yields (source, slices) per source of the side
-                         ("a" or "b"); a Slice holds (xor, w, diffs)
-                         entries whose partner is source ^ xor, and diffs
-                         is a tuple of (i, fwd, bwd) over differing
-                         coordinates, fwd being w'(source, partner, i)
+    slice_table(side)    the records of a side ("a" or "b") as one array
+                         view: (sources, ids, slices), with sources an
+                         int64 array, ids an (S, K) int64 array whose row
+                         r lists the slices of sources[r] in order (-1 for
+                         an empty slot; slot 0 is never empty) and slices
+                         the distinct Slice objects the ids index.  A
+                         Slice holds (xor, w, diffs) entries whose partner
+                         is source ^ xor, and diffs is a tuple of
+                         (i, fwd, bwd) over differing coordinates, fwd
+                         being w'(source, partner, i)
+    sweep_slices(side)   yields (source, slices) per row of the table
     sweep_pairs(side)    the flattening of sweep_slices: yields
                          (source, records) with (partner, w, diffs) records
                          in slice order
 
 The records are the scheme: every pair appears once from each side, and
 there is no per-pair lookup.  A slice's entries do not depend on the
-source, so its pair-weight sum, forward sums and failed requirements are
-computed once (`Slice.wt`, `Slice.v`, `Slice.faults`) and hold for every
-source that reaches it.  `verify` and `loads` read these aggregates.
+source, so `verify` finds the faults of each distinct slice once, and
+`loads` sums each distinct slice once, as integer coefficient rows, then
+adds the K rows of every source one column at a time in numpy.  Neither
+walks the sources in Python.
 
-Two classes implement the protocol: ExplicitScheme builds one slice per
-source from literal pair tables, and compose.ComposedScheme builds its
-slices on demand from an outer and an inner scheme, sharing one slice
-among all sources with the same surroundings.  `balance` returns an
-ExplicitScheme, or its argument when that is already balanced.
+Two classes implement the protocol, both on top of `TableSweeps`:
+ExplicitScheme builds one slice per source from literal pair tables, and
+compose.ComposedScheme builds its slices from an outer and an inner
+scheme, sharing one slice among all sources with the same surroundings.
+`balance` returns an ExplicitScheme, or its argument when that is
+already balanced.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .boolfn import BooleanFunction, var_bit
-from .weights import ONE, ZERO, ExactWeight, exact_sum
+from .weights import ONE, ZERO, ExactWeight, coefficients, exact_sum, from_coefficients
 
 
 class SchemeError(ValueError):
@@ -79,25 +89,18 @@ class Slice:
     entries is a tuple of (xor, w, diffs): the partner of a source is
     source ^ xor, w the pair weight, and diffs the (i, fwd, bwd) tuple
     over the differing coordinates, oriented from the source.  None of it
-    depends on the source, so the aggregates are computed once, on first
-    use, and hold for every source that reaches the slice:
-
-        wt      sum of the pair weights
-        v       coordinate i -> sum of the forward weights at i
-        faults  (xor, kind, i, message) for every requirement an entry
-                fails (positivity, the product constraint, coverage), in
-                the order `verify` reports them.  Coverage compares the
-                coordinates of diffs with xor, which equals
-                source ^ partner for every source.
+    depends on the source, so `wt`, the sum of the pair weights that the
+    composition checks read, is computed once, on first use, and holds for
+    every source that reaches the slice.
     """
 
     # no per-instance dict: an explicit scheme keeps one slice per source
-    __slots__ = ("entries", "arity", "_wt", "_v", "_faults")
+    __slots__ = ("entries", "arity", "_wt")
 
     def __init__(self, entries: tuple, arity: int):
         self.entries = entries
         self.arity = arity
-        self._wt = self._v = self._faults = None
+        self._wt = None
 
     @property
     def wt(self):
@@ -105,48 +108,51 @@ class Slice:
             self._wt = exact_sum([w for _, w, _ in self.entries])
         return self._wt
 
-    @property
-    def v(self) -> dict:
-        if self._v is None:
-            per_i: dict[int, list] = {}
-            for _, _, diffs in self.entries:
-                for i, fwd, _ in diffs:
-                    per_i.setdefault(i, []).append(fwd)
-            self._v = {i: exact_sum(vals) for i, vals in per_i.items()}
-        return self._v
 
-    @property
-    def faults(self) -> tuple:
-        if self._faults is None:
-            self._faults = self._find_faults()
-        return self._faults
 
-    def _find_faults(self) -> tuple:
-        out = []
-        for xor, w, diffs in self.entries:
-            if w.is_zero:
-                out.append((xor, "weight", None, "pair weight is zero"))
-                continue
-            mask = 0
-            for i, fwd, bwd in diffs:
-                mask |= var_bit(self.arity, i)
-                if fwd.is_zero or bwd.is_zero:
-                    kind = "directional"
-                elif fwd * bwd >= w * w:
-                    continue
-                else:
-                    kind = "constraint"
-                out.append((xor, kind, i, f"w'*w' = {fwd * bwd} < w^2 = {w * w}"))
-            if mask != xor:
-                out.append(
-                    (
-                        xor,
-                        "coverage",
-                        None,
-                        "directional weights do not cover exactly the differing coordinates",
-                    )
+def _product_fault(w, fwd, bwd) -> tuple[str, str] | None:
+    """(kind, message) when w'(x,y,i) * w'(y,x,i) >= w^2 fails, else None."""
+    if fwd.is_zero or bwd.is_zero:
+        kind = "directional"
+    elif fwd * bwd >= w * w:
+        return None
+    else:
+        kind = "constraint"
+    return kind, f"w'*w' = {fwd * bwd} < w^2 = {w * w}"
+
+
+def _faults(sl: Slice, checked: dict) -> list:
+    """(xor, kind, i, message) for every requirement an entry of sl fails.
+
+    Positivity, the product constraint and coverage, in the order `verify`
+    reports them.  Coverage compares the coordinates of diffs with xor,
+    which equals source ^ partner for every source.  `checked` memoizes
+    the outcome of each (w, fwd, bwd) triple across slices.
+    """
+    out = []
+    for xor, w, diffs in sl.entries:
+        if w.is_zero:
+            out.append((xor, "weight", None, "pair weight is zero"))
+            continue
+        mask = 0
+        for i, fwd, bwd in diffs:
+            mask |= var_bit(sl.arity, i)
+            triple = (w, fwd, bwd)
+            if triple not in checked:
+                checked[triple] = _product_fault(w, fwd, bwd)
+            fault = checked[triple]
+            if fault is not None:
+                out.append((xor, fault[0], i, fault[1]))
+        if mask != xor:
+            out.append(
+                (
+                    xor,
+                    "coverage",
+                    None,
+                    "directional weights do not cover exactly the differing coordinates",
                 )
-        return tuple(out)
+            )
+    return out
 
 
 def _share(triples, shared: dict) -> tuple:
@@ -154,18 +160,25 @@ def _share(triples, shared: dict) -> tuple:
     return tuple(shared.setdefault(t, t) for t in triples)
 
 
-def flatten_slices(sweep):
-    """(source, records) from a `sweep_slices` iterator, in slice order."""
-    for source, slices in sweep:
-        yield source, [
-            (source ^ xor, w, diffs) for sl in slices for xor, w, diffs in sl.entries
-        ]
+class TableSweeps:
+    """The sweeps of a scheme, read off its `slice_table`."""
+
+    def sweep_slices(self, side: str):
+        sources, ids, slices = self.slice_table(side)
+        for source, row in zip(sources.tolist(), ids.tolist()):
+            yield source, [slices[k] for k in row if k >= 0]
+
+    def sweep_pairs(self, side: str):
+        for source, slices in self.sweep_slices(side):
+            yield source, [
+                (source ^ xor, w, diffs) for sl in slices for xor, w, diffs in sl.entries
+            ]
 
 
 # ---- explicit schemes ------------------------------------------------------
 
 
-class ExplicitScheme:
+class ExplicitScheme(TableSweeps):
     """A scheme given by its literal pair and directional-weight tables.
 
     pairs: iterable of (x, y, w, wp) where wp maps each differing
@@ -175,7 +188,8 @@ class ExplicitScheme:
     as a zero directional weight (and will fail verification).
 
     The tables are kept only as the records of the two sides: one Slice
-    per source, partners in the order the pairs were given.
+    per source, partners in the order the pairs were given, so each row
+    of `slice_table` has one slot.
     """
 
     def __init__(self, f: BooleanFunction, pairs):
@@ -217,19 +231,20 @@ class ExplicitScheme:
         if not seen:
             raise SchemeError("a scheme needs at least one pair")
         self.pair_count = len(seen)
-        self._slices = {
-            side: [(s, [Slice(tuple(group[s]), f.arity)]) for s in sorted(group)]
-            for side, group in zip("ab", sides)
-        }
         self.a_side, self.b_side = (tuple(sorted(group)) for group in sides)
+        self._tables = {
+            side: (
+                np.array(order, dtype=np.int64),
+                np.arange(len(order), dtype=np.int64).reshape(-1, 1),
+                [Slice(tuple(group[s]), f.arity) for s in order],
+            )
+            for side, group, order in zip("ab", sides, (self.a_side, self.b_side))
+        }
 
-    def sweep_slices(self, side: str):
+    def slice_table(self, side: str):
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        yield from self._slices[side]
-
-    def sweep_pairs(self, side: str):
-        yield from flatten_slices(self.sweep_slices(side))
+        return self._tables[side]
 
 
 # ---- verification ----------------------------------------------------------
@@ -241,27 +256,34 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
     Checks side membership (A inside the 0-preimage, B inside the
     1-preimage, no overlap), weight positivity, and the product constraint
     w'(x,y,i) * w'(y,x,i) >= w(x,y)^2 at every differing coordinate.  All
-    comparisons are exact.  Pair requirements are read from `Slice.faults`:
-    a slice is checked once and that covers every pair it emits, from
-    whichever source.  Reporting stops after `limit` violations.
+    comparisons are exact.  Membership is one mask per side over the
+    table.  Pair requirements are found once per distinct A-side slice
+    (and the product once per distinct weight triple); that covers every
+    pair a slice emits, from whichever source, and only the sources that
+    reach a faulty slice are visited.  Violations come in source, slot,
+    entry order; reporting stops after `limit` of them.
     """
     out: list[Violation] = []
-    f = scheme.f
-    tab = f.table
-    for x in scheme.a_side:
-        if tab[x] != 0:
-            out.append(Violation("side", x, None, None, "A-side input is not a 0-input"))
-            if len(out) >= limit:
-                return out
-    for y in scheme.b_side:
-        if tab[y] != 1:
-            out.append(Violation("side", y, None, None, "B-side input is not a 1-input"))
+    tab = scheme.f.np_table
+    for side, value, message in (
+        (scheme.a_side, 0, "A-side input is not a 0-input"),
+        (scheme.b_side, 1, "B-side input is not a 1-input"),
+    ):
+        xs = np.array(side, dtype=np.int64)
+        for x in xs[tab[xs] != value].tolist():
+            out.append(Violation("side", x, None, None, message))
             if len(out) >= limit:
                 return out
 
-    for source, slices in scheme.sweep_slices("a"):
-        for sl in slices:
-            for xor, kind, i, message in sl.faults:
+    sources, ids, slices = scheme.slice_table("a")
+    checked: dict = {}
+    faults = [_faults(sl, checked) for sl in slices]
+    # a last False stands for the empty slot, id -1
+    faulty = np.array([bool(fl) for fl in faults] + [False])
+    for r in np.flatnonzero(faulty[ids].any(axis=1)).tolist():
+        source = int(sources[r])
+        for k in ids[r].tolist():
+            for xor, kind, i, message in faults[k] if k >= 0 else ():
                 out.append(Violation(kind, source, source ^ xor, i, message))
                 if len(out) >= limit:
                     return out
@@ -294,91 +316,153 @@ class LoadReport:
     v: dict | None = None
 
 
-class _Sums:
-    """Distinct values numbered 0, 1, ...; addition memoized on the numbers.
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a 2-D int64 or object array.
 
-    A composed scheme's slices repeat a few dozen values over a million
-    pairs, so `loads` adds small ints and turns them back into values only
-    at the end.
+    Returns (ids, first): rows r and s are equal exactly when ids[r] ==
+    ids[s], and first[k] is the first row numbered k.  Columns are folded
+    in one at a time with 1-D `np.unique`, which also sorts Python ints.
+    """
+    _, first, ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+    for col in rows.T[1:]:
+        col_values, col_ids = np.unique(col, return_inverse=True)
+        _, first, ids = np.unique(
+            ids * len(col_values) + col_ids, return_index=True, return_inverse=True
+        )
+    return ids, first
+
+
+class _Lowered:
+    """Per-slice sums of a slice list as integer coefficient rows.
+
+    Every weight of the slices is lowered to integer coefficients over one
+    denominator and radicand basis (`weights.coefficients`).  rows[k, c]
+    holds the coefficients of slice k's pair-weight sum (c = 0) or of its
+    forward-weight sum at coordinate c, and terms[k, c] counts the weights
+    added there, so a coordinate is present where the count is positive.
+    A last all-zero row stands for the empty slot, id -1.  coords[k] lists
+    the coordinates of slice k's directional weights in first-named order.
+
+    The dtype is int64 when the largest coefficient times the most terms
+    in one slice column times `width` slots rules out overflow in the
+    per-source sums, and object (Python ints) otherwise.
     """
 
-    def __init__(self):
-        self.values: list = []
-        self._ids: dict = {}
-        self._sums: dict = {}
-        self._slices: dict = {}
+    def __init__(self, slices: list, arity: int, width: int):
+        sizes, col_of, vals = [], [], []
+        self.coords = []
+        for sl in slices:
+            _, ws, dss = zip(*sl.entries)
+            diffs = tuple(itertools.chain.from_iterable(dss))
+            cols, fwds, _ = zip(*diffs) if diffs else ((), (), ())
+            self.coords.append(tuple(dict.fromkeys(cols)))
+            sizes.append(len(ws) + len(cols))
+            col_of += [0] * len(ws)
+            col_of += cols
+            vals += ws
+            vals += fwds
+        # the slices share weight objects: number them by identity in numpy,
+        # then the few distinct objects by value
+        _, first, by_object = np.unique(
+            np.fromiter(map(id, vals), dtype=np.uint64, count=len(vals)),
+            return_index=True,
+            return_inverse=True,
+        )
+        index: dict = {}
+        by_value = [index.setdefault(vals[r], len(index)) for r in first.tolist()]
+        val_ids = np.array(by_value, dtype=np.int64)[by_object]
+        self.radicands, self.q, coeffs = coefficients(list(index))
+        at = (
+            np.repeat(np.arange(len(slices), dtype=np.int64), sizes),
+            np.array(col_of, dtype=np.int64),
+        )
+        shape = (len(slices) + 1, arity + 1)
+        self.terms = np.zeros(shape, dtype=np.int64)
+        np.add.at(self.terms, at, 1)
+        largest = max(abs(c) for row in coeffs for c in row)
+        fits = largest * int(self.terms.max()) * width < 2**63
+        coeffs = np.array(coeffs, dtype=np.int64 if fits else object)
+        self.rows = np.zeros(shape + (len(self.radicands),), dtype=coeffs.dtype)
+        np.add.at(self.rows, at, coeffs[val_ids])
+        self._values: dict = {}
 
-    def id(self, value) -> int:
-        k = self._ids.get(value)
-        if k is None:
-            k = self._ids[value] = len(self.values)
-            self.values.append(value)
-        return k
+    def value(self, row) -> ExactWeight:
+        """The exact value of one coefficient row, built once per row."""
+        key = tuple(row.tolist())
+        w = self._values.get(key)
+        if w is None:
+            w = self._values[key] = from_coefficients(self.radicands, self.q, key)
+        return w
 
-    def add(self, a: int, b: int) -> int:
-        k = self._sums.get((a, b))
-        if k is None:
-            k = self._sums[(a, b)] = self.id(self.values[a] + self.values[b])
-        return k
+    def column(self, ids: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-source sums in column c over the slots of ids, and presence."""
+        rows = self.rows[:, c]
+        total = rows[ids[:, 0]]
+        for k in range(1, ids.shape[1]):
+            total = total + rows[ids[:, k]]
+        return total, (self.terms[ids, c] > 0).any(axis=1)
 
-    def source(self, slices) -> tuple[int, dict]:
-        """wt(x) and i -> v(x, i) of a source, as numbers, from its slices."""
-        agg = self._slices
-        first, *rest = slices
-        wt, v = agg.get(first) or self._slice(first)
-        if rest:
-            v = dict(v)
-            for sl in rest:
-                swt, sv = agg.get(sl) or self._slice(sl)
-                wt = self.add(wt, swt)
-                for i, term in sv.items():
-                    v[i] = self.add(v[i], term) if i in v else term
-        return wt, v
-
-    def _slice(self, sl) -> tuple[int, dict]:
-        out = self._slices[sl] = (self.id(sl.wt), {i: self.id(t) for i, t in sl.v.items()})
-        return out
+    def order(self, row) -> tuple:
+        """The coordinates of a source with these slice ids, in first-named order."""
+        return tuple(dict.fromkeys(itertools.chain(*(self.coords[k] for k in row if k >= 0))))
 
 
 def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
     """Weights wt(x), loads v(x, i), side maxima, and the bound.
 
     wt(x) sums the pair weights at x; v(x, i) sums the directional weights
-    from x over partners differing at i.  Both are added up from the
-    per-slice sums of `sweep_slices`, a few per source.  Without maps only
-    the distinct values are kept, grouped by wt, so memory stays flat.
+    from x over partners differing at i.  Each distinct slice of the two
+    `slice_table`s is summed once as integer coefficient rows (`_Lowered`);
+    every source adds its slots' rows one column at a time, and a
+    coordinate counts for a source when one of its slices has it.  Exact
+    values are made only for distinct sums, and the v / wt maxima are
+    taken over distinct (wt, v) pairs.  Without maps nothing is kept per
+    source, so memory stays flat.
     """
     if not scheme.a_side or not scheme.b_side:
         raise SchemeError("loads need a nonempty relation on both sides")
+    arity = scheme.f.arity
+    tables = [scheme.slice_table(side) for side in "ab"]
+    # one slice list for both sides: the B side's ids move past the A side's
+    slices = tables[0][2] + tables[1][2]
+    b_ids = tables[1][1]
+    b_ids = np.where(b_ids >= 0, b_ids + len(tables[0][2]), -1)
+    sides = [(tables[0][0], tables[0][1]), (tables[1][0], b_ids)]
+    low = _Lowered(slices, arity, max(ids.shape[1] for _, ids in sides))
     wt_map: dict | None = {} if keep_maps else None
     v_map: dict | None = {} if keep_maps else None
-    sums = _Sums()
-    value = sums.values
-    side_best = {}
-    wts: dict = {}  # distinct value numbers as ordered sets, over both sides
+    side_best = []
+    wts: dict = {}  # distinct values as ordered sets, over both sides
     vs: dict = {}
-    for side in ("a", "b"):
-        by_wt: dict = {}  # wt -> distinct v(x, i) of the sources x with that wt
-        for source, slices in scheme.sweep_slices(side):
-            if not slices:
-                continue
-            wt, v = sums.source(slices)
-            by_wt.setdefault(wt, {}).update(dict.fromkeys(v.values()))
-            if wt_map is not None:
-                wt_map[source] = value[wt]
-                for i, term in v.items():
-                    v_map[(source, i)] = value[term]
-        if not by_wt:
-            raise SchemeError(f"side {side!r} has no pairs")
-        side_best[side] = max(
-            max(value[k] for k in group) / value[wt] for wt, group in by_wt.items()
-        )
-        wts.update(dict.fromkeys(by_wt))
-        for group in by_wt.values():
-            vs.update(group)
-    wt_min, wt_max = min(value[k] for k in wts), max(value[k] for k in wts)
-    v_lo, v_hi = min(value[k] for k in vs), max(value[k] for k in vs)
-    v_a, v_b = side_best["a"], side_best["b"]
+    for sources, ids in sides:
+        wt_rows, _ = low.column(ids, 0)
+        wt_ids, first = _distinct(wt_rows)
+        wt_values = [low.value(wt_rows[r]) for r in first.tolist()]
+        wts.update(dict.fromkeys(wt_values))
+        best: dict = {}  # wt id -> largest v(x, i) of the sources with that wt
+        v_of: dict = {}  # i -> source row -> v(x, i), kept for the maps
+        for i in range(1, arity + 1):
+            v_rows, present = low.column(ids, i)
+            at = np.flatnonzero(present)
+            v_ids, first = _distinct(v_rows[at])
+            values = [low.value(v_rows[r]) for r in at[first].tolist()]
+            vs.update(dict.fromkeys(values))
+            for pair in np.unique(wt_ids[at] * len(values) + v_ids).tolist():
+                wt, v = divmod(pair, len(values))
+                if wt not in best or values[v] > best[wt]:
+                    best[wt] = values[v]
+            if keep_maps:
+                v_of[i] = dict(zip(at.tolist(), map(values.__getitem__, v_ids.tolist())))
+        side_best.append(max(v / wt_values[wt] for wt, v in best.items()))
+        if keep_maps:
+            rows = zip(sources.tolist(), ids.tolist(), wt_ids.tolist())
+            for r, (source, row, wt) in enumerate(rows):
+                wt_map[source] = wt_values[wt]
+                for i in low.order(row):
+                    v_map[(source, i)] = v_of[i][r]
+    wt_min, wt_max = min(wts), max(wts)
+    v_lo, v_hi = min(vs), max(vs)
+    v_a, v_b = side_best
     if v_a.is_zero or v_b.is_zero:
         raise SchemeError("degenerate scheme: a side load is zero")
     if v_a == v_b:
@@ -492,6 +576,103 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
             l_prime = max(l_prime, int(np.bincount(ys[at]).max()))
     bound = ExactWeight.sqrt_of(Fraction(m * m_prime, l * l_prime))
     return RelationBound(m, m_prime, l, l_prime, bound)
+
+
+# ---- minimax upper certificates --------------------------------------------
+
+
+def upper_certificate(f: BooleanFunction, p) -> ExactWeight:
+    """An exact upper bound on what any positive-weight scheme for f certifies.
+
+    p gives every input x a probability vector over the coordinates:
+    p[x][i - 1] = p_x(i), exact nonnegative rationals (Fraction, int or a
+    'p/q' string) with sum over i at most 1, checked exactly for every
+    input.  By the minimax form of the positive-weight adversary
+    (Spalek-Szegedy 2006), no scheme beats
+
+        1 / min over x in f^-1(0), y in f^-1(1) of
+            sum over i with x_i != y_i of sqrt(p_x(i) * p_y(i)),
+
+    which is returned exactly.  A p that gives some pair nothing where it
+    differs certifies no finite bound and is refused.
+    """
+    n, size = f.arity, 1 << f.arity
+    if len(p) != size:
+        raise SchemeError(f"need a probability vector for each of the {size} inputs")
+    rows = []
+    for x, vector in enumerate(p):
+        if len(vector) != n or any(isinstance(v, float) for v in vector):
+            raise SchemeError(f"input {x}: need {n} exact probabilities")
+        row = [Fraction(v) for v in vector]
+        if min(row) < 0:
+            raise SchemeError(f"input {x}: negative probability {min(row)}")
+        if sum(row) > 1:
+            raise SchemeError(f"input {x}: probabilities sum to {sum(row)}, past 1")
+        rows.append(row)
+    root = functools.cache(ExactWeight.sqrt_of)  # a few distinct products
+    best = None
+    ones = [y for y in range(size) if f.table[y]]
+    for x in range(size):
+        if f.table[x]:
+            continue
+        for y in ones:
+            total = exact_sum(
+                [
+                    root(rows[x][i - 1] * rows[y][i - 1])
+                    for i in range(1, n + 1)
+                    if (x ^ y) & var_bit(n, i)
+                ]
+            )
+            if best is None or total < best:
+                best = total
+    if best is None:
+        raise SchemeError("a constant function has no pairs to bound")
+    if best.is_zero:
+        raise SchemeError("some pair gets no probability where it differs: no finite bound")
+    return ONE / best
+
+
+# Optimal probabilities p_x(i) for the functions of the f4 and nae3 schemes,
+# one row per input (table index), one entry per coordinate: 2/5 on each of
+# an f4 input's two sensitive coordinates and 1/10 elsewhere; 1/3 everywhere
+# on 000 and 111, and 2/3 on the odd coordinate of the other nae3 inputs
+# with 1/6 on the rest.  `upper_certificate` gives 5/2 and 3/2*sqrt(2), the
+# schemes' bounds, so neither scheme can be improved.
+MINIMAX_PROBABILITIES = {
+    "f4": (
+        "2/5 2/5 1/10 1/10",
+        "1/10 2/5 2/5 1/10",
+        "2/5 1/10 1/10 2/5",
+        "1/10 1/10 2/5 2/5",
+        "1/10 2/5 2/5 1/10",
+        "2/5 2/5 1/10 1/10",
+        "1/10 1/10 2/5 2/5",
+        "2/5 1/10 1/10 2/5",
+        "2/5 1/10 1/10 2/5",
+        "1/10 1/10 2/5 2/5",
+        "2/5 2/5 1/10 1/10",
+        "1/10 2/5 2/5 1/10",
+        "1/10 1/10 2/5 2/5",
+        "2/5 1/10 1/10 2/5",
+        "1/10 2/5 2/5 1/10",
+        "2/5 2/5 1/10 1/10",
+    ),
+    "nae3": (
+        "1/3 1/3 1/3",
+        "1/6 1/6 2/3",
+        "1/6 2/3 1/6",
+        "2/3 1/6 1/6",
+        "2/3 1/6 1/6",
+        "1/6 2/3 1/6",
+        "1/6 1/6 2/3",
+        "1/3 1/3 1/3",
+    ),
+}
+
+
+def minimax_probabilities(name: str) -> list[list[Fraction]]:
+    """The committed minimax probabilities of a builtin scheme's function."""
+    return [[Fraction(v) for v in row.split()] for row in MINIMAX_PROBABILITIES[name]]
 
 
 def unit_scheme(f: BooleanFunction, a, b, relation) -> ExplicitScheme:

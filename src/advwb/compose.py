@@ -12,13 +12,16 @@ The pairs from one source to the partners with one block pattern form a
 slice.  Its entries (xor offset, weight, directional weights) depend
 only on the pattern pair, the source's blocks where the patterns differ
 and the inner totals where they agree, so sources with the same
-surroundings share one cached `adversary.Slice`: about 2,300 slices
-serve the 1,310,720 pairs of the 4-bit base's square.  `sweep_slices`
-yields them, and `verify` and `loads` read each slice's sums and faults,
-computed once, instead of its records.  `sweep_pairs` flattens the same
-slices into records.  The claim checks at the end of this module read
-the same slices, so they certify exactly what `verify` and `loads`
-consume.
+surroundings share one cached `adversary.Slice`: 2,304 slices serve the
+1,310,720 pairs of the 4-bit base's square.  `slice_table` finds every
+source's slices at once: it computes blocks, block patterns and
+total-weight classes as arrays, takes `np.unique` of the slice key per
+outer partner slot, and builds only the slices not yet cached.  `verify`
+and `loads` read that array view and never walk the sources in Python;
+`sweep_slices` and `sweep_pairs` flatten it into per-source slices and
+records.  The claim checks at the end of this module look slices up one
+source at a time (`_slices_of`) in the same cache, so they certify
+exactly what `verify` and `loads` consume.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import functools
 import itertools
 import operator
 
-from .adversary import SchemeError, Slice, flatten_slices, loads
+import numpy as np
+
+from .adversary import SchemeError, Slice, TableSweeps, loads
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
 from .weights import ONE, ExactWeight, exact_sum
 
@@ -84,11 +89,11 @@ def _ratio_records(scheme, div):
     }
 
 
-class ComposedScheme:
+class ComposedScheme(TableSweeps):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    Nothing is stored per pair.  The protocol's sweeps build each shared
-    slice on first use from the outer and inner schemes' records, so the
+    Nothing is stored per pair.  `slice_table` builds each shared slice on
+    first use from the outer and inner schemes' records, so the
     ~1.3*10^6 pairs of the 4-bit base's square stay cheap and exact;
     there is no per-pair lookup.
     """
@@ -244,24 +249,56 @@ class ComposedScheme:
         blocks = self._blocks_of(x)
         p = self._pattern_of(blocks)
         classes = tuple([self._wt_class[u] for u in blocks])
-        templates = self._templates
-        out = {}
-        for z, mask in self._o_partners[p]:
-            key = (p, z, x & mask, classes)
-            sl = templates.get(key)
-            if sl is None:
-                sl = templates[key] = self._template(blocks, p, z)
-            out[z] = sl
-        return out
+        return {
+            z: self._cached((p, z, x & mask, classes), blocks)
+            for z, mask in self._o_partners[p]
+        }
 
-    def sweep_slices(self, side: str):
+    def _cached(self, key: tuple, blocks: tuple) -> Slice:
+        """The shared Slice of key = (p, z, x & mask, classes), built from
+        the blocks of a source x with that key when not yet cached."""
+        sl = self._templates.get(key)
+        if sl is None:
+            sl = self._templates[key] = self._template(blocks, key[0], key[1])
+        return sl
+
+    def slice_table(self, side: str):
+        """(sources, ids, slices) of a side, with every source's slots in
+        the order of `_slices_of`, found as whole-array passes.
+
+        For each block pattern p and outer partner slot (p, z), the key
+        (x & mask, classes) of `_slices_of` is numbered over the sources
+        at once with `np.unique`, the classes folded into one integer
+        above the source bits.  Each distinct key is looked up in the
+        shared cache, and built from its first source when missing.
+        """
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        for x in self.a_side if side == "a" else self.b_side:
-            yield x, list(self._slices_of(x).values())
-
-    def sweep_pairs(self, side: str):
-        yield from flatten_slices(self.sweep_slices(side))
+        n, m = self.n, self.m
+        xs = np.array(self.a_side if side == "a" else self.b_side, dtype=np.int64)
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        blocks = (xs[:, None] >> (shifts * m)) & ((1 << m) - 1)
+        patterns = (self.inner.f.np_table[blocks].astype(np.int64) << shifts).sum(axis=1)
+        class_of = np.full(1 << m, -1, dtype=np.int64)
+        class_of[list(self._wt_class)] = list(self._wt_class.values())
+        classes = class_of[blocks]
+        radix = int(classes.max()) + 1
+        class_code = (classes * radix**shifts).sum(axis=1) << self.arity
+        present = np.unique(patterns).tolist()
+        width = max(len(self._o_partners[p]) for p in present)
+        ids = np.full((len(xs), width), -1, dtype=np.int64)
+        slices: list = []
+        for p in present:
+            rows = np.flatnonzero(patterns == p)
+            for k, (z, mask) in enumerate(self._o_partners[p]):
+                _, first, inverse = np.unique(
+                    class_code[rows] | (xs[rows] & mask), return_index=True, return_inverse=True
+                )
+                ids[rows, k] = inverse + len(slices)
+                for r in rows[first].tolist():
+                    key = (p, z, int(xs[r]) & mask, tuple(classes[r].tolist()))
+                    slices.append(self._cached(key, tuple(blocks[r].tolist())))
+        return xs, ids, slices
 
 
 def compose_scheme(outer, inner) -> ComposedScheme:

@@ -384,6 +384,30 @@ class Root:
         return f"Root({self})"
 
 
+def coefficients(values) -> tuple[tuple[int, ...], int, list[list[int]]]:
+    """Integer coefficients of ExactWeights over one basis and denominator.
+
+    Returns (radicands, q, rows) with values[k] equal to
+    sum(rows[k][b] * sqrt(radicands[b])) / q, so sums of the values are
+    integer sums of their rows.  `from_coefficients` inverts it.
+    """
+    radicands = sorted({u for v in values for u, _ in v._terms()})
+    q = math.lcm(*(v.q for v in values))
+    col = {u: b for b, u in enumerate(radicands)}
+    rows = []
+    for v in values:
+        row = [0] * len(radicands)
+        for u, p in v._terms():
+            row[col[u]] = p * (q // v.q)
+        rows.append(row)
+    return tuple(radicands), q, rows
+
+
+def from_coefficients(radicands, q: int, row) -> ExactWeight:
+    """The canonical value of sum(row[b] * sqrt(radicands[b])) / q (ints)."""
+    return _collect(dict(zip(radicands, row)), q)
+
+
 def _coerce(value) -> ExactWeight:
     if isinstance(value, ExactWeight):
         return value

@@ -9,6 +9,7 @@ from advwb.adversary import (
     LoadReport,
     SchemeError,
     Violation,
+    _Lowered,
     balance,
     builtin_scheme,
     load_scheme,
@@ -122,14 +123,19 @@ def test_slice_sums_match_their_records(name):
     c = compose_scheme(g, g)
     slices = _all_slices(c)
     assert len(slices) == {"nae3": 288, "f4": 2304}[name]
-    for sl in slices:
+    # loads' integer sums of each slice, wt in column 0 and v(i) in column i
+    low = _Lowered(slices, c.arity, 1)
+    for k, sl in enumerate(slices):
         wt, v = ZERO, {}
         for _, w, diffs in sl.entries:
             wt = wt + w
             for i, fwd, _ in diffs:
                 v[i] = v.get(i, ZERO) + fwd
         assert sl.wt == wt
-        assert sl.v == v
+        assert low.value(low.rows[k, 0]) == wt
+        lowered = {i: low.value(low.rows[k, i]) for i in low.coords[k]}
+        assert lowered == v and list(lowered) == list(v)
+        assert [i for i in range(1, c.arity + 1) if low.terms[k, i]] == sorted(v)
 
 
 def test_loads_matches_a_record_level_reference():

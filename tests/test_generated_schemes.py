@@ -27,6 +27,7 @@ from advwb.adversary import (
 )
 from advwb.boolfn import BooleanFunction, var_bit
 from advwb.weights import ONE, ZERO, ExactWeight, Root
+from loads_reference import assert_loads_match
 from scheme_records import assert_rescaled, assert_sides_agree, pair_table
 
 # `loads` and `balance` take exact square roots, which factor radicands by
@@ -125,6 +126,8 @@ def test_generated_scheme_properties(scheme):
     assert rep.bound**2 * rep.v_a * rep.v_b == ONE
     want.v_max, want.bound = rep.v_max, rep.bound
     assert rep == want
+    # and the per-source loop `loads` ran before its array view, key order too
+    assert_loads_match(scheme)
 
     # balance keeps the bound, every w and every fwd * bwd when the factor
     # sqrt(v_B / v_A) is exact, which needs a rational v_B / v_A
