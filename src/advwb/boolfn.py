@@ -88,7 +88,7 @@ class BooleanFunction:
         table = bytes(table)
         if len(table) != 1 << arity:
             raise ValueError(f"table length {len(table)} != 2^{arity}")
-        if any(b not in (0, 1) for b in table):
+        if table.translate(None, b"\x00\x01"):  # bytes other than 0 and 1 remain
             raise ValueError("table entries must be 0 or 1")
         self.arity = arity
         self.table = table

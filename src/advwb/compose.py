@@ -16,12 +16,19 @@ surroundings share one cached `adversary.Slice`: 2,304 slices serve the
 1,310,720 pairs of the 4-bit base's square.  `slice_table` finds every
 source's slices at once: it computes blocks, block patterns and
 total-weight classes as arrays, takes `np.unique` of the slice key per
-outer partner slot, and builds only the slices not yet cached.  `verify`
-and `loads` read that array view and never walk the sources in Python;
-`sweep_slices` and `sweep_pairs` flatten it into per-source slices and
-records.  The claim checks at the end of this module look slices up one
-source at a time (`_slices_of`) in the same cache, so they certify
-exactly what `verify` and `loads` consume.
+outer partner slot, and builds all slices not yet cached in one batch.
+The batch works on integer ids of the few distinct exact weights: each
+product, quotient and ratio root is computed once per distinct id pair,
+and only distinct diff triples and distinct entries become Python
+tuples, which the slices share (1,136 entries serve the 33,792 entry
+slots of the 4-bit base's square).  `verify` and `loads` read that array
+view and never walk the sources in Python; `sweep_slices` and
+`sweep_pairs` flatten it into per-source slices and records.  The claim
+checks at the end of this module look slices up one source at a time
+(`_slices_of`) in the same cache, built by the same batch code, so they
+certify exactly what `verify` and `loads` consume; their right-hand
+sides depend only on the block pattern and total-weight classes and are
+computed once for each.
 """
 
 from __future__ import annotations
@@ -77,8 +84,9 @@ def _sqrt_product(r1: ExactWeight, r2: ExactWeight) -> ExactWeight:
     return prod.sqrt()
 
 
-def _ratio_records(scheme, div):
+def _ratio_records(scheme):
     """Per source on both sides: (partner, w, ((i, fwd/bwd), ...)) records."""
+    div = functools.cache(operator.truediv)  # a scheme repeats a few ratios
     return {
         source: tuple(
             (partner, w, tuple((i, div(fwd, bwd)) for i, fwd, bwd in diffs))
@@ -89,13 +97,211 @@ def _ratio_records(scheme, div):
     }
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _number_rows(columns: list, radices: list) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, first) numbering the distinct rows of integer columns.
+
+    Column c holds values in [0, radices[c]).  The columns are packed into
+    one int64 code, renumbered with `np.unique` whenever the next column
+    would overflow it; rows r and s are equal exactly when ids[r] ==
+    ids[s], and first[k] is the first row numbered k.
+    """
+    code, size = columns[0], radices[0]
+    for col, radix in zip(columns[1:], radices[1:]):
+        if size * radix >= 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+            size = max(len(code), 1)
+        code = code * radix + col
+        size *= radix
+    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
+    return ids, first
+
+
+class _Pool:
+    """Distinct ExactWeights numbered 0, 1, ...; operations memoized on numbers.
+
+    `apply` runs a binary operation elementwise on two id arrays with one
+    exact operation per distinct id pair, remembered across calls.  A pair
+    whose operation raises SchemeError gives -1, so that the caller can
+    find the first one in its own order.
+    """
+
+    def __init__(self):
+        self.values: list = []
+        self._ids: dict = {}
+        self._memo: dict = {}
+
+    def id(self, value: ExactWeight) -> int:
+        k = self._ids.get(value)
+        if k is None:
+            k = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return k
+
+    def apply(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        memo = self._memo.setdefault(op, {})
+        pairs, inverse = np.unique(a << 32 | b, return_inverse=True)
+        out = []
+        for pair in pairs.tolist():
+            k = memo.get(pair)
+            if k is None:
+                k = memo[pair] = self._result(op, pair >> 32, pair & 0xFFFFFFFF)
+            out.append(k)
+        return np.array(out, dtype=np.int64)[inverse]
+
+    def _result(self, op, i: int, j: int) -> int:
+        try:
+            return self.id(op(self.values[i], self.values[j]))
+        except SchemeError:
+            return -1
+
+
+class _TemplateBuilder:
+    """Builds the slices of a ComposedScheme in batches, over weight ids.
+
+    The outer pair weights and ratios and the inner records, totals and
+    ratios are numbered once in a `_Pool`.  The inner records of block
+    value u are rows rec_start[u] .. rec_start[u] + rec_count[u] - 1 of
+    flat arrays, and their diffs rows of flatter ones; a last record `pad`
+    (offset 0, weight 1, no diffs) fills the slots of templates with fewer
+    differing blocks than others in a batch.
+    """
+
+    def __init__(self, composed: "ComposedScheme"):
+        pool = self.pool = _Pool()
+        self.n, self.m, self.arity = composed.n, composed.m, composed.arity
+        self.outer = {
+            pz: (pool.id(w), tuple((j, pool.id(r1)) for j, r1 in odiffs))
+            for pz, (w, odiffs) in composed._o_pairs.items()
+        }
+        size = 1 << self.m
+        self.total = np.full(size, -1, dtype=np.int64)
+        self.rec_start = np.zeros(size, dtype=np.int64)
+        self.rec_count = np.zeros(size, dtype=np.int64)
+        for u, wt in composed._inner_wt.items():
+            self.total[u] = pool.id(wt)
+        off, wv, dstart, dcount, i2s, r2s = [], [], [], [], [], []
+        for u, recs in composed._i_records.items():
+            self.rec_start[u], self.rec_count[u] = len(off), len(recs)
+            for v, w, rdiffs in recs:
+                off.append(u ^ v)
+                wv.append(pool.id(w))
+                dstart.append(len(i2s))
+                dcount.append(len(rdiffs))
+                for i2, r2 in rdiffs:
+                    i2s.append(i2)
+                    r2s.append(pool.id(r2))
+        self.pad = len(off)
+        off.append(0)
+        wv.append(pool.id(ONE))
+        dstart.append(len(i2s))
+        dcount.append(0)
+        self.off, self.wv, self.dstart, self.dcount, self.i2, self.r2 = (
+            np.array(col, dtype=np.int64) for col in (off, wv, dstart, dcount, i2s, r2s)
+        )
+
+    def build(self, keys: list, blocks: np.ndarray) -> list[Slice]:
+        """The Slices of keys (p, z, ...), the sources' blocks given per row.
+
+        A slice's entries are the product of the inner records of its
+        differing blocks, the first differing block outermost; the product
+        runs over every template at once, one block slot at a time.  Each
+        entry has an xor offset, weight id base * prod(wv) and diffs
+        (coordinate, w*s, w/s) with s = sqrt(r1 * r2), flattened in
+        template, entry and diff order, so the first ratio product with no
+        exact root raises its error.  Distinct diff triples and distinct
+        entries become one shared tuple each.
+        """
+        pool, n, m = self.pool, self.n, self.m
+        outer = [self.outer[key[:2]] for key in keys]
+        differ = np.array([key[0] ^ key[1] for key in keys], dtype=np.int64)
+        base = np.array([w for w, _ in outer], dtype=np.int64)
+        for j in range(n):
+            at = np.flatnonzero((differ >> (n - 1 - j)) & 1 == 0)
+            base[at] = pool.apply(operator.mul, base[at], self.total[blocks[at, j]])
+        # differing blocks and outer ratios per slot; pad slots repeat block 1
+        width = max(len(odiffs) for _, odiffs in outer)
+        dj = np.array(
+            [[j for j, _ in od] + [1] * (width - len(od)) for _, od in outer], dtype=np.int64
+        )
+        r1 = np.array(
+            [[r for _, r in od] + [0] * (width - len(od)) for _, od in outer], dtype=np.int64
+        )
+        real = np.arange(width) < np.array([len(od) for _, od in outer])[:, None]
+        u = np.take_along_axis(blocks, dj - 1, axis=1)
+        starts = np.where(real, self.rec_start[u], self.pad)
+        counts = np.where(real, self.rec_count[u], 1)
+
+        # the Cartesian product of the slots' records, per template
+        job = np.arange(len(keys), dtype=np.int64)
+        rec = np.zeros((len(keys), 0), dtype=np.int64)
+        for b in range(width):
+            per_job = counts[job, b]
+            chosen = np.repeat(starts[job, b], per_job) + _ranks(per_job)
+            job = np.repeat(job, per_job)
+            rec = np.column_stack([np.repeat(rec, per_job, axis=0), chosen])
+        xor = np.bitwise_or.reduce(self.off[rec] << (n - dj[job]) * m, axis=1)
+        w = base[job]
+        for b in range(width):
+            w = pool.apply(operator.mul, w, self.wv[rec[:, b]])
+
+        # diffs: entry-major, then slot, then the inner record's own order
+        flat = rec.ravel()
+        per_rec = self.dcount[flat]
+        d = np.repeat(self.dstart[flat], per_rec) + _ranks(per_rec)
+        d_entry = np.repeat(np.repeat(np.arange(len(job), dtype=np.int64), width), per_rec)
+        d_col = np.repeat(((dj - 1) * m)[job].ravel(), per_rec) + self.i2[d]
+        d_r1 = np.repeat(r1[job].ravel(), per_rec)
+        d_r2 = self.r2[d]
+        d_w = w[d_entry]
+        values = pool.values
+        s = pool.apply(_sqrt_product, d_r1, d_r2)
+        failed = np.flatnonzero(s < 0)
+        if failed.size:  # raise for the first failing diff
+            _sqrt_product(values[d_r1[failed[0]]], values[d_r2[failed[0]]])
+        # s is never 0: a zero directional weight divides in the reverse
+        # record's ratio, which `_ratio_records` already refused
+        fwd = pool.apply(operator.mul, d_w, s)
+        bwd = pool.apply(operator.truediv, d_w, s)
+        size = len(values)
+        d_ids, first = _number_rows([d_col, fwd, bwd], [self.arity + 1, size, size])
+        triples = [
+            (i, values[a], values[b])
+            for i, a, b in zip(d_col[first].tolist(), fwd[first].tolist(), bwd[first].tolist())
+        ]
+        # each entry's triple ids, shifted by one and padded with 0
+        per_entry = np.bincount(d_entry, minlength=len(job))
+        diff_ids = np.zeros((len(job), int(per_entry.max(initial=0))), dtype=np.int64)
+        diff_ids[d_entry, _ranks(per_entry)] = d_ids + 1
+        e_ids, first = _number_rows(
+            [xor, w, *diff_ids.T], [1 << self.arity, size] + [len(triples) + 1] * diff_ids.shape[1]
+        )
+        records = [
+            (x, values[v], tuple([triples[t - 1] for t in row if t]))
+            for x, v, row in zip(xor[first].tolist(), w[first].tolist(), diff_ids[first].tolist())
+        ]
+        e_ids = e_ids.tolist()
+        ends = np.cumsum(np.bincount(job, minlength=len(keys))).tolist()
+        return [
+            Slice(tuple([records[e] for e in e_ids[start:end]]), self.arity)
+            for start, end in zip([0] + ends, ends)
+        ]
+
+
 class ComposedScheme(TableSweeps):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    Nothing is stored per pair.  `slice_table` builds each shared slice on
-    first use from the outer and inner schemes' records, so the
-    ~1.3*10^6 pairs of the 4-bit base's square stay cheap and exact;
-    there is no per-pair lookup.
+    Nothing is stored per pair.  `slice_table` builds the shared slices
+    it needs in one batch (`_TemplateBuilder`) from the outer and inner
+    schemes' records, so the ~1.3*10^6 pairs of the 4-bit base's square
+    stay cheap and exact; there is no per-pair lookup.  Slices share
+    their entry and diff tuples, and the batch builder and its pool of
+    weight ids are made on first use, not at construction.
     """
 
     def __init__(self, outer, inner):
@@ -122,14 +328,10 @@ class ComposedScheme(TableSweeps):
         self.inner_vmax = inner_report.v_max
         self.predicted_bound = ONE / (outer_report.v_max * inner_report.v_max)
 
-        # memoized arithmetic: sweeps reuse a few dozen distinct values
-        self._mul = functools.cache(operator.mul)
-        self._div = functools.cache(operator.truediv)
-        self._sqrtp = functools.cache(_sqrt_product)
         self._inner_wt = inner_report.wt
         self._outer_wt = outer_report.wt
-        self._o_records = _ratio_records(outer, self._div)
-        self._i_records = _ratio_records(inner, self._div)
+        self._o_records = _ratio_records(outer)
+        self._i_records = _ratio_records(inner)
         self._o_pairs = {
             (p, z): (w, rd) for p, recs in self._o_records.items() for z, w, rd in recs
         }
@@ -139,6 +341,7 @@ class ComposedScheme(TableSweeps):
         self._wt_class = {
             u: classes.setdefault(wt, len(classes)) for u, wt in self._inner_wt.items()
         }
+        self._class_wt = list(classes)
         block = (1 << m) - 1
         self._o_partners = {
             p: tuple(
@@ -148,6 +351,7 @@ class ComposedScheme(TableSweeps):
             for p, recs in self._o_records.items()
         }
         self._templates: dict = {}
+        self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
 
         self.a_side = self._enumerate_side(outer.a_side)
         self.b_side = self._enumerate_side(outer.b_side)
@@ -204,41 +408,19 @@ class ComposedScheme(TableSweeps):
 
     # ---- sweeps -----------------------------------------------------------
 
-    def _template(self, blocks: tuple, p: int, z: int) -> Slice:
-        """The Slice of a source with these blocks towards block pattern z.
+    @functools.cached_property
+    def _builder(self) -> _TemplateBuilder:
+        return _TemplateBuilder(self)
 
-        Its base weight is the outer weight of (p, z) times the inner total
-        weight of every block where p and z agree; its entries are (xor
-        offset to apply to the source index, pair weight, diffs tuple).
-        """
-        mul, div, sqrtp = self._mul, self._div, self._sqrtp
-        m, n = self.m, self.n
-        base, odiffs = self._o_pairs[(p, z)]
-        for j, u in enumerate(blocks):
-            if not (p ^ z) >> (n - 1 - j) & 1:
-                base = mul(base, self._inner_wt[u])
-        per_block = []
-        for j, r1 in odiffs:
-            u = blocks[j - 1]
-            shift = (n - j) * m
-            per_block.append(
-                [((u ^ v) << shift, wv, j, r1, rdiffs) for v, wv, rdiffs in self._i_records[u]]
-            )
-        entries = []
-        for combo in itertools.product(*per_block):
-            xor = 0
-            w = base
-            for off, wv, _, _, _ in combo:
-                xor |= off
-                w = mul(w, wv)
-            diffs = []
-            for off, wv, j, r1, rdiffs in combo:
-                col = (j - 1) * m
-                for i2, r2 in rdiffs:
-                    s = sqrtp(r1, r2)
-                    diffs.append((col + i2, mul(w, s), div(w, s)))
-            entries.append((xor, w, tuple(diffs)))
-        return Slice(tuple(entries), self.arity)
+    def _build(self, keys: list, blocks) -> None:
+        """Build the slices of keys, given their sources' blocks, into the cache."""
+        block_rows = np.array(blocks, dtype=np.int64).reshape(len(keys), self.n)
+        self._templates.update(zip(keys, self._builder.build(keys, block_rows)))
+
+    def _surroundings(self, x: int) -> tuple:
+        """Blocks, block pattern and total-weight classes of source x."""
+        blocks = self._blocks_of(x)
+        return blocks, self._pattern_of(blocks), tuple([self._wt_class[u] for u in blocks])
 
     def _slices_of(self, x: int) -> dict:
         """z -> the shared Slice of x's pairs towards block pattern z.
@@ -246,9 +428,7 @@ class ComposedScheme(TableSweeps):
         Sources with the same pattern, the same blocks where it differs
         from z and the same total-weight classes elsewhere share a slice.
         """
-        blocks = self._blocks_of(x)
-        p = self._pattern_of(blocks)
-        classes = tuple([self._wt_class[u] for u in blocks])
+        blocks, p, classes = self._surroundings(x)
         return {
             z: self._cached((p, z, x & mask, classes), blocks)
             for z, mask in self._o_partners[p]
@@ -257,10 +437,9 @@ class ComposedScheme(TableSweeps):
     def _cached(self, key: tuple, blocks: tuple) -> Slice:
         """The shared Slice of key = (p, z, x & mask, classes), built from
         the blocks of a source x with that key when not yet cached."""
-        sl = self._templates.get(key)
-        if sl is None:
-            sl = self._templates[key] = self._template(blocks, key[0], key[1])
-        return sl
+        if key not in self._templates:
+            self._build([key], [blocks])
+        return self._templates[key]
 
     def slice_table(self, side: str):
         """(sources, ids, slices) of a side, with every source's slots in
@@ -287,17 +466,26 @@ class ComposedScheme(TableSweeps):
         present = np.unique(patterns).tolist()
         width = max(len(self._o_partners[p]) for p in present)
         ids = np.full((len(xs), width), -1, dtype=np.int64)
-        slices: list = []
+        keys: list = []
+        firsts: list = []
         for p in present:
             rows = np.flatnonzero(patterns == p)
             for k, (z, mask) in enumerate(self._o_partners[p]):
                 _, first, inverse = np.unique(
                     class_code[rows] | (xs[rows] & mask), return_index=True, return_inverse=True
                 )
-                ids[rows, k] = inverse + len(slices)
-                for r in rows[first].tolist():
-                    key = (p, z, int(xs[r]) & mask, tuple(classes[r].tolist()))
-                    slices.append(self._cached(key, tuple(blocks[r].tolist())))
+                ids[rows, k] = inverse + len(keys)
+                at = rows[first]
+                keys += [
+                    (p, z, x, tuple(c))
+                    for x, c in zip((xs[at] & mask).tolist(), classes[at].tolist())
+                ]
+                firsts.append(at)
+        at = np.concatenate(firsts)
+        missing = [r for r, key in enumerate(keys) if key not in self._templates]
+        if missing:
+            self._build([keys[r] for r in missing], blocks[at[missing]])
+        slices = [self._templates[key] for key in keys]
         return xs, ids, slices
 
 
@@ -317,20 +505,33 @@ def predicted_bound(base_scheme, d: int) -> ExactWeight:
 
 
 def _source(composed: ComposedScheme, x: int, z: int | None = None):
-    """Blocks, block pattern and slices of x; with z, (p, z) must be an outer pair."""
-    blocks = composed._blocks_of(x)
-    p = composed._pattern_of(blocks)
+    """Block pattern, total-weight classes and slices of x; with z, (p, z)
+    must be an outer pair."""
+    _, p, classes = composed._surroundings(x)
     slices = composed._slices_of(x)
     if z is not None and z not in slices:
         raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
-    return blocks, p, slices
+    return p, classes, slices
 
 
-def _times_inner_totals(composed: ComposedScheme, w, blocks):
-    """w times the inner total weight of every block."""
-    for u in blocks:
-        w = composed._mul(w, composed._inner_wt[u])
-    return w
+def _claim_sides(composed: ComposedScheme, p: int, classes: tuple) -> tuple[dict, bool]:
+    """Claim 1's right-hand sides for sources with pattern p and these
+    total-weight classes, and whether they add up to the corollary's.
+
+    Returns (z -> outer weight of (p, z) times every block's inner total
+    weight, whether those sum to the outer wt(p) times the same product).
+    Both depend only on (p, classes), so they are computed once for it.
+    """
+    key = (p, classes)
+    sides = composed._claims.get(key)
+    if sides is None:
+        totals = ONE
+        for c in classes:
+            totals = totals * composed._class_wt[c]
+        rhs = {z: composed._o_pairs[(p, z)][0] * totals for z, _ in composed._o_partners[p]}
+        adds_up = exact_sum(rhs.values()) == composed._outer_wt[p] * totals
+        sides = composed._claims[key] = (rhs, adds_up)
+    return sides
 
 
 def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
@@ -340,8 +541,8 @@ def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
     the outer weight of (pattern(x), z) times the product over all blocks
     of the inner total weight.  Exact comparison.
     """
-    blocks, p, slices = _source(composed, x, z)
-    return slices[z].wt == _times_inner_totals(composed, composed._o_pairs[(p, z)][0], blocks)
+    p, classes, slices = _source(composed, x, z)
+    return slices[z].wt == _claim_sides(composed, p, classes)[0][z]
 
 
 def check_corollary(composed: ComposedScheme, x: int) -> bool:
@@ -350,14 +551,9 @@ def check_corollary(composed: ComposedScheme, x: int) -> bool:
     Every slice of x must meet claim 1; the right-hand sides then add up
     to the total.
     """
-    blocks, p, slices = _source(composed, x)
-    total = []
-    for z, sl in slices.items():
-        rhs = _times_inner_totals(composed, composed._o_pairs[(p, z)][0], blocks)
-        if sl.wt != rhs:
-            return False
-        total.append(rhs)
-    return exact_sum(total) == _times_inner_totals(composed, composed._outer_wt[p], blocks)
+    p, classes, slices = _source(composed, x)
+    rhs, adds_up = _claim_sides(composed, p, classes)
+    return all(sl.wt == rhs[z] for z, sl in slices.items()) and adds_up
 
 
 def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
@@ -368,7 +564,7 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     over the i1 block satisfies V <= v_inner * sqrt(r1) * W, with W the
     matching pair-weight sum and r1 the outer ratio at i1.  Exact.
     """
-    _, p, slices = _source(composed, x, z)
+    p, _, slices = _source(composed, x, z)
     m, n = composed.m, composed.n
     i1 = (i - 1) // m + 1
     r1 = dict(composed._o_pairs[(p, z)][1]).get(i1)
@@ -380,7 +576,7 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
         v_terms, w_terms = groups.setdefault(xor & outside, ([], []))
         w_terms.append(w)
         v_terms.extend(fwd for j, fwd, _ in diffs if j == i)
-    bound_factor = composed.inner_vmax * composed._sqrtp(r1, ONE)
+    bound_factor = composed.inner_vmax * _sqrt_product(r1, ONE)
     for v_terms, w_terms in groups.values():
         if not v_terms:
             continue

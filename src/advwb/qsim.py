@@ -105,7 +105,10 @@ class QueryAlgorithm:
             if shape != (dim, dim):
                 raise QsimError(f"unitary {t} has shape {shape}, expected {(dim, dim)}")
         mats = np.array(self.unitaries, dtype=np.complex128)
-        gram = mats.conj().transpose(0, 2, 1) @ mats  # U_t^H U_t, all t at once
+        # U_t^H U_t, all t at once; huge entries overflow to inf or nan, which
+        # the defect test below rejects, so numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = mats.conj().transpose(0, 2, 1) @ mats
         gram -= np.eye(dim)
         defects = np.abs(gram).max(axis=(1, 2))
         bad = np.flatnonzero(~(defects <= UNITARY_TOL))  # NaN entries fail too

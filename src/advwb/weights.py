@@ -427,5 +427,6 @@ def exact_sum(values):
         counts[v] = counts.get(v, 0) + 1
     total = _ZERO
     for v, c in counts.items():
-        total = total + (v if c == 1 else v * ExactWeight(c))
+        # a positive int is already canonical: no squarefree split or gcd
+        total = total + (v if c == 1 else v * ExactWeight._raw(c, 1, 1))
     return total

@@ -35,6 +35,13 @@ def test_var_bit_most_significant_first():
         var_bit(4, 0)
 
 
+@pytest.mark.parametrize("table", [b"\x00\x01\x02\x01", b"0110", b"\x00\x01\x01\xff"])
+def test_table_entries_must_be_bits(table):
+    with pytest.raises(ValueError, match=r"^table entries must be 0 or 1$"):
+        BooleanFunction(2, table)
+    assert BooleanFunction(2, b"\x00\x01\x01\x00") == parity(2)
+
+
 def test_block_mask():
     assert block_mask(4, (1, 2)) == 0b1100
     assert block_mask(4, ()) == 0

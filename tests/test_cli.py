@@ -741,6 +741,23 @@ def test_malformed_algorithm_file_is_a_load_error(capsys, tmp_path, doc):
     assert len(err.splitlines()) == 1 and err.startswith("cannot build algorithm: ")
 
 
+def test_huge_algorithm_entries_give_one_line_and_no_warning(tmp_path):
+    # U^H U overflows to inf and nan; numpy's warnings would reach stderr
+    huge = [[1e200 if r == c else 0, 0] for r in range(4) for c in range(4)]
+    path = tmp_path / "huge.algorithm.json"
+    path.write_text(json.dumps({"n": 3, "work": 1, "unitaries": [huge, huge]}))
+    src = str(Path(advwb.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "advwb", "simulate", str(path), "--scheme", "g"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "cannot build algorithm: matrix 0 is not unitary (defect inf > 1e-09)\n"
+    )
+
+
 def test_simulate_arity_mismatch(capsys):
     code, _, err = run_cli(capsys, "simulate", "parity2", "--scheme", "f4")
     assert code == 1

@@ -3,7 +3,9 @@
 `slice_table` must hand out the very Slice objects that the per-source
 lookups and sweeps read, and `loads` must equal the per-source reference
 loop of `loads_reference`, on builtin, composed and generated schemes, on
-both its int64 and its object-dtype paths.
+both its int64 and its object-dtype paths.  A composed scheme's slices,
+built in batches, must equal the per-entry loop of `compose_reference`,
+with the same errors.
 """
 
 from fractions import Fraction
@@ -24,9 +26,10 @@ from advwb.adversary import (
     upper_certificate,
     verify,
 )
-from advwb.boolfn import f4, h6, nae3, parity
+from advwb.boolfn import f4, h6, nae3, or_n, parity
 from advwb.compose import compose_scheme
 from advwb.weights import ONE, ExactWeight, Root
+from compose_reference import assert_templates_match, reference_entries, reference_slices
 from loads_reference import assert_loads_match
 
 
@@ -95,7 +98,25 @@ def test_composed_generated_schemes(scheme):
     c = compose_scheme(g, g)
     assert verify(c) == []
     assert_table_is_slices_of(c)
+    assert_templates_match(c)
     assert_loads_match(c)
+    c = compose_scheme(g, g)
+    for x in c.a_side + c.b_side:
+        c._slices_of(x)
+    assert_templates_match(c)
+
+
+@pytest.mark.parametrize("name", ["nae3", "f4"])
+@pytest.mark.parametrize("one_at_a_time", [False, True])
+def test_squared_templates_match_the_reference(name, one_at_a_time):
+    # built by whole slice tables, or first one source at a time as the
+    # claim checks do
+    g = balance(builtin_scheme(name))
+    c = compose_scheme(g, g)
+    if one_at_a_time:
+        for x in c.a_side + c.b_side:
+            c._slices_of(x)
+    assert_templates_match(c)
 
 
 # primes just below 2^31: a common denominator of four of them needs ~124 bits
@@ -195,3 +216,53 @@ def test_upper_certificate_refuses_bad_probabilities():
         upper_certificate(f4(), minimax_probabilities("f4")[:8])
     with pytest.raises(SchemeError, match="no finite bound"):
         upper_certificate(h6(), [[1, 0, 0, 0, 0, 0]] * 64)
+
+
+def _mixed_ratios() -> ExplicitScheme:
+    """A balanced or2 scheme (v_A = v_B = 1) with fwd/bwd ratios 1, 2 and
+    sqrt(2).
+
+    Composing it with itself multiplies sqrt(2) by 1 or 2 in some
+    templates, a ratio product with no exact square root.  Outer pairs
+    differ in one block or in two, so one batch mixes both kinds of
+    template: on the A side the first template, a two-block one, fails on
+    sqrt(2), and the first one-block template on 2*sqrt(2).
+    """
+    return ExplicitScheme(
+        or_n(2),
+        [
+            (0b00, 0b11, ONE, {1: (ONE, ONE), 2: (ExactWeight(1, 1, 2), ONE)}),
+            (0b00, 0b10, ONE, {1: (ExactWeight(2), ONE)}),
+            (0b00, 0b01, ONE, {2: (ONE, ONE)}),
+        ],
+    )
+
+
+def _error(build) -> str | None:
+    """The message of the SchemeError build() raises, or None."""
+    try:
+        build()
+    except SchemeError as exc:
+        return str(exc)
+    return None
+
+
+def test_template_errors_match_the_reference():
+    s = _mixed_ratios()
+    rep = loads(s)
+    assert (rep.v_a, rep.v_b) == (ONE, ONE)
+    for side in "ab":
+        c = compose_scheme(s, s)
+        want = _error(lambda: reference_slices(c, side))
+        assert want is not None and "has no exact square root" in want
+        assert _error(lambda: c.slice_table(side)) == want
+    # one source at a time: each source fails on its own first bad slice
+    c = compose_scheme(s, s)
+    errors = set()
+    for x in c.a_side + c.b_side:
+        blocks, p, _ = c._surroundings(x)
+        slots = [z for z, _ in c._o_partners[p]]
+        want = _error(lambda: [reference_entries(c, blocks, p, z) for z in slots])
+        assert _error(lambda: c._slices_of(x)) == want
+        errors.add(want)
+    assert None in errors and len(errors) > 2
