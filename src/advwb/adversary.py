@@ -826,26 +826,50 @@ def builtin_scheme(name: str) -> ExplicitScheme:
 # ---- scheme files -----------------------------------------------------------
 
 
+def _quote(weight) -> str:
+    return json.dumps(str(weight))
+
+
+def _pair_text(x: int, y: int, w, diffs) -> str:
+    """One pair as json.dumps(doc, indent=1) prints it inside "pairs"."""
+    wp = ",\n".join(
+        f'    "{i}": [\n     {_quote(fwd)},\n     {_quote(bwd)}\n    ]' for i, fwd, bwd in diffs
+    )
+    wp = f"{{\n{wp}\n   }}" if diffs else "{}"
+    return f'  {{\n   "x": {x},\n   "y": {y},\n   "w": {_quote(w)},\n   "wp": {wp}\n  }}'
+
+
 def save_scheme(scheme, path) -> None:
-    """Write a scheme to JSON with exact weight strings."""
-    doc = {
-        "arity": scheme.f.arity,
-        "table": "".join(str(b) for b in scheme.f.table),
-        "a": list(scheme.a_side),
-        "b": list(scheme.b_side),
-        "pairs": [],
-    }
-    for source, records in scheme.sweep_pairs("a"):
-        for partner, w, diffs in records:
-            doc["pairs"].append(
-                {
-                    "x": source,
-                    "y": partner,
-                    "w": str(w),
-                    "wp": {str(i): [str(fwd), str(bwd)] for i, fwd, bwd in diffs},
-                }
-            )
-    Path(path).write_text(json.dumps(doc, indent=1))
+    """Write a scheme to JSON with exact weight strings.
+
+    The file holds json.dumps(doc, indent=1) of the whole document, but it
+    is written as it is made: the header, then the pairs one source at a
+    time, so that only one source's pairs are held in memory.
+    """
+    head = json.dumps(
+        {
+            "arity": scheme.f.arity,
+            "table": "".join(str(b) for b in scheme.f.table),
+            "a": list(scheme.a_side),
+            "b": list(scheme.b_side),
+            "pairs": [],
+        },
+        indent=1,
+    )
+    chunks = (
+        ",\n".join(_pair_text(source, *record) for record in records)
+        for source, records in scheme.sweep_pairs("a")
+        if records
+    )
+    with Path(path).open("w") as out:
+        first = next(chunks, None)
+        if first is None:
+            out.write(head)
+            return
+        out.write(head.removesuffix("[]\n}") + "[\n" + first)
+        for chunk in chunks:
+            out.write(",\n" + chunk)
+        out.write("\n ]\n}")
 
 
 def _is_int(value) -> bool:

@@ -15,6 +15,16 @@ whose float answer is then certified on one side in integers, a
 rationalised primal polynomial when the degree suffices and a projected
 dual polynomial when it does not.
 
+The HiGHS LP min t s.t. |p - f| <= t, deg p <= k is written on its
+smaller side.  The monomial form has a column per monomial of degree <= k.
+The Moebius form has a row per mask T of size > k, asking that p's Moebius
+coefficient at T vanish; with u = (p - f) / t and alpha = 1 / t it
+maximises alpha over box-bounded u.  The Moebius form is used when those
+masks are no more than the monomials, which depends on n and k alone.
+(e, t) -> (e / t, 1 / t) is projective, so the vertex that the
+interior-point method's crossover ends at is a vertex of the monomial form
+too, and both forms' answers rationalise alike.
+
 Block sensitivity is sandwiched by s <= bs(x) <= C(x) (Nisan 1989): it
 starts from s, packs blocks only at inputs whose certificate size exceeds
 the best so far, and stops each packing once it reaches C(x).
@@ -254,13 +264,36 @@ def _certify_upper(
     return ApproxWitness(k, eps, coeffs, deviation) if deviation <= eps else None
 
 
+def _moebius_form(n: int, monomials: list[int]) -> bool:
+    """Whether the LP over span(monomials) is posed on the masks outside it.
+
+    That form has a row per such mask and the monomial form a column per
+    monomial, so the smaller side wins; at a tie the Moebius form has a
+    quarter of the monomial form's 2 * 2^n rows.
+    """
+    return (1 << n) - len(monomials) <= len(monomials)
+
+
 def _lp_float(f: BooleanFunction, monomials: list[int]):
     """HiGHS solution of min t s.t. |p(x) - f(x)| <= t, p in span(monomials).
 
-    Returns (t, the coefficients of p, the dual polynomial psi) in floats.
-    The interior-point method with its default crossover returns a vertex,
-    as the simplex does, so its values rationalise the same way.
+    Returns (t, the coefficients of p, the dual polynomial psi) in floats,
+    psi scaled to |psi|_1 = 1 with sum psi*f = t.  The LP is written in
+    one of two forms, whichever is smaller (_moebius_form): over the
+    monomials' coefficients (_lp_monomials) or over the Moebius rows of the
+    other masks (_lp_moebius).  Both are solved by the interior-point
+    method with crossover, which ends at a vertex; the Moebius form's
+    vertices are those of the monomial form under a projective map, so
+    either form's values rationalise the same way.
     """
+    if _moebius_form(f.arity, monomials):
+        return _lp_moebius(f, monomials)
+    return _lp_monomials(f, monomials)
+
+
+def _lp_monomials(f: BooleanFunction, monomials: list[int]):
+    """_lp_float posed as 2 * 2^n rows |p(x) - f(x)| <= t over the
+    coefficients of p and t."""
     import scipy.optimize
     import scipy.sparse
 
@@ -288,6 +321,57 @@ def _lp_float(f: BooleanFunction, monomials: list[int]):
     # their magnitudes, so that sum psi*f is the dual objective
     marginals = res.ineqlin.marginals
     return res.fun, res.x[1:], marginals[:size] - marginals[size:]
+
+
+def _lp_moebius(f: BooleanFunction, monomials: list[int]):
+    """_lp_float posed on the masks T outside monomials, one row each.
+
+    p lies in span(monomials) exactly when its Moebius coefficient at every
+    such T, sum_x g_T(x) p(x) with g_T(x) = (-1)^(|T| - |x|) [x subset of
+    T], is 0.  With u = (p - f) / t and alpha = 1 / t the LP becomes:
+    maximise alpha s.t. g_T . u + alpha * (g_T . f) = 0 for every T,
+    -1 <= u <= 1 and alpha >= 0.  Then t = 1 / alpha, the coefficients of p
+    = f + u / alpha are its Moebius transform read at monomials, and the
+    dual polynomial is sum_T y_T g_T for the row multipliers y.
+    """
+    import scipy.optimize
+    import scipy.sparse
+
+    n = f.arity
+    size = 1 << n
+    low = np.zeros(size, dtype=bool)
+    low[monomials] = True
+    high = np.flatnonzero(~low)
+    # rows: g_T . u + alpha * (g_T . f) = 0 per T in high; column x < size
+    # is u(x), nonzero on the rows of its supersets, and column size alpha
+    ks = np.arange(size)
+    subsets = [np.flatnonzero(ks & t == ks) for t in high.tolist()]
+    x_of = np.concatenate(subsets)
+    t_of = np.repeat(np.arange(len(high)), [len(xs) for xs in subsets])
+    odd = (np.bitwise_count(high)[t_of] - np.bitwise_count(x_of)) & 1
+    moebius_f = _butterflies(f.np_table.astype(np.int64), n, _moebius)[high]
+    nz = np.flatnonzero(moebius_f)
+    rows = np.concatenate([t_of, nz])
+    cols = np.concatenate([x_of, np.full(len(nz), size)])
+    vals = np.concatenate([1.0 - 2.0 * odd, moebius_f[nz]])
+    A_eq = scipy.sparse.csc_array((vals, (rows, cols)), shape=(len(high), size + 1))
+    c = np.zeros(size + 1)
+    c[size] = -1.0
+    bounds = [(-1, 1)] * size + [(0, None)]
+    res = scipy.optimize.linprog(
+        c, A_eq=A_eq, b_eq=np.zeros(len(high)), bounds=bounds, method="highs-ipm"
+    )
+    if not res.success:
+        raise CertificateError(f"LP solve failed: {res.message}")
+    alpha = res.x[size]
+    p = f.np_table + res.x[:size] / alpha
+    x = _butterflies(p, n, _moebius)[monomials]
+    # the multipliers' sign and scale are the solver's: psi is turned to
+    # correlate positively with f and scaled to |psi|_1 = 1, so that
+    # sum psi*f = t, as the monomial form's marginals give it
+    psi = A_eq[:, :size].T @ res.eqlin.marginals
+    psi /= np.abs(psi).sum() * np.sign(psi @ f.np_table)
+    return 1 / alpha, x, psi
 
 
 def _lp_exact(f: BooleanFunction, monomials: list[int], eps: Fraction):

@@ -339,3 +339,51 @@ def test_balanced_scheme_saves_and_loads(tmp_path):
     rep = loads(back)
     assert rep.v_a == rep.v_b == ExactWeight(2, 39, 39)
     assert rep.bound == ExactWeight(1, 2, 39)
+
+
+def whole_document(scheme) -> str:
+    """The scheme file as one json.dumps of the whole document."""
+    import json
+
+    pairs = [
+        {
+            "x": source,
+            "y": partner,
+            "w": str(w),
+            "wp": {str(i): [str(fwd), str(bwd)] for i, fwd, bwd in diffs},
+        }
+        for source, records in scheme.sweep_pairs("a")
+        for partner, w, diffs in records
+    ]
+    doc = {
+        "arity": scheme.f.arity,
+        "table": "".join(str(b) for b in scheme.f.table),
+        "a": list(scheme.a_side),
+        "b": list(scheme.b_side),
+        "pairs": pairs,
+    }
+    return json.dumps(doc, indent=1)
+
+
+def test_saved_scheme_is_the_whole_document_dump(tmp_path):
+    from types import SimpleNamespace
+
+    from advwb.compose import compose_scheme
+
+    one_root2 = ONE + ExactWeight(1, 1, 2)
+    roots = ExplicitScheme(
+        parity(2),
+        [
+            (0, 1, ExactWeight(1, 1, 2), {2: (ExactWeight(1, 2, 2), ExactWeight(2, 1, 2))}),
+            (3, 1, ExactWeight(3, 5, 6), {1: (one_root2, ExactWeight(3, 5, 6))}),
+        ],
+    )
+    schemes = [builtin_scheme(name) for name in ("f4", "nae3", "h6")]
+    schemes += [balance(builtin_scheme("h6")), roots]
+    schemes.append(compose_scheme(builtin_scheme("nae3"), builtin_scheme("nae3")))
+    # a scheme object with no pairs at all: the header alone
+    schemes.append(SimpleNamespace(f=f4(), a_side=(), b_side=(), sweep_pairs=lambda side: iter(())))
+    path = tmp_path / "s.scheme.json"
+    for s in schemes:
+        save_scheme(s, path)
+        assert path.read_text() == whole_document(s)

@@ -274,6 +274,57 @@ def test_dual_at_or_below_eps_is_rejected():
     assert not measures._certify_lower(f, 2, psi, THIRD)
 
 
+@pytest.mark.parametrize(
+    "n,k,moebius",
+    [(4, 1, False), (4, 2, True), (5, 2, True), (6, 2, False), (10, 3, False), (10, 6, True)],
+)
+def test_lp_form_is_the_smaller_side(n, k, moebius):
+    # 2^n - #monomials Moebius rows against #monomials columns; a tie, as
+    # 16 against 16 at (5, 2), goes to the Moebius form
+    assert measures._moebius_form(n, measures._monomials_up_to(n, k)) is moebius
+
+
+LP_FORMS = (measures._lp_monomials, measures._lp_moebius)
+
+
+def test_lp_forms_agree_on_random_tables():
+    for f in random_tables(11, range(3, 9), 12):
+        for k in range(degree(f)):
+            monomials = measures._monomials_up_to(f.arity, k)
+            answers = [form(f, monomials) for form in LP_FORMS]
+            (value, _, _), (other, _, _) = answers
+            assert other == pytest.approx(value, abs=1e-9)
+            sides = {
+                (
+                    measures._certify_upper(f, k, monomials, x, THIRD) is not None,
+                    measures._certify_lower(f, k, psi, THIRD),
+                )
+                for _, x, psi in answers
+            }
+            assert len(sides) == 1, (f, k, sides)
+
+
+@pytest.mark.parametrize("form", LP_FORMS)
+@pytest.mark.parametrize("bits,k", TIE_TABLES)
+def test_lp_forms_recover_tie_vertices(form, bits, k):
+    f = BooleanFunction.from_bits(bits)
+    monomials = measures._monomials_up_to(f.arity, k)
+    _, x, _ = form(f, monomials)
+    assert measures._certify_upper(f, k, monomials, x, THIRD).deviation == THIRD
+
+
+def test_moebius_dual_certifies_parity():
+    # sign and scale: psi correlates with f by the optimum 1/2, |psi|_1 = 1
+    f, k = parity(5), 3
+    monomials = measures._monomials_up_to(5, k)
+    assert measures._moebius_form(5, monomials)
+    value, _, psi = measures._lp_moebius(f, monomials)
+    assert value == pytest.approx(0.5)
+    assert np.abs(psi).sum() == pytest.approx(1)
+    assert psi @ f.np_table == pytest.approx(value)
+    assert measures._certify_lower(f, k, psi, THIRD)
+
+
 def test_dual_is_projected_off_low_degree():
     f = parity(3)
     chi = np.array([(-1) ** x.bit_count() for x in range(8)], dtype=float)
