@@ -13,14 +13,15 @@ Protocol (duck-typed):
     pair_count   number of pairs in the relation
     slice_table(side)    the records of a side ("a" or "b") as one array
                          view: (sources, ids, slices), with sources an
-                         int64 array, ids an (S, K) int64 array whose row
-                         r lists the slices of sources[r] in order (-1 for
-                         an empty slot; slot 0 is never empty) and slices
-                         the distinct Slice objects the ids index.  A
-                         Slice holds (xor, w, diffs) entries whose partner
-                         is source ^ xor, and diffs is a tuple of
+                         int64 array, ids an (S, K) integer array whose
+                         row r lists the slices of sources[r] in order (-1
+                         for an empty slot; slot 0 is never empty) and
+                         slices the distinct Slice objects the ids index.
+                         A Slice holds (xor, w, diffs) entries whose
+                         partner is source ^ xor, and diffs is a tuple of
                          (i, fwd, bwd) over differing coordinates, fwd
-                         being w'(source, partner, i)
+                         being w'(source, partner, i).  Every call returns
+                         the same three objects
     sweep_slices(side)   yields (source, slices) per row of the table
     sweep_pairs(side)    the flattening of sweep_slices: yields
                          (source, records) with (partner, w, diffs) records
@@ -35,8 +36,9 @@ walks the sources in Python.
 
 Two classes implement the protocol, both on top of `TableSweeps`:
 ExplicitScheme builds one slice per source from literal pair tables, and
-compose.ComposedScheme builds its slices from an outer and an inner
-scheme, sharing one slice among all sources with the same surroundings.
+compose.ComposedScheme builds each side's table once, on first use, from
+an outer and an inner scheme, sharing one slice among all sources with the
+same surroundings.
 `balance` returns an ExplicitScheme, or its argument when that is
 already balanced.
 """
@@ -121,37 +123,52 @@ def _product_fault(w, fwd, bwd) -> tuple[str, str] | None:
     return kind, f"w'*w' = {fwd * bwd} < w^2 = {w * w}"
 
 
-def _faults(sl: Slice, checked: dict) -> list:
-    """(xor, kind, i, message) for every requirement an entry of sl fails.
+def _entry_faults(entry: tuple, arity: int, products: dict) -> list:
+    """(xor, kind, i, message) for every requirement one entry fails.
 
     Positivity, the product constraint and coverage, in the order `verify`
     reports them.  Coverage compares the coordinates of diffs with xor,
-    which equals source ^ partner for every source.  `checked` memoizes
-    the outcome of each (w, fwd, bwd) triple across slices.
+    which equals source ^ partner for every source.  `products` memoizes
+    the outcome of each (w, fwd, bwd) triple.
+    """
+    xor, w, diffs = entry
+    if w.is_zero:
+        return [(xor, "weight", None, "pair weight is zero")]
+    out = []
+    mask = 0
+    for i, fwd, bwd in diffs:
+        mask |= var_bit(arity, i)
+        triple = (w, fwd, bwd)
+        if triple not in products:
+            products[triple] = _product_fault(w, fwd, bwd)
+        fault = products[triple]
+        if fault is not None:
+            out.append((xor, fault[0], i, fault[1]))
+    if mask != xor:
+        out.append(
+            (
+                xor,
+                "coverage",
+                None,
+                "directional weights do not cover exactly the differing coordinates",
+            )
+        )
+    return out
+
+
+def _faults(sl: Slice, checked: dict, products: dict) -> list:
+    """The faults of every entry of sl, in entry order.
+
+    Slices may share entry tuples, so `checked` memoizes each entry's
+    faults by id(entry); the ids stay valid while the caller keeps the
+    slices, and thereby their entries, alive.
     """
     out = []
-    for xor, w, diffs in sl.entries:
-        if w.is_zero:
-            out.append((xor, "weight", None, "pair weight is zero"))
-            continue
-        mask = 0
-        for i, fwd, bwd in diffs:
-            mask |= var_bit(sl.arity, i)
-            triple = (w, fwd, bwd)
-            if triple not in checked:
-                checked[triple] = _product_fault(w, fwd, bwd)
-            fault = checked[triple]
-            if fault is not None:
-                out.append((xor, fault[0], i, fault[1]))
-        if mask != xor:
-            out.append(
-                (
-                    xor,
-                    "coverage",
-                    None,
-                    "directional weights do not cover exactly the differing coordinates",
-                )
-            )
+    for entry in sl.entries:
+        found = checked.get(id(entry))
+        if found is None:
+            found = checked[id(entry)] = _entry_faults(entry, sl.arity, products)
+        out += found
     return out
 
 
@@ -277,7 +294,8 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
 
     sources, ids, slices = scheme.slice_table("a")
     checked: dict = {}
-    faults = [_faults(sl, checked) for sl in slices]
+    products: dict = {}
+    faults = [_faults(sl, checked, products) for sl in slices]
     # a last False stands for the empty slot, id -1
     faulty = np.array([bool(fl) for fl in faults] + [False])
     for r in np.flatnonzero(faulty[ids].any(axis=1)).tolist():

@@ -12,27 +12,27 @@ The pairs from one source to the partners with one block pattern form a
 slice.  Its entries (xor offset, weight, directional weights) depend
 only on the pattern pair, the source's blocks where the patterns differ
 and the inner totals where they agree, so sources with the same
-surroundings share one cached `adversary.Slice`: 2,304 slices serve the
+surroundings share one `adversary.Slice`: 2,304 slices serve the
 1,310,720 pairs of the 4-bit base's square.  `slice_table` finds every
-source's slices at once: it computes blocks, block patterns and
+source's slices of a side at once: it computes blocks, block patterns and
 total-weight classes as arrays, takes `np.unique` of the slice key per
-outer partner slot, and builds all slices not yet cached in one batch.
-The batch works on integer ids of the few distinct exact weights: each
-product, quotient and ratio root is computed once per distinct id pair,
-and only distinct diff triples and distinct entries become Python
-tuples, which the slices share (1,136 entries serve the 33,792 entry
-slots of the 4-bit base's square).  `verify` and `loads` read that array
-view and never walk the sources in Python; `sweep_slices` and
-`sweep_pairs` flatten it into per-source slices and records.  The claim
-checks at the end of this module look slices up one source at a time
-(`_slices_of`) in the same cache, built by the same batch code, so they
-certify exactly what `verify` and `loads` consume; their right-hand
-sides depend only on the block pattern and total-weight classes and are
-computed once for each.
+outer partner slot, and builds the side's slices in one batch, once; the
+table is kept and handed out again on every later call.  The batch works
+on integer ids of the few distinct exact weights: each product, quotient
+and ratio root is computed once per distinct id pair, and only distinct
+diff triples and distinct entries become Python tuples, which the slices
+share (on each side of the 4-bit base's square, 1,136 entries serve
+16,896 entry slots).  `verify`, `loads`, `sweep_slices` and
+`sweep_pairs` read that table, and so do the claim checks at the end of
+this module: they find a source's row by binary search on its side, so
+they certify exactly what `verify` and `loads` consume.  Their
+right-hand sides depend only on the block pattern and total-weight
+classes and are computed once for each.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -206,7 +206,8 @@ class _TemplateBuilder:
         )
 
     def build(self, keys: list, blocks: np.ndarray) -> list[Slice]:
-        """The Slices of keys (p, z, ...), the sources' blocks given per row.
+        """The Slices of outer pairs keys[k] = (p, z), towards z from a
+        source with pattern p and the blocks in row k of blocks.
 
         A slice's entries are the product of the inner records of its
         differing blocks, the first differing block outermost; the product
@@ -218,8 +219,8 @@ class _TemplateBuilder:
         entries become one shared tuple each.
         """
         pool, n, m = self.pool, self.n, self.m
-        outer = [self.outer[key[:2]] for key in keys]
-        differ = np.array([key[0] ^ key[1] for key in keys], dtype=np.int64)
+        outer = [self.outer[key] for key in keys]
+        differ = np.array([p ^ z for p, z in keys], dtype=np.int64)
         base = np.array([w for w, _ in outer], dtype=np.int64)
         for j in range(n):
             at = np.flatnonzero((differ >> (n - 1 - j)) & 1 == 0)
@@ -296,12 +297,13 @@ class _TemplateBuilder:
 class ComposedScheme(TableSweeps):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    Nothing is stored per pair.  `slice_table` builds the shared slices
-    it needs in one batch (`_TemplateBuilder`) from the outer and inner
-    schemes' records, so the ~1.3*10^6 pairs of the 4-bit base's square
-    stay cheap and exact; there is no per-pair lookup.  Slices share
-    their entry and diff tuples, and the batch builder and its pool of
-    weight ids are made on first use, not at construction.
+    Nothing is stored per pair.  `slice_table` builds a side's shared
+    slices in one batch (`_TemplateBuilder`) from the outer and inner
+    schemes' records and keeps the side's table, so the ~1.3*10^6 pairs
+    of the 4-bit base's square stay cheap and exact; there is no per-pair
+    lookup.  Slices share their entry and diff tuples, and the tables, the
+    batch builder and its pool of weight ids are made on first use, not
+    at construction.
     """
 
     def __init__(self, outer, inner):
@@ -350,7 +352,7 @@ class ComposedScheme(TableSweeps):
             )
             for p, recs in self._o_records.items()
         }
-        self._templates: dict = {}
+        self._tables: dict = {}  # side -> (sources, ids, slices)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
 
         self.a_side = self._enumerate_side(outer.a_side)
@@ -373,18 +375,6 @@ class ComposedScheme(TableSweeps):
                     x = (x << m) | b
                 out.append(x)
         return tuple(sorted(out))
-
-    def _blocks_of(self, x: int) -> tuple[int, ...]:
-        m, n = self.m, self.n
-        mask = (1 << m) - 1
-        return tuple((x >> ((n - 1 - j) * m)) & mask for j in range(n))
-
-    def _pattern_of(self, blocks) -> int:
-        tab = self.inner.f.table
-        p = 0
-        for b in blocks:
-            p = (p << 1) | tab[b]
-        return p
 
     def _count_pairs(self) -> int:
         """Pairs of the composed relation, counted without a sweep.
@@ -412,47 +402,23 @@ class ComposedScheme(TableSweeps):
     def _builder(self) -> _TemplateBuilder:
         return _TemplateBuilder(self)
 
-    def _build(self, keys: list, blocks) -> None:
-        """Build the slices of keys, given their sources' blocks, into the cache."""
-        block_rows = np.array(blocks, dtype=np.int64).reshape(len(keys), self.n)
-        self._templates.update(zip(keys, self._builder.build(keys, block_rows)))
-
-    def _surroundings(self, x: int) -> tuple:
-        """Blocks, block pattern and total-weight classes of source x."""
-        blocks = self._blocks_of(x)
-        return blocks, self._pattern_of(blocks), tuple([self._wt_class[u] for u in blocks])
-
-    def _slices_of(self, x: int) -> dict:
-        """z -> the shared Slice of x's pairs towards block pattern z.
-
-        Sources with the same pattern, the same blocks where it differs
-        from z and the same total-weight classes elsewhere share a slice.
-        """
-        blocks, p, classes = self._surroundings(x)
-        return {
-            z: self._cached((p, z, x & mask, classes), blocks)
-            for z, mask in self._o_partners[p]
-        }
-
-    def _cached(self, key: tuple, blocks: tuple) -> Slice:
-        """The shared Slice of key = (p, z, x & mask, classes), built from
-        the blocks of a source x with that key when not yet cached."""
-        if key not in self._templates:
-            self._build([key], [blocks])
-        return self._templates[key]
-
     def slice_table(self, side: str):
-        """(sources, ids, slices) of a side, with every source's slots in
-        the order of `_slices_of`, found as whole-array passes.
+        """(sources, ids, slices) of a side, built on the first call and
+        the same objects on every call after it.
 
-        For each block pattern p and outer partner slot (p, z), the key
-        (x & mask, classes) of `_slices_of` is numbered over the sources
-        at once with `np.unique`, the classes folded into one integer
-        above the source bits.  Each distinct key is looked up in the
-        shared cache, and built from its first source when missing.
+        Sources with the same block pattern p, the same blocks where p
+        differs from an outer partner z and the same total-weight classes
+        elsewhere share a slice towards z.  For each p and outer partner
+        slot (p, z) that key is numbered over the sources at once with
+        `np.unique`, the classes folded into one integer above the source
+        bits, and every distinct key's slice is built from its first
+        source, the whole side in one batch.
         """
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
+        table = self._tables.get(side)
+        if table is not None:
+            return table
         n, m = self.n, self.m
         xs = np.array(self.a_side if side == "a" else self.b_side, dtype=np.int64)
         shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -465,7 +431,8 @@ class ComposedScheme(TableSweeps):
         class_code = (classes * radix**shifts).sum(axis=1) << self.arity
         present = np.unique(patterns).tolist()
         width = max(len(self._o_partners[p]) for p in present)
-        ids = np.full((len(xs), width), -1, dtype=np.int64)
+        # int32 ids halve the kept table; a side has far fewer than 2^31 slices
+        ids = np.full((len(xs), width), -1, dtype=np.int32)
         keys: list = []
         firsts: list = []
         for p in present:
@@ -475,18 +442,11 @@ class ComposedScheme(TableSweeps):
                     class_code[rows] | (xs[rows] & mask), return_index=True, return_inverse=True
                 )
                 ids[rows, k] = inverse + len(keys)
-                at = rows[first]
-                keys += [
-                    (p, z, x, tuple(c))
-                    for x, c in zip((xs[at] & mask).tolist(), classes[at].tolist())
-                ]
-                firsts.append(at)
-        at = np.concatenate(firsts)
-        missing = [r for r, key in enumerate(keys) if key not in self._templates]
-        if missing:
-            self._build([keys[r] for r in missing], blocks[at[missing]])
-        slices = [self._templates[key] for key in keys]
-        return xs, ids, slices
+                keys += [(p, z)] * len(first)
+                firsts.append(rows[first])
+        slices = self._builder.build(keys, blocks[np.concatenate(firsts)])
+        table = self._tables[side] = (xs, ids, slices)
+        return table
 
 
 def compose_scheme(outer, inner) -> ComposedScheme:
@@ -505,13 +465,24 @@ def predicted_bound(base_scheme, d: int) -> ExactWeight:
 
 
 def _source(composed: ComposedScheme, x: int, z: int | None = None):
-    """Block pattern, total-weight classes and slices of x; with z, (p, z)
-    must be an outer pair."""
-    _, p, classes = composed._surroundings(x)
-    slices = composed._slices_of(x)
-    if z is not None and z not in slices:
+    """Block pattern, total-weight classes and z -> slice of source x, the
+    slices read off the row of x in its side's `slice_table`; with z,
+    (p, z) must be an outer pair."""
+    for side, xs in (("a", composed.a_side), ("b", composed.b_side)):
+        r = bisect.bisect_left(xs, x)
+        if r < len(xs) and xs[r] == x:
+            break
+    else:
+        raise SchemeError(f"input {x} is not a source of the composed relation")
+    _, ids, slices = composed.slice_table(side)
+    n, m = composed.n, composed.m
+    blocks = [(x >> (n - 1 - j) * m) & ((1 << m) - 1) for j in range(n)]
+    p = sum(composed.inner.f.table[u] << (n - 1 - j) for j, u in enumerate(blocks))
+    partners = composed._o_partners[p]
+    row = {pz: slices[k] for (pz, _), k in zip(partners, ids[r].tolist())}
+    if z is not None and z not in row:
         raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
-    return p, classes, slices
+    return p, tuple([composed._wt_class[u] for u in blocks]), row
 
 
 def _claim_sides(composed: ComposedScheme, p: int, classes: tuple) -> tuple[dict, bool]:
@@ -566,7 +537,7 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     """
     p, _, slices = _source(composed, x, z)
     m, n = composed.m, composed.n
-    i1 = (i - 1) // m + 1
+    i1, _ = block_index(i, n, composed.depth)
     r1 = dict(composed._o_pairs[(p, z)][1]).get(i1)
     if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")

@@ -15,9 +15,10 @@ from advwb.adversary import (
     load_scheme,
     loads,
     save_scheme,
+    unit_scheme,
     verify,
 )
-from advwb.boolfn import ArityError, f4, iterate, nae3, var_bit
+from advwb.boolfn import ArityError, f4, iterate, nae3, or_n, var_bit
 from advwb.compose import (
     ComposedScheme,
     block_index,
@@ -103,18 +104,15 @@ def test_corollary_reads_the_swept_templates():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
     assert verify(c) == []
-    key, tpl = next(iter(c._templates.items()))
-    doubled = tuple((xor, w * ExactWeight(2), diffs) for xor, w, diffs in tpl.entries)
-    c._templates[key] = Slice(doubled, tpl.arity)
+    slices = c.slice_table("a")[2]
+    doubled = tuple((xor, w * ExactWeight(2), diffs) for xor, w, diffs in slices[0].entries)
+    slices[0] = Slice(doubled, slices[0].arity)
     assert not all(check_corollary(c, x) for x in c.a_side + c.b_side)
     assert verify(c)
 
 
 def _all_slices(c: ComposedScheme) -> list:
-    for side in ("a", "b"):
-        for _ in c.sweep_slices(side):
-            pass
-    return list(c._templates.values())
+    return c.slice_table("a")[2] + c.slice_table("b")[2]
 
 
 @pytest.mark.parametrize("name", ["nae3", "f4"])
@@ -196,15 +194,15 @@ def test_verify_reports_what_a_record_level_check_reports(corruption):
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
     assert verify(c) == [] == _reference_violations(c)
-    key, tpl = next(iter(c._templates.items()))
-    (xor, w, diffs), *rest = tpl.entries
+    slices = c.slice_table("a")[2]
+    (xor, w, diffs), *rest = slices[0].entries
     if corruption == "scale":
         # nae3 squared is tight, so a halved forward weight breaks w'*w' >= w^2
         i, fwd, bwd = diffs[0]
         diffs = ((i, fwd * ExactWeight(1, 2), bwd),) + diffs[1:]
     else:
         diffs = diffs[1:]
-    c._templates[key] = Slice(((xor, w, diffs), *rest), tpl.arity)
+    slices[0] = Slice(((xor, w, diffs), *rest), slices[0].arity)
     want = _reference_violations(c)
     kind = "constraint" if corruption == "scale" else "coverage"
     assert want and {v.kind for v in want} == {kind}
@@ -327,6 +325,29 @@ def test_claim_checks_reject_non_partners():
                             check_claim2(c, x, z, i)
                         rejected += 1
     assert rejected
+
+
+@pytest.mark.parametrize("x", [0b1111, 0b0011])
+def test_claim_checks_reject_inputs_outside_the_relation(x):
+    s = unit_scheme(or_n(2), (0,), (1,), [(0, 1)])
+    c = compose_scheme(s, s)
+    for check in (
+        lambda: check_corollary(c, x),
+        lambda: check_claim1(c, x, 0b01),
+        lambda: check_claim2(c, x, 0b01, 4),
+    ):
+        with pytest.raises(SchemeError, match=f"^input {x} is not a source of the composed"):
+            check()
+
+
+@pytest.mark.parametrize("i", [0, 10, -3])
+def test_claim2_rejects_coordinates_outside_the_arity(i):
+    g = builtin_scheme("nae3")
+    c = compose_scheme(g, g)
+    x = c.a_side[0]
+    z = next(_nae3_pattern(y) for y, _, _ in next(c.sweep_pairs("a"))[1])
+    with pytest.raises(ValueError, match=f"coordinate {i} outside \\[1, 9\\]"):
+        check_claim2(c, x, z, i)
 
 
 def test_composed_constraint_holds_with_equality():

@@ -1,13 +1,15 @@
 """The array view of a scheme's records, and `loads` and `verify` on it.
 
-`slice_table` must hand out the very Slice objects that the per-source
-lookups and sweeps read, and `loads` must equal the per-source reference
-loop of `loads_reference`, on builtin, composed and generated schemes, on
-both its int64 and its object-dtype paths.  A composed scheme's slices,
-built in batches, must equal the per-entry loop of `compose_reference`,
-with the same errors.
+`slice_table` must hand out the same objects on every call, a composed
+scheme building each side once, and `loads` must equal the per-source
+reference loop of `loads_reference`, on builtin, composed and generated
+schemes, on both its int64 and its object-dtype paths.  A composed
+scheme's rows must follow the slice keys of `compose_reference`, and its
+slices, built in batches, must equal the per-entry loop there, with the
+same errors.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,42 +29,59 @@ from advwb.adversary import (
     verify,
 )
 from advwb.boolfn import f4, h6, nae3, or_n, parity
-from advwb.compose import compose_scheme
+from advwb.compose import _TemplateBuilder, check_corollary, compose_scheme
 from advwb.weights import ONE, ExactWeight, Root
-from compose_reference import assert_templates_match, reference_entries, reference_slices
+from compose_reference import assert_rows_follow_their_keys, assert_templates_match, reference_slices
 from loads_reference import assert_loads_match
-
-
-def assert_table_is_slices_of(c) -> None:
-    """Every row of both tables holds the `_slices_of` objects, in order."""
-    for side in "ab":
-        sources, ids, slices = c.slice_table(side)
-        assert sources.tolist() == list(c.a_side if side == "a" else c.b_side)
-        assert (ids[:, 0] >= 0).all()
-        for x, row in zip(sources.tolist(), ids.tolist()):
-            got = [slices[k] for k in row if k >= 0]
-            want = list(c._slices_of(x).values())
-            assert len(got) == len(want)
-            assert all(a is b for a, b in zip(got, want))
 
 
 def test_f4_squared_table_is_slices_of():
     g = balance(builtin_scheme("f4"))
     c = compose_scheme(g, g)
-    assert_table_is_slices_of(c)
-    assert len(c._templates) == 2304
+    assert_rows_follow_their_keys(c)
+    assert [len(c.slice_table(side)[2]) for side in "ab"] == [1152, 1152]
 
 
-def test_nae3_squared_table_is_slices_of_built_first():
+def test_nae3_squared_table_is_slices_of():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    for x in c.a_side + c.b_side:
-        c._slices_of(x)
-    assert len(c._templates) == 288
-    assert_table_is_slices_of(c)
-    assert len(c._templates) == 288
+    assert_rows_follow_their_keys(c)
+    assert [len(c.slice_table(side)[2]) for side in "ab"] == [144, 144]
     with pytest.raises(ValueError):
         c.slice_table("c")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: builtin_scheme("nae3"), lambda: compose_scheme(*[builtin_scheme("nae3")] * 2)],
+    ids=["explicit", "composed"],
+)
+def test_slice_table_hands_out_the_same_objects(build):
+    s = build()
+    for side in "ab":
+        first = s.slice_table(side)
+        again = s.slice_table(side)
+        assert all(a is b for a, b in zip(first, again))
+
+
+def test_f4_squared_builds_each_side_once(monkeypatch):
+    # verify builds the A side, loads the B side, and the corollary checks
+    # read those two tables
+    calls = []
+    build = _TemplateBuilder.build
+
+    def counted(self, keys, blocks):
+        calls.append(len(keys))
+        return build(self, keys, blocks)
+
+    monkeypatch.setattr(_TemplateBuilder, "build", counted)
+    g = balance(builtin_scheme("f4"))
+    c = compose_scheme(g, g)
+    assert verify(c) == []
+    assert loads(c, keep_maps=False).bound == ExactWeight(25, 4)
+    sample = random.Random(1).sample(range(1 << 16), 4096)
+    assert all(check_corollary(c, x) for x in sample)
+    assert calls == [1152, 1152]
 
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
@@ -97,25 +116,15 @@ def test_composed_generated_schemes(scheme):
     g = balance(scheme)
     c = compose_scheme(g, g)
     assert verify(c) == []
-    assert_table_is_slices_of(c)
+    assert_rows_follow_their_keys(c)
     assert_templates_match(c)
     assert_loads_match(c)
-    c = compose_scheme(g, g)
-    for x in c.a_side + c.b_side:
-        c._slices_of(x)
-    assert_templates_match(c)
 
 
 @pytest.mark.parametrize("name", ["nae3", "f4"])
-@pytest.mark.parametrize("one_at_a_time", [False, True])
-def test_squared_templates_match_the_reference(name, one_at_a_time):
-    # built by whole slice tables, or first one source at a time as the
-    # claim checks do
+def test_squared_templates_match_the_reference(name):
     g = balance(builtin_scheme(name))
     c = compose_scheme(g, g)
-    if one_at_a_time:
-        for x in c.a_side + c.b_side:
-            c._slices_of(x)
     assert_templates_match(c)
 
 
@@ -256,13 +265,7 @@ def test_template_errors_match_the_reference():
         want = _error(lambda: reference_slices(c, side))
         assert want is not None and "has no exact square root" in want
         assert _error(lambda: c.slice_table(side)) == want
-    # one source at a time: each source fails on its own first bad slice
-    c = compose_scheme(s, s)
-    errors = set()
-    for x in c.a_side + c.b_side:
-        blocks, p, _ = c._surroundings(x)
-        slots = [z for z, _ in c._o_partners[p]]
-        want = _error(lambda: [reference_entries(c, blocks, p, z) for z in slots])
-        assert _error(lambda: c._slices_of(x)) == want
-        errors.add(want)
-    assert None in errors and len(errors) > 2
+        # a claim check on a source builds the table of its side, and fails
+        # with the table's error
+        x = (c.a_side if side == "a" else c.b_side)[0]
+        assert _error(lambda: check_corollary(compose_scheme(s, s), x)) == want
