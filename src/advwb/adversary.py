@@ -22,23 +22,21 @@ Protocol (duck-typed):
                          (i, fwd, bwd) over differing coordinates, fwd
                          being w'(source, partner, i).  Every call returns
                          the same three objects
-    sweep_slices(side)   yields (source, slices) per row of the table
-    sweep_pairs(side)    the flattening of sweep_slices: yields
-                         (source, records) with (partner, w, diffs) records
-                         in slice order
+    sweep_pairs(side)    yields (source, records) per row of the table, with
+                         (partner, w, diffs) records in slot and slice order
 
 The records are the scheme: every pair appears once from each side, and
 there is no per-pair lookup.  A slice's entries do not depend on the
-source, so `verify` finds the faults of each distinct slice once, and
-`loads` sums each distinct slice once, as integer coefficient rows, then
-adds the K rows of every source one column at a time in numpy.  Neither
-walks the sources in Python.
+source, so `verify` finds the faults of each distinct slice once, `loads`
+sums each distinct slice once, as integer coefficient rows, then adds the
+K rows of every source one column at a time in numpy, and `save_scheme`
+formats each distinct entry once.
 
-Two classes implement the protocol, both on top of `TableSweeps`:
-ExplicitScheme builds one slice per source from literal pair tables, and
-compose.ComposedScheme builds each side's table once, on first use, from
-an outer and an inner scheme, sharing one slice among all sources with the
-same surroundings.
+Two classes implement the protocol, both on top of `TableSweeps`, and
+both keep equal entries once and share a slice among sources with equal
+surroundings: ExplicitScheme holds all of a source's pairs in one slot,
+and compose.ComposedScheme builds each side's table once, on first use,
+from an outer and an inner scheme, one slot per outer partner.
 `balance` returns an ExplicitScheme, or its argument when that is
 already balanced.
 """
@@ -96,7 +94,7 @@ class Slice:
     every source that reaches the slice.
     """
 
-    # no per-instance dict: an explicit scheme keeps one slice per source
+    # no per-instance dict: a table may hold tens of thousands of slices
     __slots__ = ("entries", "arity", "_wt")
 
     def __init__(self, entries: tuple, arity: int):
@@ -172,24 +170,14 @@ def _faults(sl: Slice, checked: dict, products: dict) -> list:
     return out
 
 
-def _share(triples, shared: dict) -> tuple:
-    """The triples as a tuple, each equal triple stored once in `shared`."""
-    return tuple(shared.setdefault(t, t) for t in triples)
-
-
 class TableSweeps:
-    """The sweeps of a scheme, read off its `slice_table`."""
-
-    def sweep_slices(self, side: str):
-        sources, ids, slices = self.slice_table(side)
-        for source, row in zip(sources.tolist(), ids.tolist()):
-            yield source, [slices[k] for k in row if k >= 0]
+    """The pair sweep of a scheme, read off its `slice_table`."""
 
     def sweep_pairs(self, side: str):
-        for source, slices in self.sweep_slices(side):
-            yield source, [
-                (source ^ xor, w, diffs) for sl in slices for xor, w, diffs in sl.entries
-            ]
+        sources, ids, slices = self.slice_table(side)
+        for source, row in zip(sources.tolist(), ids.tolist()):
+            entries = [e for k in row if k >= 0 for e in slices[k].entries]
+            yield source, [(source ^ xor, w, diffs) for xor, w, diffs in entries]
 
 
 # ---- explicit schemes ------------------------------------------------------
@@ -204,59 +192,59 @@ class ExplicitScheme(TableSweeps):
     ExactWeight, int, or Fraction; a missing coordinate entry is treated
     as a zero directional weight (and will fail verification).
 
-    The tables are kept only as the records of the two sides: one Slice
-    per source, partners in the order the pairs were given, so each row
-    of `slice_table` has one slot.
+    A side's equal entries are one tuple; sources with the same entries, in
+    pair order, share one Slice in their one slot.  A pair with an earlier
+    pair's w and wp objects and x ^ y reuses that entry, so no wp may change.
     """
 
     def __init__(self, f: BooleanFunction, pairs):
         self.f = f
         size = 1 << f.arity
-        sides: tuple[dict, dict] = ({}, {})  # source -> [(xor, w, diffs)]
-        seen = set()
-        # schemes repeat a few weights, so equal (i, fwd, bwd) triples are
-        # stored once
-        shared: dict = {}
+        rows: tuple[dict, dict] = ({}, {})  # source -> entry ids, in pair order
+        seen = set()  # x * size + y of every pair so far
+        triples: dict = {}  # distinct A-side (i, fwd, bwd) -> triple id
+        entries: dict = {}  # (xor, w, triple ids) -> entry id
+        known: dict = {}  # (id(w), id(wp), x ^ y) -> (w, wp, entry id), ids kept
         for x, y, w, wp in pairs:
             if not (0 <= x < size and 0 <= y < size):
                 raise SchemeError(f"pair ({x}, {y}) out of range for arity {f.arity}")
             if x == y:
                 raise SchemeError(f"pair ({x}, {x}) relates an input to itself")
-            if (x, y) in seen or (y, x) in seen:
+            if x * size + y in seen or y * size + x in seen:
                 raise SchemeError(f"duplicate pair ({x}, {y})")
-            seen.add((x, y))
+            seen.add(x * size + y)
             diff = x ^ y
-            table = {}
-            for i, (fwd, bwd) in wp.items():
-                if not diff & var_bit(f.arity, i):
-                    raise SchemeError(
-                        f"pair ({x}, {y}) agrees at coordinate {i}; "
-                        "directional weights apply only where the pair differs"
-                    )
-                table[i] = (ExactWeight.of(fwd), ExactWeight.of(bwd))
-            for i in range(1, f.arity + 1):
-                if diff & var_bit(f.arity, i) and i not in table:
-                    table[i] = (ZERO, ZERO)
-            w = ExactWeight.of(w)
-            coords = sorted(table.items())
-            sides[0].setdefault(x, []).append(
-                (diff, w, _share(((i, fwd, bwd) for i, (fwd, bwd) in coords), shared))
-            )
-            sides[1].setdefault(y, []).append(
-                (diff, w, _share(((i, bwd, fwd) for i, (fwd, bwd) in coords), shared))
-            )
+            hit = known.get((id(w), id(wp), diff))
+            if hit is None:
+                table = {}
+                for i, (fwd, bwd) in wp.items():
+                    if not diff & var_bit(f.arity, i):
+                        raise SchemeError(
+                            f"pair ({x}, {y}) agrees at coordinate {i}; "
+                            "directional weights apply only where the pair differs"
+                        )
+                    table[i] = (i, ExactWeight.of(fwd), ExactWeight.of(bwd))
+                for i in range(1, f.arity + 1):
+                    if diff & var_bit(f.arity, i) and i not in table:
+                        table[i] = (i, ZERO, ZERO)
+                tids = tuple(triples.setdefault(t, len(triples)) for _, t in sorted(table.items()))
+                e = entries.setdefault((diff, ExactWeight.of(w), tids), len(entries))
+                hit = known[(id(w), id(wp), diff)] = (w, wp, e)
+            rows[0].setdefault(x, []).append(hit[2])
+            rows[1].setdefault(y, []).append(hit[2])
         if not seen:
             raise SchemeError("a scheme needs at least one pair")
         self.pair_count = len(seen)
-        self.a_side, self.b_side = (tuple(sorted(group)) for group in sides)
-        self._tables = {
-            side: (
-                np.array(order, dtype=np.int64),
-                np.arange(len(order), dtype=np.int64).reshape(-1, 1),
-                [Slice(tuple(group[s]), f.arity) for s in order],
-            )
-            for side, group, order in zip("ab", sides, (self.a_side, self.b_side))
-        }
+        flipped = [(i, bwd, fwd) for i, fwd, bwd in triples]
+        self._tables = {}
+        for side, group, ts in zip("ab", rows, (list(triples), flipped)):
+            side_entries = [(xor, w, tuple([ts[t] for t in tids])) for xor, w, tids in entries]
+            order = sorted(group)
+            seqs: dict = {}  # distinct entry-id sequence -> slice id
+            ids = np.array([seqs.setdefault(tuple(group[s]), len(seqs)) for s in order])
+            slices = [Slice(tuple([side_entries[e] for e in seq]), f.arity) for seq in seqs]
+            self._tables[side] = (np.array(order, dtype=np.int64), ids.reshape(-1, 1), slices)
+        self.a_side, self.b_side = (tuple(self._tables[side][0].tolist()) for side in "ab")
 
     def slice_table(self, side: str):
         if side not in ("a", "b"):
@@ -334,20 +322,32 @@ class LoadReport:
     v: dict | None = None
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of a 2-D int64 or object array.
+def _number_rows(columns: list, radices: list) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, first) numbering the distinct rows of integer columns.
 
-    Returns (ids, first): rows r and s are equal exactly when ids[r] ==
-    ids[s], and first[k] is the first row numbered k.  Columns are folded
-    in one at a time with 1-D `np.unique`, which also sorts Python ints.
+    Column c holds values in [0, radices[c]), but a first column of radix
+    2^62 may hold any integers.  The columns are packed into one int64
+    code, renumbered with `np.unique` whenever the next column would
+    overflow it; rows r and s are equal exactly when ids[r] == ids[s], and
+    first[k] is the first row numbered k.
     """
-    _, first, ids = np.unique(rows[:, 0], return_index=True, return_inverse=True)
-    for col in rows.T[1:]:
-        col_values, col_ids = np.unique(col, return_inverse=True)
-        _, first, ids = np.unique(
-            ids * len(col_values) + col_ids, return_index=True, return_inverse=True
-        )
+    code, size = columns[0], radices[0]
+    for col, radix in zip(columns[1:], radices[1:]):
+        if size * radix >= 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+            size = max(len(code), 1)
+        code = code * radix + col
+        size *= radix
+    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
     return ids, first
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_number_rows` of a 2-D int64 or object array, the first column as it
+    is: one column needs no renumbering before its `np.unique`."""
+    rest = [np.unique(col, return_inverse=True) for col in rows.T[1:]]
+    radices = [1 << 62] + [len(values) for values, _ in rest]
+    return _number_rows([rows[:, 0]] + [ids for _, ids in rest], radices)
 
 
 class _Lowered:
@@ -848,13 +848,13 @@ def _quote(weight) -> str:
     return json.dumps(str(weight))
 
 
-def _pair_text(x: int, y: int, w, diffs) -> str:
-    """One pair as json.dumps(doc, indent=1) prints it inside "pairs"."""
+def _entry_text(w, diffs) -> str:
+    """A pair's text after its "y" value, as json.dumps(doc, indent=1) prints it."""
     wp = ",\n".join(
         f'    "{i}": [\n     {_quote(fwd)},\n     {_quote(bwd)}\n    ]' for i, fwd, bwd in diffs
     )
     wp = f"{{\n{wp}\n   }}" if diffs else "{}"
-    return f'  {{\n   "x": {x},\n   "y": {y},\n   "w": {_quote(w)},\n   "wp": {wp}\n  }}'
+    return f',\n   "w": {_quote(w)},\n   "wp": {wp}\n  }}'
 
 
 def save_scheme(scheme, path) -> None:
@@ -862,7 +862,8 @@ def save_scheme(scheme, path) -> None:
 
     The file holds json.dumps(doc, indent=1) of the whole document, but it
     is written as it is made: the header, then the pairs one source at a
-    time, so that only one source's pairs are held in memory.
+    time off the A side's `slice_table`, each distinct entry's text made
+    once, so that only one source's pairs are held in memory.
     """
     head = json.dumps(
         {
@@ -874,10 +875,17 @@ def save_scheme(scheme, path) -> None:
         },
         indent=1,
     )
+    sources, ids, slices = scheme.slice_table("a")
+    distinct = {id(e): e for sl in slices for e in sl.entries}
+    tails = {key: _entry_text(w, diffs) for key, (_, w, diffs) in distinct.items()}
     chunks = (
-        ",\n".join(_pair_text(source, *record) for record in records)
-        for source, records in scheme.sweep_pairs("a")
-        if records
+        ",\n".join(
+            f'  {{\n   "x": {x},\n   "y": {x ^ e[0]}{tails[id(e)]}'
+            for k in row
+            if k >= 0
+            for e in slices[k].entries
+        )
+        for x, row in zip(sources.tolist(), ids.tolist())
     )
     with Path(path).open("w") as out:
         first = next(chunks, None)
@@ -928,6 +936,7 @@ def load_scheme(path) -> ExplicitScheme:
             raise SchemeError(f"declared arity {arity} but table has arity {f.arity}")
     declared_a, declared_b = set(_int_list(doc, "a")), set(_int_list(doc, "b"))
     parsed: dict[str, ExactWeight] = {}  # literal -> its weight, parsed once
+    parsed_wp: dict[str, dict] = {}  # repr of a "wp" object -> its mapping, checked once
 
     def weight(text: str) -> ExactWeight:
         w = parsed.get(text)
@@ -941,16 +950,22 @@ def load_scheme(path) -> ExplicitScheme:
             raise SchemeError(f"pair record {rec!r} is not an object")
         x, y = _field(rec, "x", int), _field(rec, "y", int)
         wp = rec["wp"]
-        if not isinstance(wp, dict) or not all(
-            isinstance(fb, list) and len(fb) == 2 and all(isinstance(v, str) for v in fb)
-            for fb in wp.values()
-        ):
-            raise SchemeError(
-                f"pair ({x}, {y}): 'wp' must map coordinates to [fwd, bwd] weight strings"
-            )
+        known = parsed_wp.get(text := repr(wp))
+        if known is None:
+            if not isinstance(wp, dict) or not all(
+                isinstance(fb, list) and len(fb) == 2 and type(fb[0]) is type(fb[1]) is str
+                for fb in wp.values()
+            ):
+                raise SchemeError(
+                    f"pair ({x}, {y}): 'wp' must map coordinates to [fwd, bwd] weight strings"
+                )
         if x not in declared_a or y not in declared_b:
             raise SchemeError(f"pair ({x}, {y}) outside the declared sides")
         w = weight(_field(rec, "w", str))
-        wp = {int(i): (weight(fb[0]), weight(fb[1])) for i, fb in wp.items()}
-        pairs.append((x, y, w, wp))
+        if known is None:
+            known = {int(i): (weight(fb[0]), weight(fb[1])) for i, fb in wp.items()}
+            if list(map(str, known)) != list(wp):
+                raise SchemeError(f"pair ({x}, {y}): 'wp' keys must read str(i), not {list(wp)}")
+            parsed_wp[text] = known
+        pairs.append((x, y, w, known))
     return ExplicitScheme(f, pairs)

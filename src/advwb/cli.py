@@ -133,6 +133,8 @@ def _scheme_file_key(path: Path) -> tuple:
     """All that the scheme in a file depends on: the file's text, read as
     `load_scheme` reads it, and the bytes of the table it names by "path"."""
     text = path.read_text()
+    if '"path"' not in text and "\\u" not in text:  # else only a \u escape spells it
+        return text, None
     try:
         table = (path.parent / json.loads(text)["path"]).resolve()
     except (ValueError, RecursionError, TypeError, KeyError):

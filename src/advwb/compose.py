@@ -22,12 +22,12 @@ on integer ids of the few distinct exact weights: each product, quotient
 and ratio root is computed once per distinct id pair, and only distinct
 diff triples and distinct entries become Python tuples, which the slices
 share (on each side of the 4-bit base's square, 1,136 entries serve
-16,896 entry slots).  `verify`, `loads`, `sweep_slices` and
-`sweep_pairs` read that table, and so do the claim checks at the end of
-this module: they find a source's row by binary search on its side, so
-they certify exactly what `verify` and `loads` consume.  Their
-right-hand sides depend only on the block pattern and total-weight
-classes and are computed once for each.
+16,896 entry slots).  `verify`, `loads`, `save_scheme` and `sweep_pairs`
+read that table, and so do the claim checks at the end of this module:
+they find a source's row by binary search on its side, so they certify
+exactly what `verify` and `loads` consume.  Their right-hand sides
+depend only on the block pattern and total-weight classes and are
+computed once for each.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import operator
 
 import numpy as np
 
-from .adversary import SchemeError, Slice, TableSweeps, loads
+from .adversary import SchemeError, Slice, TableSweeps, _number_rows, loads
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
 from .weights import ONE, ExactWeight, exact_sum
 
@@ -101,25 +101,6 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., c - 1 for each c in counts, concatenated."""
     starts = np.cumsum(counts) - counts
     return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
-
-
-def _number_rows(columns: list, radices: list) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, first) numbering the distinct rows of integer columns.
-
-    Column c holds values in [0, radices[c]).  The columns are packed into
-    one int64 code, renumbered with `np.unique` whenever the next column
-    would overflow it; rows r and s are equal exactly when ids[r] ==
-    ids[s], and first[k] is the first row numbered k.
-    """
-    code, size = columns[0], radices[0]
-    for col, radix in zip(columns[1:], radices[1:]):
-        if size * radix >= 1 << 62:
-            code = np.unique(code, return_inverse=True)[1]
-            size = max(len(code), 1)
-        code = code * radix + col
-        size *= radix
-    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
-    return ids, first
 
 
 class _Pool:

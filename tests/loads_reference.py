@@ -1,9 +1,9 @@
 """`loads` as a per-source loop, for tests.
 
 The loop `adversary.loads` ran before it summed slices as integer arrays:
-walk `sweep_slices` one source at a time, add the exact per-slice sums
-(`Slice.wt` and `slice_v`) through memoized value numbers, and group each
-side's distinct v(x, i) by wt(x).  `assert_loads_match` compares every
+walk each source's slices one source at a time (`source_slices`), add the
+exact per-slice sums (`Slice.wt` and `slice_v`) through memoized value
+numbers, and group each side's distinct v(x, i) by wt(x).  `assert_loads_match` compares every
 `LoadReport` field with it, exactly and as printed, and the key order of
 the wt and v maps.
 """
@@ -12,6 +12,7 @@ from dataclasses import fields
 
 from advwb.adversary import LoadReport, SchemeError, loads
 from advwb.weights import ONE, exact_sum
+from scheme_records import source_slices
 
 
 def slice_v(sl) -> dict:
@@ -78,7 +79,7 @@ def reference_loads(scheme, *, keep_maps: bool = True) -> LoadReport:
     vs: dict = {}
     for side in ("a", "b"):
         by_wt: dict = {}  # wt -> distinct v(x, i) of the sources x with that wt
-        for source, slices in scheme.sweep_slices(side):
+        for source, slices in source_slices(scheme, side):
             if not slices:
                 continue
             wt, v = sums.source(slices)

@@ -1,4 +1,14 @@
-"""A scheme's swept records as plain dicts, for exact comparisons in tests."""
+"""A scheme's swept records as plain dicts, its slices by source, and its
+file round trip, for exact comparisons in tests."""
+
+from advwb.adversary import load_scheme, loads, save_scheme, verify
+
+
+def source_slices(scheme, side: str):
+    """(source, slices) per row of a side's `slice_table`, in row order."""
+    sources, ids, slices = scheme.slice_table(side)
+    for source, row in zip(sources.tolist(), ids.tolist()):
+        yield source, [slices[k] for k in row if k >= 0]
 
 
 def pair_table(scheme, side: str) -> dict:
@@ -54,3 +64,20 @@ def assert_rescaled(base, scaled) -> None:
         if side == "a":
             assert list(got) == list(want)
     assert_sides_agree(scaled)
+
+
+def distinct_entries(scheme, side: str) -> int:
+    """How many entry tuples the slices of a side's `slice_table` hold."""
+    return len({id(entry) for sl in scheme.slice_table(side)[2] for entry in sl.entries})
+
+
+def assert_round_trips(scheme, path) -> None:
+    """The scheme read back from its file verifies and weighs as it does,
+    and shares as much: as many distinct entries on each side."""
+    save_scheme(scheme, path)
+    back = load_scheme(path)
+    assert back.f == scheme.f and back.pair_count == scheme.pair_count
+    assert verify(back) == verify(scheme)
+    assert loads(back) == loads(scheme)
+    for side in "ab":
+        assert distinct_entries(back, side) == distinct_entries(scheme, side)

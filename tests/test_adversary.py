@@ -87,20 +87,39 @@ def test_balance_h6_preserves_invariants():
 
 def test_scheme_construction_errors():
     g = nae3()
-    with pytest.raises(SchemeError):
-        ExplicitScheme(g, [])
-    with pytest.raises(SchemeError):
-        ExplicitScheme(g, [(0, 0, ONE, {})])
-    with pytest.raises(SchemeError):
-        ExplicitScheme(g, [(0, 9, ONE, {})])
-    with pytest.raises(SchemeError):
-        ExplicitScheme(
-            g,
-            [(0, 1, ONE, {3: (ONE, ONE)}), (0, 1, ONE, {3: (ONE, ONE)})],
-        )
-    with pytest.raises(SchemeError):
+    ok = (0, 1, ONE, {3: (ONE, ONE)})
+    agrees = (
+        "pair (0, 1) agrees at coordinate 1; "
+        "directional weights apply only where the pair differs"
+    )
+    cases = [
+        ([], "a scheme needs at least one pair"),
+        ([(0, 0, ONE, {})], "pair (0, 0) relates an input to itself"),
+        ([(0, 9, ONE, {})], "pair (0, 9) out of range for arity 3"),
+        ([(-1, 1, ONE, {})], "pair (-1, 1) out of range for arity 3"),
+        ([ok, ok], "duplicate pair (0, 1)"),
+        ([ok, (1, 0, ONE, {3: (ONE, ONE)})], "duplicate pair (1, 0)"),
         # coordinate 1 agrees on the pair (000, 001)
-        ExplicitScheme(g, [(0, 1, ONE, {1: (ONE, ONE)})])
+        ([(0, 1, ONE, {1: (ONE, ONE)})], agrees),
+        # within a pair: range, then self-pair, then duplicate, then coordinates
+        ([(9, 9, ONE, {1: (ONE, ONE)})], "pair (9, 9) out of range for arity 3"),
+        ([(1, 1, ONE, {1: (ONE, ONE)})], "pair (1, 1) relates an input to itself"),
+        ([ok, (1, 0, ONE, {1: (ONE, ONE)})], "duplicate pair (1, 0)"),
+        # across pairs the first failing pair decides, whatever its kind
+        ([ok, (0, 9, ONE, {}), ok], "pair (0, 9) out of range for arity 3"),
+        ([ok, (2, 2, ONE, {}), (9, 0, ONE, {})], "pair (2, 2) relates an input to itself"),
+        ([ok, (1, 0, ONE, {}), (3, 3, ONE, {})], "duplicate pair (1, 0)"),
+        ([(0, 1, ONE, {1: (ONE, ONE)}), ok], agrees),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(SchemeError) as err:
+            ExplicitScheme(g, pairs)
+        assert str(err.value) == message, pairs
+    # one wp object met again with another pair is checked for that pair
+    shared = {1: (ONE, ONE)}
+    with pytest.raises(SchemeError) as err:
+        ExplicitScheme(g, [(0, 4, ONE, shared), (0, 1, ONE, shared)])
+    assert str(err.value) == agrees
 
 
 def test_verify_reports_violations():
@@ -382,7 +401,16 @@ def test_saved_scheme_is_the_whole_document_dump(tmp_path):
     schemes += [balance(builtin_scheme("h6")), roots]
     schemes.append(compose_scheme(builtin_scheme("nae3"), builtin_scheme("nae3")))
     # a scheme object with no pairs at all: the header alone
-    schemes.append(SimpleNamespace(f=f4(), a_side=(), b_side=(), sweep_pairs=lambda side: iter(())))
+    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64), [])
+    schemes.append(
+        SimpleNamespace(
+            f=f4(),
+            a_side=(),
+            b_side=(),
+            sweep_pairs=lambda side: iter(()),
+            slice_table=lambda side: empty,
+        )
+    )
     path = tmp_path / "s.scheme.json"
     for s in schemes:
         save_scheme(s, path)

@@ -344,6 +344,15 @@ _PAIR = {"x": 0, "y": 1, "w": "1", "wp": {"3": ["1", "1"]}}
         {**_NAE3, "pairs": [{**_PAIR, "x": False}]},
         {**_NAE3, "pairs": [{**_PAIR, "w": "1 - sqrt(2)"}]},
         {**_NAE3, "pairs": [{**_PAIR, "wp": {"3": ["1", "sqrt(2) - 3/2"]}}]},
+        # a coordinate key must read str(i)
+        {**_NAE3, "pairs": [{**_PAIR, "wp": {"03": ["1", "1"]}}]},
+        {**_NAE3, "pairs": [{**_PAIR, "wp": {" 3": ["1", "1"]}}]},
+        {**_NAE3, "pairs": [{**_PAIR, "wp": {"0_3": ["1", "1"]}}]},
+        {**_NAE3, "pairs": [{**_PAIR, "wp": {"+3": ["1", "1"]}}]},
+        # two spellings of one coordinate: the first one's weights were dropped
+        {"arity": 2, "table": "0110", "a": [0], "b": [1], "pairs": [
+            {"x": 0, "y": 1, "w": "1", "wp": {"02": ["0", "0"], "2": ["1", "1"]}}
+        ]},
     ],
 )
 @pytest.mark.parametrize("command", ["verify-scheme", "simulate"])
@@ -609,13 +618,15 @@ def test_scheme_file_that_failed_to_load_loads_once_fixed(capsys, tmp_path):
     assert code == 0 and out.startswith("valid, bound = 3/2*sqrt(2)")
 
 
-def test_scheme_file_reads_the_current_table(capsys, tmp_path):
+def _reads_the_current_table(capsys, tmp_path, key: str) -> None:
+    """A scheme file naming its table by `key`, the JSON text of "path", is
+    checked against the table as it is now, not as it was first read."""
     path = tmp_path / "parity2.scheme.json"
     save_scheme(unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (0, 2), (3, 1), (3, 2)]), path)
     doc = json.loads(path.read_text())
     del doc["table"]
     doc["path"] = "parity2.tbl"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace('"path"', key))
     save_table(parity(2), tmp_path / "parity2.tbl")
     assert run_cli(capsys, "verify-scheme", str(path))[0] == 0
     save_table(or_n(2), tmp_path / "parity2.tbl")  # 3 is a 1-input of or2
@@ -625,6 +636,29 @@ def test_scheme_file_reads_the_current_table(capsys, tmp_path):
         "invalid: 1 violation(s)",
         "  [side] input 3: A-side input is not a 0-input",
     ]
+
+
+def test_scheme_file_reads_the_current_table(capsys, tmp_path):
+    _reads_the_current_table(capsys, tmp_path, '"path"')
+
+
+def test_scheme_file_naming_its_table_by_an_escaped_key_reads_it(capsys, tmp_path):
+    _reads_the_current_table(capsys, tmp_path, '"\\u0070ath"')
+
+
+def test_scheme_file_without_a_path_key_is_parsed_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "parity2.scheme.json"
+    save_scheme(unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (0, 2), (3, 1), (3, 2)]), path)
+    parsed = []
+    real = json.loads
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    assert run_cli(capsys, "verify-scheme", str(path))[0] == 0
+    assert len(parsed) == 1
 
 
 def test_least_recently_used_scheme_file_is_checked_again(capsys, monkeypatch, tmp_path):

@@ -29,7 +29,7 @@ from advwb.compose import (
     predicted_bound,
 )
 from advwb.weights import ONE, ZERO, ExactWeight, exact_sum
-from scheme_records import assert_sides_agree, pair_table
+from scheme_records import assert_round_trips, assert_sides_agree, pair_table, source_slices
 
 
 def test_block_index():
@@ -268,7 +268,7 @@ def _swept(c: ComposedScheme, sources) -> dict:
     wanted = set(sources)
     out = {}
     for side in "ab":
-        for x, slices in c.sweep_slices(side):
+        for x, slices in source_slices(c, side):
             if x in wanted:
                 for sl in slices:
                     for xor, w, diffs in sl.entries:
@@ -409,3 +409,4 @@ def test_composed_scheme_round_trips_through_files(tmp_path):
     assert back.pair_count == c.pair_count
     assert verify(back) == []
     assert loads(back, keep_maps=False).bound == ExactWeight(9, 2)
+    assert_round_trips(c, path)

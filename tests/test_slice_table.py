@@ -6,14 +6,17 @@ reference loop of `loads_reference`, on builtin, composed and generated
 schemes, on both its int64 and its object-dtype paths.  A composed
 scheme's rows must follow the slice keys of `compose_reference`, and its
 slices, built in batches, must equal the per-entry loop there, with the
-same errors.
+same errors, and read back from its file it must verify, weigh and share
+as it does.
 """
 
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 import test_generated_schemes as generated
 from advwb import adversary
@@ -33,6 +36,7 @@ from advwb.compose import _TemplateBuilder, check_corollary, compose_scheme
 from advwb.weights import ONE, ExactWeight, Root
 from compose_reference import assert_rows_follow_their_keys, assert_templates_match, reference_slices
 from loads_reference import assert_loads_match
+from scheme_records import assert_round_trips
 
 
 def test_f4_squared_table_is_slices_of():
@@ -104,12 +108,25 @@ def test_f4_squared_loads_match_the_reference():
     assert rep.bound == ExactWeight(25, 4)
 
 
+_R2, _R3 = ExactWeight.sqrt_of(2), ExactWeight.sqrt_of(3)
+# a balanced base whose sums mix sqrt(2) and sqrt(3)
+_ROOTS_BASE = ExplicitScheme(
+    parity(2),
+    [
+        (0, 1, _R2, {2: (_R2, _R2)}),
+        (0, 2, _R2 * ExactWeight(3), {1: (_R2 * ExactWeight(3), _R2 * ExactWeight(3))}),
+        (3, 1, _R3, {1: (_R3, _R3)}),
+    ],
+)
+
+
 # Bases of arity 2 and 3 only: a 4-bit base squares to 16 bits and up to
 # 2^16 sources, seconds per example in the reference loop; f4 squared
 # covers 16 bits above.  Most drawn schemes have no exact balancing factor
 # and are skipped, which is the draw, not a failure.
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(generated.schemes().filter(lambda s: s.f.arity <= 3))
+@example(_ROOTS_BASE)
 def test_composed_generated_schemes(scheme):
     rep = loads(scheme)
     assume(not isinstance((rep.v_b / rep.v_a).sqrt(), Root))
@@ -119,6 +136,8 @@ def test_composed_generated_schemes(scheme):
     assert_rows_follow_their_keys(c)
     assert_templates_match(c)
     assert_loads_match(c)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_round_trips(c, Path(tmp) / "c.scheme.json")
 
 
 @pytest.mark.parametrize("name", ["nae3", "f4"])
