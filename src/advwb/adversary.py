@@ -561,16 +561,19 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
     m and m' are the minimum partner counts over A and B; l is the largest
     number of partners of one A-side input all differing from it at one
     coordinate, l' the B-side analogue.  The relation is any sequence of
-    (x, y) pairs, a list of tuples or an (N, 2) integer array; it is
-    counted with array passes, one bincount per side for m and m' and one
-    masked bincount per side and coordinate for l and l'.
+    (x, y) pairs, a list of tuples or an (N, 2) integer array, counted in
+    its own integer type with array passes: one bincount per side for m and
+    m', and one masked bincount per side and coordinate for l and l'.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     _check_sides(f, a, b)
     if not len(relation):
         raise SchemeError("empty relation")
-    rel = np.asarray(relation, dtype=np.int64).reshape(-1, 2)
+    rel = np.asarray(relation)
+    if rel.dtype.kind != "i":
+        rel = rel.astype(np.int64)
+    rel = rel.reshape(-1, 2)
     n = f.arity
     size = 1 << n
     in_a = np.zeros(size, dtype=bool)
@@ -585,10 +588,15 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
         raise SchemeError(f"pair ({x}, {y}) leaves the declared sides")
     m = int(np.bincount(xs, minlength=size)[a].min())
     m_prime = int(np.bincount(ys, minlength=size)[b].min())
+    # the coordinate loop reuses one bit buffer, in the relation's own
+    # integer type, and one bool mask
     diff = xs ^ ys
+    bit = np.empty_like(diff)
+    at = np.empty(diff.shape, dtype=bool)
     l = l_prime = 0
     for i in range(n):
-        at = (diff >> i) & 1 == 1
+        np.bitwise_and(diff, 1 << i, out=bit)
+        np.not_equal(bit, 0, out=at)
         if at.any():
             l = max(l, int(np.bincount(xs[at]).max()))
             l_prime = max(l_prime, int(np.bincount(ys[at]).max()))
@@ -922,7 +930,10 @@ def _int_list(doc: dict, key: str) -> list:
 def load_scheme(path) -> ExplicitScheme:
     """Read a scheme from JSON; weights are parsed exactly, never as floats."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except RecursionError:
+        raise SchemeError("a scheme file's JSON nests too deep") from None
     if not isinstance(doc, dict):
         raise SchemeError("a scheme file must hold a JSON object")
     if "path" in doc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import sys
 from collections import OrderedDict
@@ -130,16 +131,18 @@ def _checked_builtin(name: str):
 
 
 def _scheme_file_key(path: Path) -> tuple:
-    """All that the scheme in a file depends on: the file's text, read as
-    `load_scheme` reads it, and the bytes of the table it names by "path"."""
+    """All that the scheme in a file depends on: sha256 digests of the file's
+    text, read as `load_scheme` reads it, and of the bytes of the table it
+    names by "path"."""
     text = path.read_text()
+    digest = hashlib.sha256(text.encode()).hexdigest()
     if '"path"' not in text and "\\u" not in text:  # else only a \u escape spells it
-        return text, None
+        return digest, None
     try:
         table = (path.parent / json.loads(text)["path"]).resolve()
     except (ValueError, RecursionError, TypeError, KeyError):
-        return text, None  # no table named; `load_scheme` reports any defect
-    return text, table.read_bytes()
+        return digest, None  # no table named; `load_scheme` reports any defect
+    return digest, hashlib.sha256(table.read_bytes()).hexdigest()
 
 
 def _checked_scheme(spec: str):

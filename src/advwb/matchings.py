@@ -24,8 +24,13 @@ t = g*K + k sends a source's block pattern to its partner under row g,
 and moves each block whose value that changes to its partner under row
 k of the block level's table: the partner table itself at depth 2
 (K = 3), the bit flip at depth 1, where the blocks are single bits
-(K = 1).  Each step runs over all sources of a family at once, as numpy
-arrays.
+(K = 1).  Each step runs over all sources of a family at once, as int32
+numpy arrays.
+
+A family checks itself when it is built.  Matching t pairs the i-th
+0-input with entry i of partner row t, so a pair can repeat only within
+one column of the (3^d, S) partner stack; disjointness is checked column
+by column, with no key array over the whole union.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ class MatchingSet:
     partners[t][i].  set_id records which family (1 protects the
     0-preimage side, 2 the 1-preimage side).  Construction checks that
     every matching is a bijection onto the 1-preimage and that no pair
-    lies in two matchings, and keeps the union as pair_array.
+    lies in two matchings, and keeps the union as pair_array, an (N, 2)
+    int32 array.
     """
 
     d: int
@@ -157,40 +163,44 @@ def build_matchings(d: int, set_id: int) -> MatchingSet:
             f"depth {d} not materializable (supported: 1..{MAX_MATCHING_DEPTH})"
         )
     base = f4()
-    table = _partner_table(base)
+    table = _partner_table(base).astype(np.int32)
     fd = iterate(base, d)
     tab = fd.np_table
-    a_side = np.flatnonzero(tab == 0)
-    b_side = np.flatnonzero(tab == 1)
+    # inputs stay below 2^16 at MAX_MATCHING_DEPTH, so int32 holds them
+    a_side = np.flatnonzero(tab == 0).astype(np.int32)
+    b_side = np.flatnonzero(tab == 1).astype(np.int32)
     sources = a_side if set_id == 1 else b_side
     if d == 1:
         # the blocks are the bits, with their values as they are and the
         # flip as their one matching
-        width, block_tab, block_table = 1, np.array([0, 1]), np.array([[1, 0]])
+        width, block_tab = 1, np.array([0, 1], dtype=np.uint8)
+        block_table = np.array([[1, 0]], dtype=np.int32)
     else:
         width, block_tab, block_table = 4, base.np_table, table
-    order = np.arange(3, -1, -1)  # block j sits at bits width * (3 - j)
+    order = np.arange(3, -1, -1, dtype=np.int32)  # block j sits at bits width * (3 - j)
     blocks = (sources[:, None] >> width * order) & ((1 << width) - 1)
-    pattern = (block_tab[blocks].astype(np.int64) << order).sum(axis=1)
-    # per pattern-level matching g: 1 where a block's value changes
-    changed = [((pattern ^ table[g, pattern])[:, None] >> order) & 1 for g in range(3)]
+    pattern = (block_tab[blocks].astype(np.int32) << order).sum(axis=1, dtype=np.int32)
+    # per pattern-level matching g: where a block's value changes
+    changed = [((pattern ^ table[g, pattern])[:, None] >> order) & 1 == 1 for g in range(3)]
     # per block-level matching k: the xor that moves each block to its partner;
     # the blocks occupy disjoint bits, so the sum over blocks is their union
     moves = [(blocks ^ row[blocks]) << width * order for row in block_table]
-    partners = []
+    del blocks, pattern
+    partners = np.empty((3 * len(moves), sources.size), dtype=np.int32)
     for g in range(3):
         for k, move in enumerate(moves):
-            out = sources ^ np.where(changed[g] == 1, move, 0).sum(axis=1)
+            t = g * len(moves) + k
+            out = sources ^ np.where(changed[g], move, 0).sum(axis=1, dtype=np.int32)
             if set_id == 2:
                 # out are 0-inputs: list the sources by their partner
                 by_partner = np.argsort(out)
                 if not np.array_equal(out[by_partner], a_side):
-                    t = g * len(moves) + k
                     raise MatchingError(
                         f"matching {t} is not a bijection onto the 0-preimage"
                     )
                 out = sources[by_partner]
-            partners.append(out)
+            partners[t] = out
+    del moves, changed
     return MatchingSet(
         d,
         set_id,
@@ -202,30 +212,45 @@ def build_matchings(d: int, set_id: int) -> MatchingSet:
 
 
 def _validate(ms: MatchingSet) -> np.ndarray:
-    """Bijection per matching, disjointness across the family; the pair array."""
+    """Bijection per matching, disjointness per column; the pair array.
+
+    Matching t pairs a_side[i] with partners[t][i], so a pair can repeat only
+    within column i of the (3^d, S) partner stack: each column is sorted and
+    its neighbours compared.  A repeat names the first pair, in (t, i) order,
+    that an earlier matching already holds.  The union is returned as an
+    (N, 2) int32 array, matching t's pairs in rows t*S .. (t+1)*S - 1.
+    """
     n = ms.f.arity
     size = 1 << n
+    count, length = ms.matching_count, ms.matching_size
     in_b = np.zeros(size, dtype=bool)
     in_b[np.asarray(ms.b_side, dtype=np.int64)] = True
+    pair_array = np.empty((count, length, 2), dtype=np.int32)
+    pair_array[:, :, 0] = ms.a_side
     for t, arr in enumerate(ms.partners):
         inside = arr.size == 0 or (arr.min() >= 0 and arr.max() < size)
         if (
-            arr.shape != (ms.matching_size,)
+            arr.shape != (length,)
             or not inside
             or not in_b[arr].all()
             or np.bincount(arr, minlength=size).max(initial=0) > 1
         ):
             raise MatchingError(f"matching {t} is not a bijection onto the 1-preimage")
-    xs = np.tile(np.asarray(ms.a_side, dtype=np.int64), ms.matching_count)
-    ys = np.concatenate(ms.partners).astype(np.int64)
-    keys = xs << n | ys
-    _, first = np.unique(keys, return_index=True)
-    if first.size != keys.size:
-        repeat = np.ones(keys.size, dtype=bool)
-        repeat[first] = False
-        i = int(np.flatnonzero(repeat)[0])
-        raise MatchingError(f"pair {(int(xs[i]), int(ys[i]))} appears in two matchings")
-    return np.column_stack((xs, ys))
+        pair_array[t, :, 1] = arr
+    columns = np.sort(pair_array[:, :, 1], axis=0)
+    repeated = (columns[1:] == columns[:-1]).any(axis=0)
+    if repeated.any():
+        i = np.flatnonzero(repeated)
+        ys = pair_array[:, i, 1]
+        # a stable sort keeps equal partners in matching order, so each entry
+        # equal to its predecessor is a repeat, in matching order[k]
+        order = np.argsort(ys, axis=0, kind="stable")
+        ys = np.take_along_axis(ys, order, axis=0)
+        first = np.where(ys[1:] == ys[:-1], order[1:], count).min(axis=0)
+        c = int(np.argmin(first))  # the lowest column among the earliest matchings
+        x, y = pair_array[first[c], i[c]].tolist()
+        raise MatchingError(f"pair {(x, y)} appears in two matchings")
+    return pair_array.reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -733,20 +733,28 @@ def _iterated_blocks(f: BooleanFunction, base: np.ndarray, d: int) -> np.ndarray
     d is 1 or 2, and base is the (16, 3) table of _base_blocks.  At depth 2,
     base block o of an input's block pattern expands, per inner choice k,
     into the union of inner block k of each 4-bit block the outer block
-    covers.
+    covers: column 3*o + k of an int32 output that is filled in place, one
+    4-bit block at a time, from int32 and bool temporaries of at most three
+    columns.
     """
     if d == 1:
         return base
-    x = np.arange(1 << 16)
-    order = np.arange(3, -1, -1)  # 4-bit block j sits at bits 4 * (3 - j)
-    sub = (x[:, None] >> 4 * order) & 15
-    pattern = (f.np_table[sub].astype(np.int64) << order).sum(axis=1)
-    covered = (base[pattern][:, :, None] >> order) & 1  # (N, outer block, j)
-    inner = base[sub] << (4 * order)[:, None]  # (N, j, inner block)
-    return np.concatenate(
-        [np.where(covered[:, o, :, None] == 1, inner, 0).sum(axis=1) for o in range(3)],
-        axis=1,
-    )
+    base = base.astype(np.int32)
+    x = np.arange(1 << 16, dtype=np.int32)
+    shifts = range(12, -1, -4)  # 4-bit block j sits at bits 4 * (3 - j)
+    pattern = np.zeros(1 << 16, dtype=np.int32)
+    for shift in shifts:
+        pattern = pattern << 1 | f.np_table[(x >> shift) & 15]
+    outer = base[pattern]  # (N, outer block)
+    del pattern
+    masks = np.zeros((1 << 16, 9), dtype=np.int32)
+    for j, shift in enumerate(shifts):
+        inner = base[(x >> shift) & 15] << shift  # (N, inner block)
+        for o in range(3):
+            covered = ((outer[:, o] >> (3 - j)) & 1 == 1)[:, None]
+            row = masks[:, 3 * o : 3 * o + 3]
+            np.bitwise_or(row, inner, out=row, where=covered)
+    return masks
 
 
 def _tree_failures(

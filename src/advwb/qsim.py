@@ -305,7 +305,10 @@ def _is_flat_matrix(flat) -> bool:
 
 def load_algorithm(path: str | Path) -> QueryAlgorithm:
     """Read an algorithm from JSON, rejecting non-unitary matrices."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise QsimError(f"malformed algorithm file {path}: JSON nests too deep") from None
     if not isinstance(doc, dict):
         raise QsimError(f"malformed algorithm file {path}: not a JSON object")
     try:

@@ -661,6 +661,18 @@ def test_scheme_file_without_a_path_key_is_parsed_once(capsys, monkeypatch, tmp_
     assert len(parsed) == 1
 
 
+def test_checked_scheme_files_are_keyed_by_digests(capsys, tmp_path):
+    plain = tmp_path / "nae3.scheme.json"
+    save_scheme(builtin_scheme("nae3"), plain)
+    assert run_cli(capsys, "verify-scheme", str(plain))[0] == 0
+    _reads_the_current_table(capsys, tmp_path, '"path"')
+    assert run_cli(capsys, "verify-scheme", "f4")[0] == 0
+    assert len(cli._checked_schemes) == 3
+    for key in cli._checked_schemes:
+        for part in key if isinstance(key, tuple) else (key,):
+            assert not isinstance(part, (str, bytes)) or len(part) <= 64
+
+
 def test_least_recently_used_scheme_file_is_checked_again(capsys, monkeypatch, tmp_path):
     doc = json.loads(Path(_mixed_or2_file(tmp_path)).read_text())
     paths = []
@@ -773,6 +785,42 @@ def test_malformed_algorithm_file_is_a_load_error(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("cannot build algorithm: ")
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        (
+            "deep.scheme.json",
+            '{"arity": 3, "table": "01111110", "a": [0], "b": [1], "pairs": '
+            f'[{{"x": 0, "y": 1, "w": "1", "wp": {_DEEP}}}]}}',
+            ["verify-scheme", "{}"],
+            "cannot load scheme: a scheme file's JSON nests too deep\n",
+        ),
+        (
+            "deep.algorithm.json",
+            f'{{"n": 3, "work": 1, "unitaries": {_DEEP}}}',
+            ["simulate", "{}", "--scheme", "f4"],
+            "cannot build algorithm: malformed algorithm file {}: JSON nests too deep\n",
+        ),
+    ],
+    ids=["scheme", "algorithm"],
+)
+def test_deeply_nested_json_gives_one_line(tmp_path, name, text, argv, message):
+    path = tmp_path / name
+    path.write_text(text)
+    src = str(Path(advwb.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "advwb", *(a.format(path) for a in argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == message.format(path)
 
 
 def test_huge_algorithm_entries_give_one_line_and_no_warning(tmp_path):

@@ -1,5 +1,7 @@
 """Families of disjoint perfect matchings between the iterate's preimages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,19 @@ def test_depth2_build():
     assert not np.any(ms.partners[0] == ms.partners[3])
 
 
+def test_depth2_check_stays_within_its_memory_budget():
+    # both families, each built, validated and counted, peak at about 10.7 MB
+    # of traced allocations
+    check_matchings(2)  # first-use caches stay out of the count
+    tracemalloc.start()
+    try:
+        check_matchings(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 10**6
+
+
 def test_depth_and_set_errors():
     with pytest.raises(MatchingError):
         build_matchings(3, 1)
@@ -257,6 +272,43 @@ def test_matching_set_rejects_shared_pair():
     mixed[np.flatnonzero(p1 == p0[3])] = p1[3]  # keep matching 1 a bijection
     with pytest.raises(MatchingError, match=r"pair \(6, 4\) appears in two matchings"):
         MatchingSet(1, 1, ms.f, ms.a_side, ms.b_side, (p0, mixed, p2))
+
+
+def _share_column(partners, source, target, i):
+    """Matching target takes matching source's partner in column i, and hands
+    its own partner there to the column that held that value, so it stays a
+    bijection."""
+    moved = partners[target].copy()
+    j = np.flatnonzero(moved == partners[source][i])
+    moved[j], moved[i] = moved[i], partners[source][i]
+    return partners[:target] + (moved,) + partners[target + 1 :]
+
+
+def _repeats(a_side, partners):
+    """(matching, column) of every pair seen in an earlier matching, in order."""
+    seen, out = set(), []
+    for t, arr in enumerate(partners):
+        for i, pair in enumerate(zip(a_side, arr.tolist())):
+            if pair in seen:
+                out.append((t, i))
+            seen.add(pair)
+    return out
+
+
+@pytest.mark.parametrize("d, early, late", [(1, 5, 1), (2, 20000, 7)])
+def test_matching_set_names_the_first_shared_pair(d, early, late):
+    # matching 1 repeats matching 0's pair in column `early`, matching 2
+    # repeats it in the lower column `late`: the first pair in (t, i) order is
+    # matching 1's, not the one a scan by column would reach first
+    ms = build_matchings(d, 1)
+    partners = _share_column(ms.partners, 0, 2, late)
+    partners = _share_column(partners, 0, 1, early)
+    repeats = _repeats(ms.a_side, partners)
+    assert repeats[0] == (1, early) and (2, late) in repeats
+    want = (ms.a_side[early], int(ms.partners[0][early]))
+    with pytest.raises(MatchingError) as info:
+        MatchingSet(d, 1, ms.f, ms.a_side, ms.b_side, partners)
+    assert str(info.value) == f"pair {want} appears in two matchings"
 
 
 def test_matching_set_rejects_repeated_partner():

@@ -1,6 +1,7 @@
 """Classical complexity measures and their certified values."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -478,6 +479,18 @@ def test_iterated_blocks_match_scalar_reference():
     assert masks.shape == (1 << 16, 9)
     for x in list(range(0, 1 << 16, 61)) + [(1 << 16) - 1]:
         assert masks[x].tolist() == reference_blocks(f, x)
+
+
+def test_depth2_certificates_stay_within_their_memory_budget():
+    # the depth-2 checks peak at about 6.4 MB of traced allocations
+    iterated_certificates(f4(), 2)  # first-use caches stay out of the count
+    tracemalloc.start()
+    try:
+        iterated_certificates(f4(), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 10**6
 
 
 def test_iterated_certificates_catch_overlapping_blocks(monkeypatch):
