@@ -29,8 +29,9 @@ The records are the scheme: every pair appears once from each side, and
 there is no per-pair lookup.  A slice's entries do not depend on the
 source, so `verify` finds the faults of each distinct slice once, `loads`
 sums each distinct slice once, as integer coefficient rows, then adds the
-K rows of every source one column at a time in numpy, and `save_scheme`
-formats each distinct entry once.
+K rows of every source one column at a time in numpy, `save_scheme`
+formats each distinct entry once, and `qsim.progress_trace` reads each
+distinct A-side entry once and expands the table into pair rows in numpy.
 
 Two classes implement the protocol, both on top of `TableSweeps`, and
 both keep equal entries once and share a slice among sources with equal
@@ -543,10 +544,16 @@ class RelationBound:
     bound: ExactWeight
 
 
+def _int_array(values) -> np.ndarray:
+    """values as an array of their own integer type, or of int64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind == "i" else arr.astype(np.int64)
+
+
 def _check_sides(f: BooleanFunction, a, b):
     tab = f.np_table
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = _int_array(a)
+    b = _int_array(b)
     bad_a = a[tab[a] != 0].tolist()
     bad_b = b[tab[b] != 1].tolist()
     if bad_a or bad_b:
@@ -563,17 +570,15 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
     coordinate, l' the B-side analogue.  The relation is any sequence of
     (x, y) pairs, a list of tuples or an (N, 2) integer array, counted in
     its own integer type with array passes: one bincount per side for m and
-    m', and one masked bincount per side and coordinate for l and l'.
+    m', and one masked bincount per side and coordinate for l and l'.  The
+    sides, too, keep an integer array's type.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = _int_array(a)
+    b = _int_array(b)
     _check_sides(f, a, b)
     if not len(relation):
         raise SchemeError("empty relation")
-    rel = np.asarray(relation)
-    if rel.dtype.kind != "i":
-        rel = rel.astype(np.int64)
-    rel = rel.reshape(-1, 2)
+    rel = _int_array(relation).reshape(-1, 2)
     n = f.arity
     size = 1 << n
     in_a = np.zeros(size, dtype=bool)

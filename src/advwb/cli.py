@@ -347,6 +347,29 @@ def cmd_matchings(args) -> int:
 # ---- simulate ----------------------------------------------------------
 
 
+def _algorithm_builders(args, n: int):
+    """(label, build) for each algorithm to trace, in order.
+
+    Each algorithm is built when its turn comes.  The random ones share n,
+    `--queries` and `--work`, so a cap error comes from the first of them.
+    """
+    spec = args.algorithm
+    if spec == "random":
+        seed = args.seed if args.seed is not None else 0
+        for s in range(seed, seed + args.count):
+            yield f"random[seed={s}]", functools.partial(
+                qsim.random_algorithm, n, args.queries, work=args.work, seed=s
+            )
+    elif spec == "identity":
+        yield "identity", functools.partial(
+            qsim.identity_algorithm, n, args.queries, work=args.work
+        )
+    elif spec == "parity2":
+        yield "parity2", qsim.parity2_algorithm
+    else:
+        yield spec, functools.partial(qsim.load_algorithm, spec)
+
+
 def cmd_simulate(args) -> int:
     if args.eps is not None and not 0.0 <= args.eps < 0.5:
         print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
@@ -363,46 +386,17 @@ def cmd_simulate(args) -> int:
         print(f"cannot trace scheme: {exc}", file=sys.stderr)
         return 2
 
-    algs: list[tuple[str, qsim.QueryAlgorithm]] = []
-    spec = args.algorithm
-    try:
-        if spec == "random":
-            seed = args.seed if args.seed is not None else 0
-            for j in range(args.count):
-                algs.append(
-                    (
-                        f"random[seed={seed + j}]",
-                        qsim.random_algorithm(
-                            scheme.f.arity,
-                            args.queries,
-                            work=args.work,
-                            seed=seed + j,
-                        ),
-                    )
-                )
-        elif spec == "identity":
-            algs.append(
-                (
-                    "identity",
-                    qsim.identity_algorithm(
-                        scheme.f.arity, args.queries, work=args.work
-                    ),
-                )
-            )
-        elif spec == "parity2":
-            algs.append(("parity2", qsim.parity2_algorithm()))
-        else:
-            algs.append((spec, qsim.load_algorithm(spec)))
-    except (OSError, qsim.QsimError, ValueError) as exc:
-        print(f"cannot build algorithm: {exc}", file=sys.stderr)
-        return 2
-
     lines = []
     if scheme is not checked.scheme:
         lines.append("note: scheme balanced before tracing")
     payload = {"scheme": args.scheme, "algorithms": []}
     failures = 0
-    for label, alg in algs:
+    for label, build in _algorithm_builders(args, scheme.f.arity):
+        try:
+            alg = build()
+        except (OSError, qsim.QsimError, ValueError) as exc:
+            print(f"cannot build algorithm: {exc}", file=sys.stderr)
+            return 2
         try:
             trace = qsim.progress_trace(alg, scheme)
         except qsim.QsimError as exc:
@@ -440,6 +434,7 @@ def cmd_simulate(args) -> int:
             lines.append(f"  query lower bound: {lower:.6f}")
             entry["query_lower_bound"] = f"~{lower:.9g}"
         payload["algorithms"].append(entry)
+        del alg  # dropped before the next one is built
     _emit(args, lines, payload)
     return 1 if failures else 0
 

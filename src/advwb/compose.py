@@ -22,10 +22,10 @@ on integer ids of the few distinct exact weights: each product, quotient
 and ratio root is computed once per distinct id pair, and only distinct
 diff triples and distinct entries become Python tuples, which the slices
 share (on each side of the 4-bit base's square, 1,136 entries serve
-16,896 entry slots).  `verify`, `loads`, `save_scheme` and `sweep_pairs`
-read that table, and so do the claim checks at the end of this module:
-they find a source's row by binary search on its side, so they certify
-exactly what `verify` and `loads` consume.  Their right-hand sides
+16,896 entry slots).  `verify`, `loads`, `save_scheme`, `sweep_pairs`
+and `qsim.progress_trace` read that table, and so do the claim checks at
+the end of this module: they find a source's row by binary search on its
+side, so they certify exactly what `verify` and `loads` consume.  Their right-hand sides
 depend only on the block pattern and total-weight classes and are
 computed once for each.
 """

@@ -57,18 +57,18 @@ class MatchingSet:
     """One family of 3^d perfect matchings for the depth-d iterate.
 
     Pairs are stored 0-input first: matching t maps a_side[i] to
-    partners[t][i].  set_id records which family (1 protects the
-    0-preimage side, 2 the 1-preimage side).  Construction checks that
-    every matching is a bijection onto the 1-preimage and that no pair
-    lies in two matchings, and keeps the union as pair_array, an (N, 2)
-    int32 array.
+    partners[t][i].  The sides are the sorted preimages as int32 arrays.
+    set_id records which family (1 protects the 0-preimage side, 2 the
+    1-preimage side).  Construction checks that every matching is a
+    bijection onto the 1-preimage and that no pair lies in two matchings,
+    and keeps the union as pair_array, an (N, 2) int32 array.
     """
 
     d: int
     set_id: int
     f: BooleanFunction
-    a_side: tuple[int, ...]
-    b_side: tuple[int, ...]
+    a_side: np.ndarray
+    b_side: np.ndarray
     partners: tuple[np.ndarray, ...]
     pair_array: np.ndarray = field(init=False, repr=False)
 
@@ -85,7 +85,7 @@ class MatchingSet:
 
     def pairs(self, t: int) -> list[tuple[int, int]]:
         """The ordered (0-input, 1-input) pairs of matching t."""
-        return list(zip(self.a_side, self.partners[t].tolist()))
+        return list(zip(self.a_side.tolist(), self.partners[t].tolist()))
 
     def partner(self, t: int, x: int) -> int:
         """Partner of 0-input x in matching t."""
@@ -96,7 +96,7 @@ class MatchingSet:
 
     @cached_property
     def _a_pos(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self.a_side)}
+        return {x: i for i, x in enumerate(self.a_side.tolist())}
 
 
 def _sensitive_mask(f: BooleanFunction, x: int) -> tuple[int, int, int]:
@@ -201,14 +201,7 @@ def build_matchings(d: int, set_id: int) -> MatchingSet:
                 out = sources[by_partner]
             partners[t] = out
     del moves, changed
-    return MatchingSet(
-        d,
-        set_id,
-        fd,
-        tuple(a_side.tolist()),
-        tuple(b_side.tolist()),
-        tuple(partners),
-    )
+    return MatchingSet(d, set_id, fd, a_side, b_side, tuple(partners))
 
 
 def _validate(ms: MatchingSet) -> np.ndarray:
@@ -224,7 +217,7 @@ def _validate(ms: MatchingSet) -> np.ndarray:
     size = 1 << n
     count, length = ms.matching_count, ms.matching_size
     in_b = np.zeros(size, dtype=bool)
-    in_b[np.asarray(ms.b_side, dtype=np.int64)] = True
+    in_b[np.asarray(ms.b_side)] = True
     pair_array = np.empty((count, length, 2), dtype=np.int32)
     pair_array[:, :, 0] = ms.a_side
     for t, arr in enumerate(ms.partners):

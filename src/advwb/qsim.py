@@ -3,21 +3,27 @@
 An algorithm is a sequence of unitaries interleaved with an
 input-dependent oracle that flips the sign of basis state |i, z> when
 the i-th input variable is 1 (the i = 0 states are left alone).  A trace
-evolves the state vectors of every input a scheme's pairs touch, once
-and as one batch: after each oracle call it reads the weighted sum W_t
-of pairwise inner products, and after the last unitary it measures the
-designated output bit for each input's error.  The checks then read
-that trace alone: each query may move W by at most 2 * v_max * W_0, and
-an eps-error algorithm must finish with it below 2 sqrt(eps(1-eps)) * W_0.
-The simulator needs only the scheme's records (`f`, its sides and
-`sweep_pairs`); v_max is the caller's, from the scheme's loads.
+evolves the state vectors of every input a scheme's pairs touch, once:
+after each oracle call it reads the weighted sum W_t of pairwise inner
+products, and after the last unitary it measures the designated output
+bit for each input's error.  The checks then read that trace alone: each
+query may move W by at most 2 * v_max * W_0, and an eps-error algorithm
+must finish with it below 2 sqrt(eps(1-eps)) * W_0.  The simulator needs
+only the scheme's records (`f`, its sides and the A side's
+`slice_table`); v_max is the caller's, from the scheme's loads.
 
-Set-up works on whole arrays: every input's oracle row comes from its
-bits in one pass, each distinct pair weight becomes a float once (a
-scheme file's weights are one object per distinct weight string, parsed
-once per file), `random_algorithm` draws and factors all its unitaries
-in one batch, after the dimension and query caps have been checked, and
-an algorithm's unitarity is checked with one batched product.
+A trace holds one (inputs, dimension) state array and two fixed-size
+blocks of rows beside it: unitaries, oracle signs, pair overlaps and
+acceptance all go through the state a block at a time, and each row and
+pair is reduced as in a whole-batch pass, so no value depends on the
+blocking.  Set-up works on whole arrays: every input's oracle signs come
+from its bits in one pass, the pairs come off the slice table with each
+distinct slice entry read once and each distinct pair weight made a
+float once (a scheme file's weights are one object per distinct weight
+string, parsed once per file), `random_algorithm` draws and factors all
+its unitaries in one batch, after the dimension and query caps have been
+checked, and an algorithm's unitarity is checked with one batched
+product.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ INPUT_CAP = 4096
 QUERY_CAP = 1024
 UNITARY_TOL = 1e-9
 CHECK_TOL = 1e-9
+_BLOCK = 256  # state rows, or pairs, per block of a trace
 
 
 class QsimError(ValueError):
@@ -133,13 +140,16 @@ class QueryAlgorithm:
             [bool(sel(i, z)) for i in range(self.n + 1) for z in range(self.work)]
         )
 
+    def oracle_signs(self, inputs) -> np.ndarray:
+        """The oracle by query label, one int8 row per input x: -1 at i with x_i = 1."""
+        xs = np.asarray(inputs, dtype=np.int64)
+        # bit n - i of x is x_i; label 0 reads bit n, which is 0
+        bits = ((xs[:, None] >> np.arange(self.n, -1, -1)) & 1).astype(np.int8)
+        return 1 - 2 * bits
+
     def phase_rows(self, inputs) -> np.ndarray:
         """Oracle diagonals, one row per input x: -1 on |i, z> with x_i = 1."""
-        xs = np.asarray(inputs, dtype=np.int64)
-        bits = (xs[:, None] >> np.arange(self.n - 1, -1, -1)) & 1  # x_1 .. x_n
-        signs = np.ones((len(xs), self.n + 1))
-        signs[:, 1:] -= 2.0 * bits
-        return np.repeat(signs, self.work, axis=1)
+        return np.repeat(self.oracle_signs(inputs).astype(float), self.work, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +170,64 @@ class ProgressTrace:
         return self.values[-1]
 
 
+def _blocks(count: int) -> list[slice]:
+    """Consecutive slices of range(count), near-equal and at most _BLOCK long.
+
+    From count >= 2 rows on, no block has a single row: numpy multiplies a
+    one-row block as a vector, with other rounding than the batch.
+    """
+    k = -(-count // _BLOCK)
+    cuts = [count * j // k for j in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _pair_rows(scheme, inputs: np.ndarray):
+    """State rows of each pair's source and partner, and its float weight.
+
+    The pairs come in `sweep_pairs("a")` order, read off the A-side slice
+    table: every filled slot of a row contributes its slice's entries, with
+    partner source ^ xor.  Each distinct slice entry is read once, and each
+    distinct weight becomes a float once.
+    """
+    sources, ids, slices = scheme.slice_table("a")
+    floats: dict = {}  # each distinct pair weight -> its float
+    xors, ws, lens = [], [], []
+    for sl in slices:
+        lens.append(len(sl.entries))
+        for xor, w, _ in sl.entries:
+            f = floats.get(w)
+            if f is None:
+                f = floats[w] = float(w)
+            xors.append(xor)
+            ws.append(f)
+    lens = np.array(lens)
+    filled = ids >= 0
+    cell = ids[filled]
+    counts = lens[cell]
+    ends = counts.cumsum()
+    # entry j of a cell's slice sits at the slice's start + j in the flat lists
+    shift = (lens.cumsum() - lens)[cell] - (ends - counts)
+    entry = np.arange(ends[-1]) + shift.repeat(counts)
+    x = sources[filled.nonzero()[0]].repeat(counts)
+    y = x ^ np.array(xors)[entry]
+    return inputs.searchsorted(x), inputs.searchsorted(y), np.array(ws)[entry]
+
+
 def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
-    """One batched evolution against the scheme's weighted pair relation.
+    """One evolution of every input's state against the scheme's pairs.
 
     W_t is read right after the t-th oracle call: the unitary that follows
     leaves pairwise inner products unchanged.  U_T is applied once at the
     end, and each input's acceptance probability gives its error.
+
+    The trace holds the (inputs, dim) state and two blocks of rows beside
+    it.  Each unitary goes through the first block a block of rows at a
+    time, and the oracle's signs are broadcast over the (n + 1, work) view
+    of the rows on the way back.  Each pair's |<psi_x|psi_y>| is summed in
+    blocks of pairs, the source rows in the first block and the partner
+    rows in the second, into one vector that W_t dots with the weights.
+    Every row and every pair is reduced as in one whole-batch pass, so the
+    values do not depend on the blocking.
     """
     if scheme.f.arity != alg.n:
         raise QsimError(
@@ -174,32 +236,47 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     inputs = sorted(set(scheme.a_side) | set(scheme.b_side))
     if len(inputs) > INPUT_CAP:
         raise QsimError(f"{len(inputs)} inputs exceed the cap {INPUT_CAP}")
-    pos = {x: r for r, x in enumerate(inputs)}
-    code: dict = {}  # each distinct pair weight, numbered in order of first use
-    rows = [
-        (pos[x], pos[y], code.setdefault(w, len(code)))
-        for x, records in scheme.sweep_pairs("a")
-        for y, w, _ in records
-    ]
-    xi, yi, wi = (np.array(col) for col in zip(*rows))
-    w_arr = np.array([float(w) for w in code])[wi]
-
-    def weighted_overlap(states: np.ndarray) -> float:
-        inner = np.abs(np.sum(states[xi].conj() * states[yi], axis=1))
-        return float(np.dot(w_arr, inner))
-
-    states = np.zeros((len(inputs), alg.dimension), dtype=np.complex128)
+    xs = np.array(inputs, dtype=np.int64)
+    xi, yi, w = _pair_rows(scheme, xs)
+    signs = alg.oracle_signs(xs)[:, :, None]
+    count, dim, view = len(inputs), alg.dimension, (-1, alg.n + 1, alg.work)
+    states = np.zeros((count, dim), dtype=np.complex128)
     states[:, 0] = 1.0
-    phases = alg.phase_rows(inputs)
-    values = [weighted_overlap(states)]
+    size = min(max(count, len(w)), _BLOCK)
+    left, right = np.empty((2, size, dim), dtype=np.complex128)
+    inner = np.empty(len(w))
+    # per block of rows: its slice, its state rows, as many buffer rows and
+    # its signs
+    rows = [(b, states[b], left[: b.stop - b.start], signs[b]) for b in _blocks(count)]
+    pairs = []
+    for b in _blocks(len(w)):
+        m = b.stop - b.start
+        pairs.append((xi[b], yi[b], left[:m], right[:m], inner[b]))
+
+    def weighted_overlap() -> float:
+        for xb, yb, sx, sy, out in pairs:
+            states.take(xb, axis=0, out=sx, mode="clip")
+            np.conjugate(sx, out=sx)
+            states.take(yb, axis=0, out=sy, mode="clip")
+            np.multiply(sx, sy, out=sx)
+            np.abs(np.add.reduce(sx, axis=1), out=out)
+        return float(np.dot(w, inner))
+
+    values = [weighted_overlap()]
     for u in alg.unitaries[:-1]:
-        states = (states @ u.T) * phases
-        values.append(weighted_overlap(states))
-    states = states @ alg.unitaries[-1].T
-    accept = np.sum(np.abs(states[:, alg.accept_mask()]) ** 2, axis=1)
+        ut = u.T
+        for _, here, block, sgn in rows:
+            np.matmul(here, ut, out=block)
+            np.multiply(block.reshape(view), sgn, out=here.reshape(view))
+        values.append(weighted_overlap())
+    ut, mask = alg.unitaries[-1].T, alg.accept_mask()
+    accept = np.empty(count)
+    for b, here, block, _ in rows:
+        np.matmul(here, ut, out=block)
+        accept[b] = np.sum(np.abs(block[:, mask]) ** 2, axis=1)
     table = scheme.f.table
     errors = {
-        x: 1.0 - float(p) if table[x] else float(p) for x, p in zip(inputs, accept)
+        x: 1.0 - p if table[x] else p for x, p in zip(inputs, accept.tolist())
     }
     drops = tuple(
         abs(values[t] - values[t - 1]) for t in range(1, len(values))
@@ -245,10 +322,14 @@ def random_algorithm(
     rng = np.random.default_rng(seed)
     # real then imaginary part of each matrix in turn, one draw for all
     g = rng.standard_normal((queries + 1, 2, dim, dim))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    a = g[:, 0] + 1j * g[:, 1]
+    del g  # each of these arrays is as large as the algorithm: hold few at once
+    q, r = np.linalg.qr(a)
+    del a
     # fix the phase convention so the factorization is unique
     diag = np.diagonal(r, axis1=1, axis2=2)
-    q = q * (diag / np.abs(diag))[:, None, :]
+    q *= (diag / np.abs(diag))[:, None, :]
+    del r, diag
     return QueryAlgorithm(n=n, unitaries=tuple(q), work=work, seed=seed)
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -508,6 +509,22 @@ def test_simulate_random_count(capsys):
     for seed in (5, 6, 7):
         assert f"random[seed={seed}]" in out
     assert out.count("drop bound: ok") == 3
+
+
+def test_simulate_count_holds_one_algorithm_at_a_time(capsys):
+    # 65 unitaries of 63 x 63, about 4 MB per algorithm
+    argv = ("simulate", "random", "--scheme", "h6", "--queries", "64", "--work", "9")
+    run_cli(capsys, *argv)  # the scheme is checked once, before the measurement
+    peaks = []
+    for count in (1, 6):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv, "--count", str(count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.count("drop bound: ok") == count
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("algorithm", ["random", "identity"])

@@ -305,7 +305,7 @@ def test_matching_set_names_the_first_shared_pair(d, early, late):
     partners = _share_column(partners, 0, 1, early)
     repeats = _repeats(ms.a_side, partners)
     assert repeats[0] == (1, early) and (2, late) in repeats
-    want = (ms.a_side[early], int(ms.partners[0][early]))
+    want = (int(ms.a_side[early]), int(ms.partners[0][early]))
     with pytest.raises(MatchingError) as info:
         MatchingSet(d, 1, ms.f, ms.a_side, ms.b_side, partners)
     assert str(info.value) == f"pair {want} appears in two matchings"

@@ -1,13 +1,17 @@
 """State-vector simulation of query algorithms and the progress argument."""
 
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from advwb.adversary import builtin_scheme, loads, unit_scheme
-from advwb.boolfn import parity
+import qsim_reference
+from advwb.adversary import balance, builtin_scheme, loads, unit_scheme
+from advwb.boolfn import BooleanFunction, parity
 from advwb.qsim import (
+    DIMENSION_CAP,
     QUERY_CAP,
     AlgorithmErrorTooLarge,
     QsimError,
@@ -27,6 +31,19 @@ from advwb.qsim import (
 def parity2_scheme():
     f = parity(2)
     return unit_scheme(f, (0, 3), (1, 2), [(0, 1), (0, 2), (3, 1), (3, 2)])
+
+
+def matching_scheme(n, seed):
+    """Unit scheme on one seeded perfect matching of a balanced n-bit function:
+    all 2^n inputs, each in one pair."""
+    rng = random.Random(seed)
+    order = list(range(1 << n))
+    rng.shuffle(order)
+    ones, zeros = sorted(order[: 1 << (n - 1)]), sorted(order[1 << (n - 1) :])
+    partners = ones[:]
+    rng.shuffle(partners)
+    f = BooleanFunction.from_ones(n, ones)
+    return unit_scheme(f, zeros, ones, list(zip(zeros, partners)))
 
 
 def v_max(scheme):
@@ -329,3 +346,47 @@ def test_eps_range_checks():
         query_lower_bound(-0.1, 0.5)
     with pytest.raises(ValueError):
         check_final_bound(progress_trace(parity2_algorithm(), parity2_scheme()), 0.7)
+
+
+def _bit_identity_cases(name):
+    """(scheme, algorithm) pairs: random, identity and parity2 algorithms."""
+    if name == "parity2":
+        yield parity2_scheme(), parity2_algorithm()
+    elif name.startswith("unit"):
+        # 10 bits: 1,024 inputs in four row blocks, 512 pairs in two blocks;
+        # 12 bits at work 4: 4,096 inputs
+        n = int(name[4:])
+        scheme, work = matching_scheme(n, n), DIMENSION_CAP // (n + 1)
+        yield scheme, random_algorithm(n, 3, work=work, seed=n)
+        yield scheme, identity_algorithm(n, 2, work=work)
+    else:
+        scheme = builtin_scheme(name)
+        n = scheme.f.arity
+        for sch in (scheme, balance(scheme)):
+            for q, w in ((1, 2), (3, 3), (8, 4)):
+                yield sch, random_algorithm(n, q, work=w, seed=q * w)
+            yield sch, identity_algorithm(n, 2)
+
+
+@pytest.mark.parametrize("name", ["f4", "nae3", "h6", "parity2", "unit10", "unit12"])
+def test_trace_is_bit_identical_to_the_batch_reference(name):
+    for scheme, alg in _bit_identity_cases(name):
+        got = progress_trace(alg, scheme)
+        want = qsim_reference.progress_trace(alg, scheme)
+        assert got.values == want.values
+        assert got.drops == want.drops
+        assert list(got.errors.items()) == list(want.errors.items())
+
+
+def test_trace_holds_one_state_array():
+    scheme = matching_scheme(12, 12)
+    alg = random_algorithm(12, 8, work=4, seed=5)
+    state_bytes = len(scheme.a_side + scheme.b_side) * alg.dimension * 16
+    tracemalloc.start()
+    try:
+        progress_trace(alg, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the state, two blocks of rows beside it, the pair rows and the errors
+    assert peak < 1.5 * state_bytes
