@@ -4,6 +4,10 @@ Exact quantities (sums of radicals, or sqrt(...) of one) print as exact
 strings followed by a six-place decimal in parentheses; JSON output
 carries the exact strings, and a leading ~ marks only simulator floats.
 Exit codes: 0 success, 1 validation failure, 2 usage or parse error.
+A failing subcommand raises `_Exit`; `main` alone catches it, prints its
+message as the one stderr line and returns its code.  Only a scheme's
+violations, listed on stdout, leave with no message; `simulate` reports
+a failed bound in its output and returns 1.
 
 A process checks each scheme once: `main` keeps the verified scheme and
 its loads (and its balanced form, once needed) for each builtin name and
@@ -35,6 +39,15 @@ BASE_ALIASES = {
     "h6": "h6",
 }
 
+
+class _Exit(Exception):
+    """Leaves a subcommand: `main` prints `message`, if any, and returns `code`."""
+
+    def __init__(self, code: int, message: str | None = None):
+        super().__init__(code, message)
+        self.code, self.message = code, message
+
+
 # Deepest --depth that compose and iterate accept.  Deeper predicted values
 # outgrow what prints: (sqrt(39)/2)^d, the largest builtin bound, leaves
 # the float range of its six-place decimal near d = 626, and past a few
@@ -61,9 +74,12 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def _load_function(spec: str) -> boolfn.BooleanFunction:
     path = Path(spec)
-    if path.exists():
-        return boolfn.load_table(path)
-    return boolfn.builtin(spec)
+    try:
+        return boolfn.load_table(path) if path.exists() else boolfn.builtin(spec)
+    except boolfn.TableFormatError as exc:
+        raise _Exit(2, f"parse error: {exc}")
+    except (OSError, KeyError, ValueError) as exc:
+        raise _Exit(2, f"cannot load function: {exc}")
 
 
 # Verified schemes kept by `_checked`, keyed by builtin name or by file
@@ -95,11 +111,11 @@ class _Checked:
         return self._balanced
 
 
-def _checked(key, load):
+def _checked(key, load) -> _Checked:
     """The checked scheme memoized under key, or the one `load` returns,
-    once verified; otherwise the exit code after the message: 2 when the
-    scheme cannot be read or weighed exactly, 1 when it is invalid (each
-    violation is printed).  Only successes are kept."""
+    once verified.  Raises `_Exit(2)` when the scheme cannot be read or
+    weighed exactly, and `_Exit(1)` after printing each violation when it
+    is invalid.  Only successes are kept."""
     checked = _checked_schemes.get(key)
     if checked is not None:
         _checked_schemes.move_to_end(key)
@@ -107,26 +123,24 @@ def _checked(key, load):
     try:
         scheme = load()
     except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot load scheme: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"cannot load scheme: {exc}")
     violations = adversary.verify(scheme)
     if violations:
         print(f"invalid: {len(violations)} violation(s)")
         for v in violations:
             print(f"  {v}")
-        return 1
+        raise _Exit(1)
     try:
         report = adversary.loads(scheme, keep_maps=False)
     except ValueError as exc:
-        print(f"cannot load scheme: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"cannot load scheme: {exc}")
     checked = _checked_schemes[key] = _Checked(scheme, report)
     if len(_checked_schemes) > CHECKED_SCHEME_CAP:
         _checked_schemes.popitem(last=False)
     return checked
 
 
-def _checked_builtin(name: str):
+def _checked_builtin(name: str) -> _Checked:
     return _checked(name, lambda: adversary.builtin_scheme(name))
 
 
@@ -145,16 +159,15 @@ def _scheme_file_key(path: Path) -> tuple:
     return digest, hashlib.sha256(table.read_bytes()).hexdigest()
 
 
-def _checked_scheme(spec: str):
+def _checked_scheme(spec: str) -> _Checked:
     """`_checked` for a scheme file, keyed by its content, or a builtin."""
     path = Path(spec)
-    if not path.exists():
-        return _checked_builtin(BASE_ALIASES.get(spec, spec))
     try:
-        key = _scheme_file_key(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load scheme: {exc}", file=sys.stderr)
-        return 2
+        key = _scheme_file_key(path) if path.exists() else None
+    except (OSError, ValueError) as exc:  # exists() fails on a name too long
+        raise _Exit(2, f"cannot load scheme: {exc}")
+    if key is None:
+        return _checked_builtin(BASE_ALIASES.get(spec, spec))
     return _checked(key, lambda: adversary.load_scheme(path))
 
 
@@ -162,38 +175,25 @@ def _checked_scheme(spec: str):
 
 
 def cmd_measures(args) -> int:
-    try:
-        f = _load_function(args.fn)
-    except boolfn.TableFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot load function: {exc}", file=sys.stderr)
-        return 2
+    f = _load_function(args.fn)
     skip = tuple(t for t in (args.skip or "").split(",") if t)
     bad = set(skip) - set(measures.SKIPPABLE)
     if bad:
-        print(
-            f"unknown skip tokens {sorted(bad)}; choose from {measures.SKIPPABLE}",
-            file=sys.stderr,
+        raise _Exit(
+            2, f"unknown skip tokens {sorted(bad)}; choose from {measures.SKIPPABLE}"
         )
-        return 2
     try:
         eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
-        print(f"bad eps {args.eps!r}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"bad eps {args.eps!r}")
     if not 0 <= eps < Fraction(1, 2):
-        print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"bad eps {args.eps!r}: must lie in [0, 1/2)")
     try:
         rep = measures.compute_report(f, eps, skip=skip)
     except measures.CapExceeded as exc:
-        print(f"cap exceeded: {exc} (use --skip)", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"cap exceeded: {exc} (use --skip)")
     except measures.CertificateError as exc:
-        print(f"approximate degree not certified: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"approximate degree not certified: {exc}")
     d = rep.as_dict()
     lines = [f"{k} = {v}" for k, v in d.items()]
     _emit(args, lines, d)
@@ -204,10 +204,7 @@ def cmd_measures(args) -> int:
 
 
 def cmd_verify_scheme(args) -> int:
-    checked = _checked_scheme(args.scheme)
-    if isinstance(checked, int):
-        return checked
-    report = checked.report
+    report = _checked_scheme(args.scheme).report
     lines = [
         f"valid, bound = {fmt(report.bound)}",
         f"wt min = {fmt(report.wt_min)}",
@@ -239,15 +236,10 @@ def cmd_verify_scheme(args) -> int:
 def cmd_compose(args) -> int:
     name = BASE_ALIASES.get(args.base)
     if name is None:
-        print(f"unknown base {args.base!r}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"unknown base {args.base!r}")
     if not 1 <= args.depth <= MAX_DEPTH:
-        print(f"depth must be in 1..{MAX_DEPTH}", file=sys.stderr)
-        return 2
-    checked = _checked_builtin(name)
-    if isinstance(checked, int):
-        return checked
-    balanced, balanced_report = checked.balanced()
+        raise _Exit(2, f"depth must be in 1..{MAX_DEPTH}")
+    balanced, balanced_report = _checked_builtin(name).balanced()
     predicted = balanced_report.bound**args.depth
     arity = balanced.f.arity**args.depth
     lines = []
@@ -261,8 +253,7 @@ def cmd_compose(args) -> int:
         lines.append(f"predicted bound = {fmt(predicted)}")
         payload.update(materialized=False, predicted_bound=str(predicted))
         if args.export:
-            print("cannot export: composition not materialized", file=sys.stderr)
-            return 1
+            raise _Exit(1, "cannot export: composition not materialized")
         _emit(args, lines, payload)
         return 0
     if args.depth == 1:
@@ -274,7 +265,7 @@ def cmd_compose(args) -> int:
         print(f"composed scheme invalid: {len(violations)} violation(s)")
         for v in violations[:10]:
             print(f"  {v}")
-        return 1
+        raise _Exit(1)
     report = adversary.loads(scheme, keep_maps=False)
     lines.append(f"pairs = {scheme.pair_count}")
     lines.append(f"measured bound = {fmt(report.bound)}")
@@ -289,8 +280,7 @@ def cmd_compose(args) -> int:
         try:
             adversary.save_scheme(scheme, args.export)
         except OSError as exc:
-            print(f"cannot export: {exc}", file=sys.stderr)
-            return 2
+            raise _Exit(2, f"cannot export: {exc}")
         lines.append(f"exported to {args.export}")
         payload["exported"] = str(args.export)
     _emit(args, lines, payload)
@@ -302,13 +292,11 @@ def cmd_compose(args) -> int:
 
 def cmd_matchings(args) -> int:
     if args.depth < 1:
-        print("depth must be at least 1", file=sys.stderr)
-        return 2
+        raise _Exit(2, "depth must be at least 1")
     try:
         checks = matchings.check_matchings(args.depth)
     except matchings.MatchingError as exc:
-        print(f"matchings failed: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"matchings failed: {exc}")
     lines = []
     payload = {"depth": args.depth, "sets": {}}
     for set_id, chk in sorted(checks.items()):
@@ -335,8 +323,7 @@ def cmd_matchings(args) -> int:
             try:
                 written = matchings.export_matchings(ms, args.export)
             except OSError as exc:
-                print(f"cannot export: {exc}", file=sys.stderr)
-                return 2
+                raise _Exit(2, f"cannot export: {exc}")
             files.extend(str(p) for p in written)
         lines.append(f"exported {len(files)} files to {args.export}")
         payload["exported"] = files
@@ -372,19 +359,14 @@ def _algorithm_builders(args, n: int):
 
 def cmd_simulate(args) -> int:
     if args.eps is not None and not 0.0 <= args.eps < 0.5:
-        print(f"bad eps {args.eps!r}: must lie in [0, 1/2)", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"bad eps {args.eps!r}: must lie in [0, 1/2)")
     if args.count < 1:
-        print(f"bad count {args.count}: must be at least 1", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"bad count {args.count}: must be at least 1")
     checked = _checked_scheme(args.scheme)
-    if isinstance(checked, int):
-        return checked
     try:
         scheme, report = checked.balanced()
     except adversary.SchemeError as exc:
-        print(f"cannot trace scheme: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"cannot trace scheme: {exc}")
 
     lines = []
     if scheme is not checked.scheme:
@@ -395,13 +377,11 @@ def cmd_simulate(args) -> int:
         try:
             alg = build()
         except (OSError, qsim.QsimError, ValueError) as exc:
-            print(f"cannot build algorithm: {exc}", file=sys.stderr)
-            return 2
+            raise _Exit(2, f"cannot build algorithm: {exc}")
         try:
             trace = qsim.progress_trace(alg, scheme)
         except qsim.QsimError as exc:
-            print(f"{label}: {exc}", file=sys.stderr)
-            return 1
+            raise _Exit(1, f"{label}: {exc}")
         ok = qsim.check_drop_bound(trace, report.v_max)
         entry = {
             "algorithm": label,
@@ -443,22 +423,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    try:
-        f = _load_function(args.fn)
-    except boolfn.TableFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot load function: {exc}", file=sys.stderr)
-        return 2
+    f = _load_function(args.fn)
     if not 1 <= args.depth <= MAX_DEPTH:
-        print(f"depth must be in 1..{MAX_DEPTH}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"depth must be in 1..{MAX_DEPTH}")
     try:
         rep = measures.iterated_certificates(f, args.depth)
     except (measures.ArityError, ValueError) as exc:
-        print(f"iterate failed: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"iterate failed: {exc}")
     lines = [
         f"depth = {rep.d}",
         f"sensitivity = {rep.s}",
@@ -555,7 +526,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        if exc.message is not None:
+            print(exc.message, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

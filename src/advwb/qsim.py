@@ -20,10 +20,10 @@ blocking.  Set-up works on whole arrays: every input's oracle signs come
 from its bits in one pass, the pairs come off the slice table with each
 distinct slice entry read once and each distinct pair weight made a
 float once (a scheme file's weights are one object per distinct weight
-string, parsed once per file), `random_algorithm` draws and factors all
-its unitaries in one batch, after the dimension and query caps have been
-checked, and an algorithm's unitarity is checked with one batched
-product.
+string, parsed once per file), and `random_algorithm` draws and factors
+its unitaries only after the dimension and query caps have been checked.
+That draw, and the unitarity check of every algorithm, run in batches
+over blocks of one stack of matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ QUERY_CAP = 1024
 UNITARY_TOL = 1e-9
 CHECK_TOL = 1e-9
 _BLOCK = 256  # state rows, or pairs, per block of a trace
+_MATRIX_BLOCK_BYTES = 1 << 18  # bytes of matrices per block of a draw or unitarity check
 
 
 class QsimError(ValueError):
@@ -80,6 +81,11 @@ def _checked_dimension(n: int, work: int) -> int:
     return dim
 
 
+def _matrices_per_block(dim: int) -> int:
+    """The dim x dim complex128 matrices that fill _MATRIX_BLOCK_BYTES, at least one."""
+    return max(1, _MATRIX_BLOCK_BYTES // (16 * dim * dim))
+
+
 def _check_queries(queries: int) -> None:
     """A builder's query count: 0 up to the cap, checked before any matrix."""
     if queries < 0:
@@ -94,7 +100,10 @@ class QueryAlgorithm:
 
     Basis states are |i, z> with query label i in 0..n and work label
     z in 0..work-1, laid out as index i*work + z.  The selector marks
-    accepting basis labels; by default the rightmost bit of z.
+    accepting basis labels; by default the rightmost bit of z.  The
+    unitaries may come as a sequence of matrices or as one (T + 1, dim,
+    dim) stack; they are kept as a tuple of complex128 matrices, views of
+    the stack when it is complex128 already.
     """
 
     n: int
@@ -105,25 +114,29 @@ class QueryAlgorithm:
 
     def __post_init__(self):
         dim = _checked_dimension(self.n, self.work)
-        if not self.unitaries:
+        if len(self.unitaries) == 0:
             raise QsimError("need at least one unitary")
         for t, u in enumerate(self.unitaries):
             shape = np.shape(u)
             if shape != (dim, dim):
                 raise QsimError(f"unitary {t} has shape {shape}, expected {(dim, dim)}")
-        mats = np.array(self.unitaries, dtype=np.complex128)
-        # U_t^H U_t, all t at once; huge entries overflow to inf or nan, which
-        # the defect test below rejects, so numpy need not warn about them
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = mats.conj().transpose(0, 2, 1) @ mats
-        gram -= np.eye(dim)
-        defects = np.abs(gram).max(axis=(1, 2))
-        bad = np.flatnonzero(~(defects <= UNITARY_TOL))  # NaN entries fail too
-        if bad.size:
-            t = bad[0]
-            raise QsimError(
-                f"matrix {t} is not unitary (defect {defects[t]:.3e} > {UNITARY_TOL})"
-            )
+        mats = np.asarray(self.unitaries, dtype=np.complex128)  # no copy of a stack
+        step = _matrices_per_block(dim)
+        for lo in range(0, len(mats), step):
+            block = mats[lo : lo + step]
+            # U_t^H U_t for each t of the block; huge entries overflow to inf
+            # or nan, which the defect test rejects, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = block.conj().transpose(0, 2, 1) @ block
+            gram -= np.eye(dim)
+            defects = np.abs(gram).max(axis=(1, 2))
+            bad = np.flatnonzero(~(defects <= UNITARY_TOL))  # NaN entries fail too
+            if bad.size:
+                t = bad[0]
+                raise QsimError(
+                    f"matrix {lo + t} is not unitary "
+                    f"(defect {defects[t]:.3e} > {UNITARY_TOL})"
+                )
         object.__setattr__(self, "unitaries", tuple(mats))
 
     @property
@@ -316,21 +329,24 @@ def query_lower_bound(eps: float, v_max) -> float:
 def random_algorithm(
     n: int, queries: int, *, work: int = 2, seed: int | None = None
 ) -> QueryAlgorithm:
-    """Seeded algorithm with Haar-ish unitaries (QR of complex Gaussians)."""
+    """Seeded algorithm with Haar-ish unitaries (QR of complex Gaussians).
+
+    The matrices are drawn and factored a block at a time into one stack:
+    the same numbers as one batch, with one block of temporaries beside it.
+    """
     dim = _checked_dimension(n, work)
     _check_queries(queries)
     rng = np.random.default_rng(seed)
-    # real then imaginary part of each matrix in turn, one draw for all
-    g = rng.standard_normal((queries + 1, 2, dim, dim))
-    a = g[:, 0] + 1j * g[:, 1]
-    del g  # each of these arrays is as large as the algorithm: hold few at once
-    q, r = np.linalg.qr(a)
-    del a
-    # fix the phase convention so the factorization is unique
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    q *= (diag / np.abs(diag))[:, None, :]
-    del r, diag
-    return QueryAlgorithm(n=n, unitaries=tuple(q), work=work, seed=seed)
+    q = np.empty((queries + 1, dim, dim), dtype=np.complex128)
+    step = _matrices_per_block(dim)
+    for lo in range(0, queries + 1, step):
+        # real then imaginary part of each matrix in turn
+        g = rng.standard_normal((min(step, queries + 1 - lo), 2, dim, dim))
+        qb, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        # fix the phase convention so the factorization is unique
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q[lo : lo + len(g)] = qb * (diag / np.abs(diag))[:, None, :]
+    return QueryAlgorithm(n=n, unitaries=q, work=work, seed=seed)
 
 
 def identity_algorithm(n: int, queries: int, *, work: int = 2) -> QueryAlgorithm:
@@ -409,7 +425,7 @@ def load_algorithm(path: str | Path) -> QueryAlgorithm:
             f"malformed algorithm file {path}: 'unitaries' must be a list of "
             "lists of [re, im] number pairs"
         )
-    dim = (n + 1) * work
+    dim = _checked_dimension(n, work)
     mats = []
     for t, flat in enumerate(raw):
         if len(flat) != dim * dim:

@@ -390,3 +390,52 @@ def test_trace_holds_one_state_array():
         tracemalloc.stop()
     # the state, two blocks of rows beside it, the pair rows and the errors
     assert peak < 1.5 * state_bytes
+
+
+def test_unitarity_check_in_blocks_names_the_first_bad_matrix():
+    # 63 x 63 matrices go four to a block, so matrix 13 sits in the fourth
+    mats = np.stack(random_algorithm(6, 19, work=9, seed=2).unitaries)
+    mats[13, 5, 7] += 1e-3
+    mats[17] *= 2.0
+    gram = mats[13].conj().T @ mats[13] - np.eye(63)
+    defect = np.abs(gram).max()
+    with pytest.raises(QsimError) as info:
+        QueryAlgorithm(n=6, unitaries=tuple(mats), work=9)
+    assert str(info.value) == f"matrix 13 is not unitary (defect {defect:.3e} > 1e-09)"
+
+
+def test_algorithm_accepts_a_stack_of_unitaries():
+    want = random_algorithm(3, 4, work=3, seed=8)
+    stack = np.stack(want.unitaries)
+    alg = QueryAlgorithm(n=3, unitaries=stack, work=3)
+    assert isinstance(alg.unitaries, tuple) and len(alg.unitaries) == 5
+    assert all(u.shape == (12, 12) for u in alg.unitaries)
+    assert all(np.array_equal(u, w) for u, w in zip(alg.unitaries, want.unitaries))
+    assert alg.unitaries[0].base is stack  # a complex128 stack is not copied
+
+
+def test_algorithm_from_a_tuple_holds_one_stack():
+    unitaries = random_algorithm(6, 64, work=9, seed=4).unitaries
+    stack_bytes = sum(u.nbytes for u in unitaries)
+    unitaries = tuple(u.copy() for u in unitaries)  # no shared stack to reuse
+    tracemalloc.start()
+    try:
+        QueryAlgorithm(n=6, unitaries=unitaries, work=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stack and one block of the unitarity check beside it
+    assert peak < 1.5 * stack_bytes
+
+
+def test_random_algorithm_holds_one_stack():
+    tracemalloc.start()
+    try:
+        alg = random_algorithm(6, 64, work=9, seed=4)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack_bytes = sum(u.nbytes for u in alg.unitaries)
+    assert kept < 1.1 * stack_bytes
+    # the stack and one block of draws and factors beside it
+    assert peak < 1.5 * stack_bytes
