@@ -22,22 +22,24 @@ Protocol (duck-typed):
                          (i, fwd, bwd) over differing coordinates, fwd
                          being w'(source, partner, i).  Every call returns
                          the same three objects
-    sweep_pairs(side)    yields (source, records) per row of the table, with
-                         (partner, w, diffs) records in slot and slice order
+    sweep_pairs          given a side, yields (source, records) per row of
+                         the table, (partner, w, diffs) records in slot and
+                         slice order: the record view for tests and tracing
 
 The records are the scheme: every pair appears once from each side, and
-there is no per-pair lookup.  A slice's entries do not depend on the
-source, so `verify` finds the faults of each distinct slice once, `loads`
-sums each distinct slice once, as integer coefficient rows, then adds the
-K rows of every source one column at a time in numpy, `save_scheme`
-formats each distinct entry once, and `qsim.progress_trace` reads each
+there is no per-pair lookup.  Code in this package reads `slice_table`.
+A slice's entries do not depend on the source, so `verify` finds the
+faults of each distinct slice once, `loads` sums each distinct slice
+once, as integer coefficient rows, then adds the K rows of every source
+one column at a time in numpy, `save_scheme` formats and `balance`
+rescales each distinct entry once, and `qsim.progress_trace` reads each
 distinct A-side entry once and expands the table into pair rows in numpy.
 
-Two classes implement the protocol, both on top of `TableSweeps`, and
-both keep equal entries once and share a slice among sources with equal
-surroundings: ExplicitScheme holds all of a source's pairs in one slot,
-and compose.ComposedScheme builds each side's table once, on first use,
-from an outer and an inner scheme, one slot per outer partner.
+Two classes implement the protocol, both keep equal entries once and
+share a slice among sources with equal surroundings, and `TableSweeps`
+gives both the record view: ExplicitScheme holds all of a source's pairs
+in one slot, and compose.ComposedScheme builds each side's table once,
+on first use, from its factors' tables, one slot per outer partner.
 `balance` returns an ExplicitScheme, or its argument when that is
 already balanced.
 """
@@ -509,8 +511,9 @@ def balance(scheme, report: LoadReport | None = None):
     s = sqrt(v_b/v_a) and divides every backward weight by s.  Pair
     weights and the products w'(x,y,i)*w'(y,x,i) are untouched, so
     validity is preserved.  Returns an ExplicitScheme with the pairs in
-    the order of `scheme.sweep_pairs("a")`, or the scheme unchanged when
-    it is already balanced.
+    the source, slot and entry order of the A side's `slice_table`, or the
+    scheme unchanged when it is already balanced.  Each distinct entry is
+    rescaled once, and its pairs share its w and new wp objects.
     """
     rep = report if report is not None else loads(scheme, keep_maps=False)
     v_a, v_b = rep.v_a, rep.v_b
@@ -522,10 +525,13 @@ def balance(scheme, report: LoadReport | None = None):
     if ratio.u != 1:
         raise SchemeError(f"load ratio {ratio} has no exact square root")
     s = ratio.sqrt()
+    sources, ids, slices = scheme.slice_table("a")
+    distinct = {id(e): e for sl in slices for e in sl.entries}
+    wps = {key: {i: (fwd * s, bwd / s) for i, fwd, bwd in e[2]} for key, e in distinct.items()}
     pairs = [
-        (x, y, w, {i: (fwd * s, bwd / s) for i, fwd, bwd in diffs})
-        for x, records in scheme.sweep_pairs("a")
-        for y, w, diffs in records
+        (x, x ^ e[0], e[1], wps[id(e)])
+        for x, row in zip(sources.tolist(), ids.tolist())
+        for e in itertools.chain.from_iterable(slices[k].entries for k in row if k >= 0)
     ]
     return ExplicitScheme(scheme.f, pairs)
 

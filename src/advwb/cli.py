@@ -4,10 +4,10 @@ Exact quantities (sums of radicals, or sqrt(...) of one) print as exact
 strings followed by a six-place decimal in parentheses; JSON output
 carries the exact strings, and a leading ~ marks only simulator floats.
 Exit codes: 0 success, 1 validation failure, 2 usage or parse error.
-A failing subcommand raises `_Exit`; `main` alone catches it, prints its
-message as the one stderr line and returns its code.  Only a scheme's
-violations, listed on stdout, leave with no message; `simulate` reports
-a failed bound in its output and returns 1.
+A failing subcommand or a bad command line raises `_Exit`; `main` alone
+catches it, prints its message as the one stderr line and returns its
+code.  Only a scheme's violations, listed on stdout, leave with no
+message; `simulate` reports a failed bound in its output and returns 1.
 
 A process checks each scheme once: `main` keeps the verified scheme and
 its loads (and its balanced form, once needed) for each builtin name and
@@ -78,7 +78,9 @@ def _load_function(spec: str) -> boolfn.BooleanFunction:
         return boolfn.load_table(path) if path.exists() else boolfn.builtin(spec)
     except boolfn.TableFormatError as exc:
         raise _Exit(2, f"parse error: {exc}")
-    except (OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # its str() would quote the message
+        raise _Exit(2, f"cannot load function: {exc.args[0]}")
+    except (OSError, ValueError) as exc:
         raise _Exit(2, f"cannot load function: {exc}")
 
 
@@ -122,7 +124,9 @@ def _checked(key, load) -> _Checked:
         return checked
     try:
         scheme = load()
-    except (OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # its str() would quote the message
+        raise _Exit(2, f"cannot load scheme: {exc.args[0]}")
+    except (OSError, ValueError) as exc:
         raise _Exit(2, f"cannot load scheme: {exc}")
     violations = adversary.verify(scheme)
     if violations:
@@ -456,8 +460,13 @@ def cmd_iterate(args) -> int:
 # ---- parser ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line leaves like a failing subcommand
+        raise _Exit(2, f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="advwb",
         description="Exact adversary-bound workbench for small Boolean functions.",
     )
@@ -525,8 +534,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _Exit as exc:
         if exc.message is not None:

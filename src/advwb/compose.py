@@ -22,11 +22,13 @@ on integer ids of the few distinct exact weights: each product, quotient
 and ratio root is computed once per distinct id pair, and only distinct
 diff triples and distinct entries become Python tuples, which the slices
 share (on each side of the 4-bit base's square, 1,136 entries serve
-16,896 entry slots).  `verify`, `loads`, `save_scheme`, `sweep_pairs`
-and `qsim.progress_trace` read that table, and so do the claim checks at
-the end of this module: they find a source's row by binary search on its
-side, so they certify exactly what `verify` and `loads` consume.  Their right-hand sides
-depend only on the block pattern and total-weight classes and are
+16,896 entry slots).  `verify`, `loads`, `save_scheme`, `balance`,
+`qsim.progress_trace` and the claim checks at the end of this module
+read that table (`sweep_pairs` is its record view for tests and the
+benchmark tracer), and a composed scheme reads its factors' tables.  The
+claim checks find a source's row by binary search on its side, so they
+certify exactly what `verify` and `loads` consume.  Their right-hand
+sides depend only on the block pattern and total-weight classes and are
 computed once for each.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
+import math
 import operator
 
 import numpy as np
@@ -84,17 +86,29 @@ def _sqrt_product(r1: ExactWeight, r2: ExactWeight) -> ExactWeight:
     return prod.sqrt()
 
 
-def _ratio_records(scheme):
-    """Per source on both sides: (partner, w, ((i, fwd/bwd), ...)) records."""
+def _ratio_table(scheme, side: str) -> tuple:
+    """(sources, ids, records, totals) of a side's `slice_table` as lists:
+    slice k's entries as records[k] = ((xor, w, ((i, fwd / bwd), ...)), ...)
+    and row r's total weight, the sum of its `Slice.wt`, as totals[r].  A
+    zero directional weight has no ratio: SchemeError names its coordinate
+    and the pair of the first source that reaches its slice."""
+    sources, ids, slices = scheme.slice_table(side)
     div = functools.cache(operator.truediv)  # a scheme repeats a few ratios
-    return {
-        source: tuple(
-            (partner, w, tuple((i, div(fwd, bwd)) for i, fwd, bwd in diffs))
-            for partner, w, diffs in records
+    records = []
+    for k, sl in enumerate(slices):
+        for xor, _, diffs in sl.entries:
+            zero = [i for i, fwd, bwd in diffs if fwd.is_zero or bwd.is_zero]
+            if zero:
+                x = int(sources[(ids == k).any(axis=1).argmax()])
+                raise SchemeError(
+                    f"pair ({x}, {x ^ xor}) has a zero directional weight at coordinate {zero[0]}"
+                )
+        records.append(
+            tuple((xor, w, tuple([(i, div(f, b)) for i, f, b in d])) for xor, w, d in sl.entries)
         )
-        for side in ("a", "b")
-        for source, records in scheme.sweep_pairs(side)
-    }
+    ids = ids.tolist()
+    totals = [exact_sum([slices[k].wt for k in row if k >= 0]) for row in ids]
+    return sources.tolist(), ids, records, totals
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -145,46 +159,41 @@ class _Pool:
 class _TemplateBuilder:
     """Builds the slices of a ComposedScheme in batches, over weight ids.
 
-    The outer pair weights and ratios and the inner records, totals and
-    ratios are numbered once in a `_Pool`.  The inner records of block
-    value u are rows rec_start[u] .. rec_start[u] + rec_count[u] - 1 of
-    flat arrays, and their diffs rows of flatter ones; a last record `pad`
-    (offset 0, weight 1, no diffs) fills the slots of templates with fewer
-    differing blocks than others in a batch.
+    The outer pair weights and ratios and the inner records (per distinct
+    inner slice), totals and ratios are numbered once in a `_Pool`.  The
+    inner records of block value u are rows rec_start[u] .. rec_start[u] +
+    rec_count[u] - 1 of flat arrays, and their diffs rows of flatter ones;
+    a last record `pad` (offset 0, weight 1, no diffs) fills the slots of
+    templates with fewer differing blocks than others in a batch.
     """
 
-    def __init__(self, composed: "ComposedScheme"):
+    def __init__(self, composed: "ComposedScheme", inner_tables: list):
         pool = self.pool = _Pool()
         self.n, self.m, self.arity = composed.n, composed.m, composed.arity
         self.outer = {
             pz: (pool.id(w), tuple((j, pool.id(r1)) for j, r1 in odiffs))
             for pz, (w, odiffs) in composed._o_pairs.items()
         }
-        size = 1 << self.m
-        self.total = np.full(size, -1, dtype=np.int64)
-        self.rec_start = np.zeros(size, dtype=np.int64)
-        self.rec_count = np.zeros(size, dtype=np.int64)
-        for u, wt in composed._inner_wt.items():
-            self.total[u] = pool.id(wt)
-        off, wv, dstart, dcount, i2s, r2s = [], [], [], [], [], []
-        for u, recs in composed._i_records.items():
-            self.rec_start[u], self.rec_count[u] = len(off), len(recs)
-            for v, w, rdiffs in recs:
-                off.append(u ^ v)
-                wv.append(pool.id(w))
-                dstart.append(len(i2s))
-                dcount.append(len(rdiffs))
-                for i2, r2 in rdiffs:
-                    i2s.append(i2)
-                    r2s.append(pool.id(r2))
-        self.pad = len(off)
-        off.append(0)
-        wv.append(pool.id(ONE))
-        dstart.append(len(i2s))
-        dcount.append(0)
-        self.off, self.wv, self.dstart, self.dcount, self.i2, self.r2 = (
-            np.array(col, dtype=np.int64) for col in (off, wv, dstart, dcount, i2s, r2s)
-        )
+        # block values in no inner pair have class -1, which picks the last id, -1
+        class_ids = [pool.id(wt) for wt in composed._class_wt]
+        self.total = np.array(class_ids + [-1])[composed._class_of]
+        self.rec_start, self.rec_count = np.zeros((2, 1 << self.m), dtype=np.int64)
+        rows, diffs = [], []  # (xor, w, diff start, diff count) per record; (i2, r2)
+        for sources, ids, records, _ in inner_tables:
+            numbered = [
+                [(xor, pool.id(w), [(i, pool.id(r)) for i, r in rd]) for xor, w, rd in recs]
+                for recs in records
+            ]
+            for u, row in zip(sources, ids):
+                recs = [rec for k in row if k >= 0 for rec in numbered[k]]
+                self.rec_start[u], self.rec_count[u] = len(rows), len(recs)
+                for xor, w, rd in recs:
+                    rows.append((xor, w, len(diffs), len(rd)))
+                    diffs += rd
+        self.pad = len(rows)
+        rows.append((0, pool.id(ONE), len(diffs), 0))
+        self.off, self.wv, self.dstart, self.dcount = np.array(rows, dtype=np.int64).T
+        self.i2, self.r2 = np.array(diffs, dtype=np.int64).reshape(-1, 2).T
 
     def build(self, keys: list, blocks: np.ndarray) -> list[Slice]:
         """The Slices of outer pairs keys[k] = (p, z), towards z from a
@@ -246,8 +255,8 @@ class _TemplateBuilder:
         failed = np.flatnonzero(s < 0)
         if failed.size:  # raise for the first failing diff
             _sqrt_product(values[d_r1[failed[0]]], values[d_r2[failed[0]]])
-        # s is never 0: a zero directional weight divides in the reverse
-        # record's ratio, which `_ratio_records` already refused
+        # s is never 0: construction refused every zero directional weight
+        # of both factors (`_ratio_table`)
         fwd = pool.apply(operator.mul, d_w, s)
         bwd = pool.apply(operator.truediv, d_w, s)
         size = len(values)
@@ -278,13 +287,13 @@ class _TemplateBuilder:
 class ComposedScheme(TableSweeps):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    Nothing is stored per pair.  `slice_table` builds a side's shared
-    slices in one batch (`_TemplateBuilder`) from the outer and inner
-    schemes' records and keeps the side's table, so the ~1.3*10^6 pairs
-    of the 4-bit base's square stay cheap and exact; there is no per-pair
-    lookup.  Slices share their entry and diff tuples, and the tables, the
-    batch builder and its pool of weight ids are made on first use, not
-    at construction.
+    Nothing is stored per pair, and the factors' pairs and weights are
+    read only off their `slice_table`s.  `slice_table` builds a side's
+    shared slices in one batch (`_TemplateBuilder`, made at construction)
+    and keeps the side's table, so the ~1.3*10^6 pairs of the 4-bit
+    base's square stay cheap and exact; there is no per-pair lookup.
+    Slices share their entry and diff tuples, and the tables are made on
+    first use, not at construction.
     """
 
     def __init__(self, outer, inner):
@@ -296,8 +305,8 @@ class ComposedScheme(TableSweeps):
                 f"composed arity {arity} exceeds the materialization cap "
                 f"{COMPOSE_ARITY_CAP}"
             )
-        outer_report = loads(outer, keep_maps=True)
-        inner_report = loads(inner, keep_maps=True)
+        outer_report = loads(outer, keep_maps=False)
+        inner_report = loads(inner, keep_maps=False)
         for name, rep in (("outer", outer_report), ("inner", inner_report)):
             if rep.v_a != rep.v_b:
                 raise SchemeError(
@@ -311,77 +320,53 @@ class ComposedScheme(TableSweeps):
         self.inner_vmax = inner_report.v_max
         self.predicted_bound = ONE / (outer_report.v_max * inner_report.v_max)
 
-        self._inner_wt = inner_report.wt
-        self._outer_wt = outer_report.wt
-        self._o_records = _ratio_records(outer)
-        self._i_records = _ratio_records(inner)
-        self._o_pairs = {
-            (p, z): (w, rd) for p, recs in self._o_records.items() for z, w, rd in recs
-        }
-        # a slice sees its agreeing blocks only through their inner totals,
-        # so blocks with equal totals share a class
-        classes: dict = {}
-        self._wt_class = {
-            u: classes.setdefault(wt, len(classes)) for u, wt in self._inner_wt.items()
-        }
-        self._class_wt = list(classes)
+        # (p, z) -> (w, ((j, fwd / bwd), ...)), p -> ((z, mask of the blocks
+        # where p and z differ), ...) in table order, and p -> total weight
+        self._o_pairs, self._o_partners, self._outer_wt = {}, {}, {}
         block = (1 << m) - 1
-        self._o_partners = {
-            p: tuple(
-                (z, sum(block << (n - j) * m for j, _ in odiffs))
-                for z, _, odiffs in recs
-            )
-            for p, recs in self._o_records.items()
-        }
+        for side in "ab":
+            sources, ids, records, totals = _ratio_table(outer, side)
+            for p, row, wt in zip(sources, ids, totals):
+                recs = [rec for k in row if k >= 0 for rec in records[k]]
+                self._o_pairs.update(((p, p ^ xor), (w, od)) for xor, w, od in recs)
+                self._o_partners[p] = tuple(
+                    (p ^ xor, sum(block << (n - j) * m for j, _ in od)) for xor, _, od in recs
+                )
+                self._outer_wt[p] = wt
+        # a slice sees its agreeing blocks only through their inner totals,
+        # so blocks with equal totals share a class (-1: no inner pair)
+        inner_tables = [_ratio_table(inner, side) for side in "ab"]
+        classes: dict = {}
+        self._class_of = np.full(1 << m, -1, dtype=np.int64)
+        for sources, _, _, totals in inner_tables:
+            for u, wt in zip(sources, totals):
+                self._class_of[u] = classes.setdefault(wt, len(classes))
+        self._class_wt = list(classes)
         self._tables: dict = {}  # side -> (sources, ids, slices)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
 
-        self.a_side = self._enumerate_side(outer.a_side)
-        self.b_side = self._enumerate_side(outer.b_side)
-        self.pair_count = self._count_pairs()
-
-    # ---- construction helpers ------------------------------------------
-
-    def _enumerate_side(self, patterns) -> tuple[int, ...]:
-        inner_a, inner_b = self.inner.a_side, self.inner.b_side
-        n, m = self.n, self.m
-        out = []
-        for p in patterns:
-            choices = [
-                inner_b if p & (1 << (n - 1 - j)) else inner_a for j in range(n)
-            ]
-            for blocks in itertools.product(*choices):
-                x = 0
-                for b in blocks:
-                    x = (x << m) | b
-                out.append(x)
-        return tuple(sorted(out))
-
-    def _count_pairs(self) -> int:
-        """Pairs of the composed relation, counted without a sweep.
-
-        Each outer pair (p, z) contributes the product over blocks j of the
-        inner pair count where p and z differ at j, else the size of the
-        inner side that p's bit j names.
-        """
-        inner_pairs = self.inner.pair_count
-        inner_sizes = (len(self.inner.a_side), len(self.inner.b_side))
-        n = self.n
-        total = 0
-        for p, records in self.outer.sweep_pairs("a"):
-            for z, _, _ in records:
-                count = 1
-                for j in range(n):
-                    bit = 1 << (n - 1 - j)
-                    count *= inner_pairs if (p ^ z) & bit else inner_sizes[bool(p & bit)]
-                total += count
-        return total
+        # the inputs with every block on an inner side, split by the outer
+        # side of their pattern (bit j set: block j on the inner B side)
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        on = np.zeros(1 << m, dtype=np.int64)  # 1 on the inner A side, 2 on the B side
+        on[list(inner.a_side)], on[list(inner.b_side)] = 1, 2
+        xs = np.arange(1 << arity, dtype=np.int64)
+        at = on[(xs[:, None] >> shifts * m) & block]
+        patterns = np.where((at > 0).all(axis=1), ((at - 1) << shifts).sum(axis=1), -1)
+        self.a_side, self.b_side = (
+            tuple(xs[np.isin(patterns, side)].tolist()) for side in (outer.a_side, outer.b_side)
+        )
+        # a composed pair lies over one outer pair (p, z), p on the A side:
+        # inner pairs where p and z differ, the inner side p names elsewhere
+        sizes, pairs = (len(inner.a_side), len(inner.b_side)), inner.pair_count
+        self.pair_count = sum(
+            math.prod(pairs if (p ^ z) >> j & 1 else sizes[p >> j & 1] for j in range(n))
+            for p in outer.a_side
+            for z, _ in self._o_partners[p]
+        )
+        self._builder = _TemplateBuilder(self, inner_tables)
 
     # ---- sweeps -----------------------------------------------------------
-
-    @functools.cached_property
-    def _builder(self) -> _TemplateBuilder:
-        return _TemplateBuilder(self)
 
     def slice_table(self, side: str):
         """(sources, ids, slices) of a side, built on the first call and
@@ -405,9 +390,7 @@ class ComposedScheme(TableSweeps):
         shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
         blocks = (xs[:, None] >> (shifts * m)) & ((1 << m) - 1)
         patterns = (self.inner.f.np_table[blocks].astype(np.int64) << shifts).sum(axis=1)
-        class_of = np.full(1 << m, -1, dtype=np.int64)
-        class_of[list(self._wt_class)] = list(self._wt_class.values())
-        classes = class_of[blocks]
+        classes = self._class_of[blocks]
         radix = int(classes.max()) + 1
         class_code = (classes * radix**shifts).sum(axis=1) << self.arity
         present = np.unique(patterns).tolist()
@@ -463,7 +446,7 @@ def _source(composed: ComposedScheme, x: int, z: int | None = None):
     row = {pz: slices[k] for (pz, _), k in zip(partners, ids[r].tolist())}
     if z is not None and z not in row:
         raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
-    return p, tuple([composed._wt_class[u] for u in blocks]), row
+    return p, tuple(composed._class_of[blocks].tolist()), row
 
 
 def _claim_sides(composed: ComposedScheme, p: int, classes: tuple) -> tuple[dict, bool]:

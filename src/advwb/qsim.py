@@ -197,10 +197,10 @@ def _blocks(count: int) -> list[slice]:
 def _pair_rows(scheme, inputs: np.ndarray):
     """State rows of each pair's source and partner, and its float weight.
 
-    The pairs come in `sweep_pairs("a")` order, read off the A-side slice
-    table: every filled slot of a row contributes its slice's entries, with
-    partner source ^ xor.  Each distinct slice entry is read once, and each
-    distinct weight becomes a float once.
+    The pairs come in source, slot and entry order, read off the A-side
+    slice table: every filled slot of a row contributes its slice's
+    entries, with partner source ^ xor.  Each distinct slice entry is
+    read once, and each distinct weight becomes a float once.
     """
     sources, ids, slices = scheme.slice_table("a")
     floats: dict = {}  # each distinct pair weight -> its float

@@ -125,9 +125,8 @@ def test_measures_force_and_skip(capsys):
     assert "c0 = 9" in out and "c1 = 1" in out
 
     # the knob that lifted the certificate cap is gone
-    with pytest.raises(SystemExit) as exc:
-        main(["measures", "or9", "--force"])
-    assert exc.value.code == 2
+    result = run_cli(capsys, "measures", "or9", "--force")
+    assert result == (2, "", "advwb: error: unrecognized arguments: --force\n")
 
     code, out, _ = run_cli(capsys, "measures", "or9", "--skip", "cert")
     assert code == 0
@@ -556,18 +555,14 @@ def test_simulate_huge_queries_are_refused_before_any_draw(capsys, algorithm):
     assert_usage_error(result, "cannot build algorithm: 1000000000 queries exceed the cap 1024")
 
 
-def run_fresh_parser(capsys, argv):
+def run_fresh_parser(capsys, monkeypatch, argv):
     """What main(argv) gave before it kept its parser: a new one per call."""
-    try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", build_parser)
+        return run_cli(capsys, *argv)
 
 
-def test_main_reuses_its_parser_between_calls(capsys):
+def test_main_reuses_its_parser_between_calls(capsys, monkeypatch):
     seeded = ["simulate", "random", "--scheme", "f", "--seed", "5", "--json"]
     calls = [
         seeded,
@@ -579,17 +574,14 @@ def test_main_reuses_its_parser_between_calls(capsys):
     ]
     results = []
     for argv in calls:
-        try:
-            result = run_cli(capsys, *argv)
-        except SystemExit as exc:
-            result = (exc.code, *capsys.readouterr())
-        assert result == run_fresh_parser(capsys, argv)
+        result = run_cli(capsys, *argv)
+        assert result == run_fresh_parser(capsys, monkeypatch, argv)
         results.append(result)
     seeds = [json.loads(out)["algorithms"][0]["seed"] for _, out, _ in results[:2]]
     assert seeds == [5, 0]
     assert "c0 = " not in results[2][1] and "c0 = 3" in results[3][1]
-    code, out, err = results[4]
-    assert code == 2 and out == "" and "invalid int value: 'x'" in err
+    err = "advwb simulate: error: argument --queries: invalid int value: 'x'\n"
+    assert results[4] == (2, "", err)
     assert results[5][0] == 0 and results[5][1].startswith("valid, bound = 5/2")
 
 
@@ -986,10 +978,8 @@ _SWAPPED_INVALID = (
     "  [side] input 2: A-side input is not a 0-input\n"
     "  [side] input 0: B-side input is not a 1-input\n"
 )
-_NO_SCHEME_NOPE = (
-    "cannot load scheme: \"unknown scheme 'nope'; choose from ('f4', 'nae3', 'h6')\"\n"
-)
-_NO_FUNCTION = "cannot load function: \"unknown builtin 'mystery9'\"\n"
+_NO_SCHEME_NOPE = "cannot load scheme: unknown scheme 'nope'; choose from ('f4', 'nae3', 'h6')\n"
+_NO_FUNCTION = "cannot load function: unknown builtin 'mystery9'\n"
 _PARSE_ERROR = "parse error: line 2, pos 3: invalid character 'x'\n"
 _BAD_SKIP = (
     "unknown skip tokens ['bogus']; "
@@ -1043,6 +1033,10 @@ _FAILURES = {
         "30000000000018200000000002759: its cofactor 30000000000018200000000002759 "
         "has no factor below 1000001 and may still hide a square\n",
     ),
+    "compose-missing-depth": (
+        "compose --base f", 2, "",
+        "advwb compose: error: the following arguments are required: --depth\n",
+    ),
     "compose-base-before-depth": (
         "compose --base q --depth 0", 2, "", "unknown base 'q'\n"
     ),
@@ -1063,6 +1057,10 @@ _FAILURES = {
     "matchings-export-unwritable": (
         "matchings --depth 1 --export <tmp>/file/x", 2, "",
         "cannot export: [Errno 20] Not a directory: '<tmp>/file/x'\n",
+    ),
+    "simulate-queries-not-int": (
+        "simulate random --scheme f4 --queries x", 2, "",
+        "advwb simulate: error: argument --queries: invalid int value: 'x'\n",
     ),
     "simulate-eps-before-count": (
         "simulate random --scheme nope --eps 2 --count 0", 2, "",

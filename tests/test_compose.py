@@ -1,13 +1,17 @@
 """Composed schemes for iterated functions."""
 
 import random
+import re
+from collections import OrderedDict
 
 import pytest
 
+from advwb import cli, qsim
 from advwb.adversary import (
     VIOLATION_CAP,
     LoadReport,
     SchemeError,
+    TableSweeps,
     Violation,
     _Lowered,
     balance,
@@ -61,6 +65,28 @@ def test_compose_rejects_unbalanced_input():
     assert verify(lopsided) == []
     with pytest.raises(SchemeError, match="balance"):
         compose_scheme(lopsided, lopsided)
+
+
+def test_compose_rejects_zero_directional_weights():
+    from advwb.adversary import ExplicitScheme
+
+    pairs = [
+        (0, 1, 1, {3: (1, 0)}),
+        (0, 2, 1, {2: (1, 1)}),
+        (7, 6, 1, {3: (1, 1)}),
+        (7, 5, 1, {2: (1, 1)}),
+        (7, 1, 1, {1: (1, 1), 2: (1, 1)}),
+    ]
+    b = balance(ExplicitScheme(nae3(), pairs))
+    rep = loads(b)
+    assert rep.v_a == rep.v_b
+    assert [(v.kind, v.x, v.y, v.i) for v in verify(b)] == [("directional", 0, 1, 3)]
+    # refused as the outer factor and as the inner one
+    message = "pair (0, 1) has a zero directional weight at coordinate 3"
+    g = balance(builtin_scheme("nae3"))
+    for outer, inner in ((b, b), (b, g), (g, b)):
+        with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
+            compose_scheme(outer, inner)
 
 
 def test_compose_arity_cap():
@@ -410,3 +436,51 @@ def test_composed_scheme_round_trips_through_files(tmp_path):
     assert verify(back) == []
     assert loads(back, keep_maps=False).bound == ExactWeight(9, 2)
     assert_round_trips(c, path)
+
+
+def _pattern(c: ComposedScheme, y: int) -> int:
+    """The block pattern of y: the inner function's value on each block."""
+    blocks = [(y >> (c.n - 1 - j) * c.m) & ((1 << c.m) - 1) for j in range(c.n)]
+    return sum(c.inner.f.table[u] << (c.n - 1 - j) for j, u in enumerate(blocks))
+
+
+def test_the_package_reads_tables_not_sweeps(monkeypatch, tmp_path, capsys):
+    """With `sweep_pairs` raising, composing, verifying, weighing, the claim
+    checks, balance, the file round trip, the simulator and the CLI run."""
+
+    def no_sweep(self, side):
+        raise AssertionError("sweep_pairs called")
+
+    monkeypatch.setattr(TableSweeps, "sweep_pairs", no_sweep)
+    monkeypatch.setattr(cli, "_checked_schemes", OrderedDict())
+    for name, bound in (("nae3", ExactWeight(9, 2)), ("f4", ExactWeight(25, 4))):
+        g = balance(builtin_scheme(name))
+        c = compose_scheme(g, g)
+        tables = [c.slice_table(side) for side in "ab"]
+        assert sum(len(slices) for _, _, slices in tables) == {"nae3": 288, "f4": 2304}[name]
+        assert verify(c) == []
+        assert loads(c, keep_maps=False).bound == bound == c.predicted_bound
+        for sources, ids, slices in tables:
+            for r in (0, len(sources) // 2, len(sources) - 1):
+                x = int(sources[r])
+                assert check_corollary(c, x)
+                y = x ^ slices[ids[r, 0]].entries[0][0]
+                assert check_claim1(c, x, _pattern(c, y))
+                for i in range(1, c.arity + 1):
+                    if (x ^ y) & var_bit(c.arity, i):
+                        assert check_claim2(c, x, _pattern(c, y), i)
+    h6 = balance(builtin_scheme("h6"))
+    rep = loads(h6)
+    assert rep.v_a == rep.v_b and rep.bound == ExactWeight(1, 2, 39)
+    path = tmp_path / "nae3sq.scheme.json"
+    c = compose_scheme(builtin_scheme("nae3"), builtin_scheme("nae3"))
+    save_scheme(c, path)
+    back = load_scheme(path)
+    assert back.pair_count == c.pair_count and loads(back).bound == ExactWeight(9, 2)
+    trace = qsim.progress_trace(qsim.random_algorithm(3, 2, seed=1), builtin_scheme("nae3"))
+    assert len(trace.values) == 3
+    assert cli.main(["compose", "--base", "g", "--depth", "2"]) == 0
+    assert cli.main(["simulate", "random", "--scheme", "h"]) == 0
+    out, err = capsys.readouterr()
+    assert "measured bound = 9/2" in out and "note: scheme balanced before tracing" in out
+    assert err == ""
