@@ -332,9 +332,12 @@ def _number_rows(columns: list, radices: list) -> tuple[np.ndarray, np.ndarray]:
     2^62 may hold any integers.  The columns are packed into one int64
     code, renumbered with `np.unique` whenever the next column would
     overflow it; rows r and s are equal exactly when ids[r] == ids[s], and
-    first[k] is the first row numbered k.
+    first[k] is the first row numbered k.  Integer columns of any width are
+    packed in int64, so that narrow ones cannot wrap.
     """
     code, size = columns[0], radices[0]
+    if code.dtype.kind in "iu":
+        code = code.astype(np.int64, copy=False)
     for col, radix in zip(columns[1:], radices[1:]):
         if size * radix >= 1 << 62:
             code = np.unique(code, return_inverse=True)[1]
@@ -364,47 +367,56 @@ class _Lowered:
     A last all-zero row stands for the empty slot, id -1.  coords[k] lists
     the coordinates of slice k's directional weights in first-named order.
 
+    The slices share entry tuples, so each distinct entry, by identity, is
+    lowered once, its weights numbered by value in one dict, and a slice's
+    rows sum its entries' rows one column at a time: no array is as long
+    as the weight slots of all slices.
+
     The dtype is int64 when the largest coefficient times the most terms
     in one slice column times `width` slots rules out overflow in the
     per-source sums, and object (Python ints) otherwise.
     """
 
     def __init__(self, slices: list, arity: int, width: int):
-        sizes, col_of, vals = [], [], []
-        self.coords = []
+        self.slices = slices
+        # (entry, column, value id) per weight of each distinct entry: w at
+        # column 0, fwd at column i; slots lists each slice's entry numbers
+        number: dict = {}  # id(entry) -> entry number
+        index: dict = {}  # distinct value -> value id
+        at_entry, at_col, val_ids = [], [], []
+        slots, sizes = [], []
         for sl in slices:
-            _, ws, dss = zip(*sl.entries)
-            diffs = tuple(itertools.chain.from_iterable(dss))
-            cols, fwds, _ = zip(*diffs) if diffs else ((), (), ())
-            self.coords.append(tuple(dict.fromkeys(cols)))
-            sizes.append(len(ws) + len(cols))
-            col_of += [0] * len(ws)
-            col_of += cols
-            vals += ws
-            vals += fwds
-        # the slices share weight objects: number them by identity in numpy,
-        # then the few distinct objects by value
-        _, first, by_object = np.unique(
-            np.fromiter(map(id, vals), dtype=np.uint64, count=len(vals)),
-            return_index=True,
-            return_inverse=True,
-        )
-        index: dict = {}
-        by_value = [index.setdefault(vals[r], len(index)) for r in first.tolist()]
-        val_ids = np.array(by_value, dtype=np.int64)[by_object]
+            for entry in sl.entries:
+                k = number.get(id(entry))
+                if k is None:
+                    k = number[id(entry)] = len(number)
+                    _, w, diffs = entry
+                    at_entry += [k] * (len(diffs) + 1)
+                    at_col.append(0)
+                    at_col += [i for i, _, _ in diffs]
+                    val_ids.append(index.setdefault(w, len(index)))
+                    val_ids += [index.setdefault(fwd, len(index)) for _, fwd, _ in diffs]
+                slots.append(k)
+            sizes.append(len(sl.entries))
         self.radicands, self.q, coeffs = coefficients(list(index))
-        at = (
-            np.repeat(np.arange(len(slices), dtype=np.int64), sizes),
-            np.array(col_of, dtype=np.int64),
-        )
+        at = (np.array(at_entry, dtype=np.int64), np.array(at_col, dtype=np.int64))
+        ent_terms = np.zeros((len(number), arity + 1), dtype=np.int64)
+        np.add.at(ent_terms, at, 1)
+        # slice k sums slots starts[k] .. starts[k + 1] - 1, one column at a time
+        slots = np.array(slots, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
         shape = (len(slices) + 1, arity + 1)
         self.terms = np.zeros(shape, dtype=np.int64)
-        np.add.at(self.terms, at, 1)
+        for c in range(arity + 1):
+            self.terms[:-1, c] = np.add.reduceat(ent_terms[slots, c], starts)
         largest = max(abs(c) for row in coeffs for c in row)
         fits = largest * int(self.terms.max()) * width < 2**63
         coeffs = np.array(coeffs, dtype=np.int64 if fits else object)
+        ent_rows = np.zeros(ent_terms.shape + (len(self.radicands),), dtype=coeffs.dtype)
+        np.add.at(ent_rows, at, coeffs[val_ids])
         self.rows = np.zeros(shape + (len(self.radicands),), dtype=coeffs.dtype)
-        np.add.at(self.rows, at, coeffs[val_ids])
+        for c in range(arity + 1):
+            self.rows[:-1, c] = np.add.reduceat(ent_rows[slots, c], starts)
         self._values: dict = {}
 
     def value(self, row) -> ExactWeight:
@@ -417,11 +429,22 @@ class _Lowered:
 
     def column(self, ids: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-source sums in column c over the slots of ids, and presence."""
-        rows = self.rows[:, c]
-        total = rows[ids[:, 0]]
+        rows, has = self.rows[:, c], self.terms[:, c] > 0
+        total, present = rows[ids[:, 0]], has[ids[:, 0]]
         for k in range(1, ids.shape[1]):
-            total = total + rows[ids[:, k]]
-        return total, (self.terms[ids, c] > 0).any(axis=1)
+            slot = ids[:, k]
+            total += rows[slot]
+            present |= has[slot]
+        return total, present
+
+    @functools.cached_property
+    def coords(self) -> list:
+        """coords[k]: the coordinates of slice k's directional weights in
+        first-named order, made on first use (only the maps need them)."""
+        return [
+            tuple(dict.fromkeys(i for _, _, diffs in sl.entries for i, _, _ in diffs))
+            for sl in self.slices
+        ]
 
     def order(self, row) -> tuple:
         """The coordinates of a source with these slice ids, in first-named order."""
@@ -433,7 +456,8 @@ def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
 
     wt(x) sums the pair weights at x; v(x, i) sums the directional weights
     from x over partners differing at i.  Each distinct slice of the two
-    `slice_table`s is summed once as integer coefficient rows (`_Lowered`);
+    `slice_table`s is summed once as integer coefficient rows (`_Lowered`,
+    which lowers each distinct entry once and numbers weights by value);
     every source adds its slots' rows one column at a time, and a
     coordinate counts for a source when one of its slices has it.  Exact
     values are made only for distinct sums, and the v / wt maxima are
@@ -574,10 +598,13 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
     m and m' are the minimum partner counts over A and B; l is the largest
     number of partners of one A-side input all differing from it at one
     coordinate, l' the B-side analogue.  The relation is any sequence of
-    (x, y) pairs, a list of tuples or an (N, 2) integer array, counted in
-    its own integer type with array passes: one bincount per side for m and
-    m', and one masked bincount per side and coordinate for l and l'.  The
-    sides, too, keep an integer array's type.
+    (x, y) pairs, a list of tuples or an (N, 2) integer array, read in its
+    own integer type with array passes: one `np.add.at` count per side for
+    m and m', which also finds a pair off the declared sides, and one
+    masked count per side and coordinate for l and l'.  Counting by
+    `np.add.at` makes no intp copy of the relation, and the coordinate
+    loop reuses one bool mask over one xor array of the narrowest unsigned
+    type that holds an input.  The sides, too, keep an integer array's type.
     """
     a = _int_array(a)
     b = _int_array(b)
@@ -592,25 +619,35 @@ def relation_bound(f: BooleanFunction, a, b, relation) -> RelationBound:
     in_a[a] = True
     in_b[b] = True
     xs, ys = rel[:, 0], rel[:, 1]
-    ok = (xs >= 0) & (xs < size) & (ys >= 0) & (ys < size)
-    ok[ok] = in_a[xs[ok]] & in_b[ys[ok]]
-    if not ok.all():
+    # partner counts per input (a relation has far fewer than 2^31 pairs);
+    # an int32 one keeps np.add.at on its fast path for int32 counts
+    x_count = np.zeros(size, dtype=np.int32)
+    y_count = np.zeros(size, dtype=np.int32)
+    one = np.int32(1)
+    inside = min(xs.min(), ys.min()) >= 0 and max(xs.max(), ys.max()) < size
+    if inside:
+        np.add.at(x_count, xs, one)
+        np.add.at(y_count, ys, one)
+    if not inside or x_count[~in_a].any() or y_count[~in_b].any():
+        ok = (xs >= 0) & (xs < size) & (ys >= 0) & (ys < size)
+        ok[ok] = in_a[xs[ok]] & in_b[ys[ok]]
         x, y = rel[np.argmin(ok)].tolist()
         raise SchemeError(f"pair ({x}, {y}) leaves the declared sides")
-    m = int(np.bincount(xs, minlength=size)[a].min())
-    m_prime = int(np.bincount(ys, minlength=size)[b].min())
-    # the coordinate loop reuses one bit buffer, in the relation's own
-    # integer type, and one bool mask
-    diff = xs ^ ys
-    bit = np.empty_like(diff)
-    at = np.empty(diff.shape, dtype=bool)
+    m = int(x_count[a].min())
+    m_prime = int(y_count[b].min())
+    diff = np.empty(len(rel), dtype=np.min_scalar_type(size - 1))
+    np.bitwise_xor(xs, ys, out=diff, casting="unsafe")
+    at = np.empty(len(rel), dtype=bool)
     l = l_prime = 0
     for i in range(n):
-        np.bitwise_and(diff, 1 << i, out=bit)
-        np.not_equal(bit, 0, out=at)
+        np.bitwise_and(diff, 1 << i, out=at, casting="unsafe")
         if at.any():
-            l = max(l, int(np.bincount(xs[at]).max()))
-            l_prime = max(l_prime, int(np.bincount(ys[at]).max()))
+            x_count.fill(0)
+            np.add.at(x_count, xs[at], one)
+            y_count.fill(0)
+            np.add.at(y_count, ys[at], one)
+            l = max(l, int(x_count.max()))
+            l_prime = max(l_prime, int(y_count.max()))
     bound = ExactWeight.sqrt_of(Fraction(m * m_prime, l * l_prime))
     return RelationBound(m, m_prime, l, l_prime, bound)
 

@@ -14,22 +14,26 @@ only on the pattern pair, the source's blocks where the patterns differ
 and the inner totals where they agree, so sources with the same
 surroundings share one `adversary.Slice`: 2,304 slices serve the
 1,310,720 pairs of the 4-bit base's square.  `slice_table` finds every
-source's slices of a side at once: it computes blocks, block patterns and
-total-weight classes as arrays, takes `np.unique` of the slice key per
-outer partner slot, and builds the side's slices in one batch, once; the
-table is kept and handed out again on every later call.  The batch works
-on integer ids of the few distinct exact weights: each product, quotient
-and ratio root is computed once per distinct id pair, and only distinct
-diff triples and distinct entries become Python tuples, which the slices
-share (on each side of the 4-bit base's square, 1,136 entries serve
-16,896 entry slots).  `verify`, `loads`, `save_scheme`, `balance`,
+source's slices of a side at once: it computes block patterns and
+total-weight classes as arrays, one block column at a time, takes
+`np.unique` of the slice key per outer partner slot, and builds the
+side's slices in one batch, once; the table is kept and handed out again
+on every later call.  The batch works on int32 ids of the few distinct
+exact weights: each product, quotient and ratio root is computed once per
+distinct id pair, and only distinct diff triples and distinct entries
+become Python tuples, which the slices share (on each side of the 4-bit
+base's square, 1,136 entries serve 16,896 entry slots).  Its entry- and
+diff-sized arrays are int32 and each is dropped once it has been read, so
+a side's build peaks near 4 MiB of temporaries on the square of the 4-bit
+base, against 1.2 MiB kept.  `verify`, `loads`, `save_scheme`, `balance`,
 `qsim.progress_trace` and the claim checks at the end of this module
 read that table (`sweep_pairs` is its record view for tests and the
 benchmark tracer), and a composed scheme reads its factors' tables.  The
 claim checks find a source's row by binary search on its side, so they
 certify exactly what `verify` and `loads` consume.  Their right-hand
 sides depend only on the block pattern and total-weight classes and are
-computed once for each.
+computed once for each, and claim 2's outcome once per slice and
+coordinate.
 """
 
 from __future__ import annotations
@@ -112,18 +116,18 @@ def _ratio_table(scheme, side: str) -> tuple:
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each c in counts, concatenated."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+    """0, 1, ..., c - 1 for each c in counts, concatenated, in counts' dtype."""
+    starts = np.cumsum(counts, dtype=counts.dtype) - counts
+    return np.arange(int(counts.sum()), dtype=counts.dtype) - np.repeat(starts, counts)
 
 
 class _Pool:
     """Distinct ExactWeights numbered 0, 1, ...; operations memoized on numbers.
 
     `apply` runs a binary operation elementwise on two id arrays with one
-    exact operation per distinct id pair, remembered across calls.  A pair
-    whose operation raises SchemeError gives -1, so that the caller can
-    find the first one in its own order.
+    exact operation per distinct id pair, remembered across calls, and
+    returns int32 ids.  A pair whose operation raises SchemeError gives -1,
+    so that the caller can find the first one in its own order.
     """
 
     def __init__(self):
@@ -140,14 +144,16 @@ class _Pool:
 
     def apply(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         memo = self._memo.setdefault(op, {})
-        pairs, inverse = np.unique(a << 32 | b, return_inverse=True)
+        # int64 keys whatever the ids' dtype: an int32 shift by 32 would wrap
+        keys = a.astype(np.int64) << 32 | b
+        pairs = np.unique(keys)
         out = []
         for pair in pairs.tolist():
             k = memo.get(pair)
             if k is None:
                 k = memo[pair] = self._result(op, pair >> 32, pair & 0xFFFFFFFF)
             out.append(k)
-        return np.array(out, dtype=np.int64)[inverse]
+        return np.array(out, dtype=np.int32)[np.searchsorted(pairs, keys)]
 
     def _result(self, op, i: int, j: int) -> int:
         try:
@@ -176,8 +182,8 @@ class _TemplateBuilder:
         }
         # block values in no inner pair have class -1, which picks the last id, -1
         class_ids = [pool.id(wt) for wt in composed._class_wt]
-        self.total = np.array(class_ids + [-1])[composed._class_of]
-        self.rec_start, self.rec_count = np.zeros((2, 1 << self.m), dtype=np.int64)
+        self.total = np.array(class_ids + [-1], dtype=np.int32)[composed._class_of]
+        self.rec_start, self.rec_count = np.zeros((2, 1 << self.m), dtype=np.int32)
         rows, diffs = [], []  # (xor, w, diff start, diff count) per record; (i2, r2)
         for sources, ids, records, _ in inner_tables:
             numbered = [
@@ -192,8 +198,8 @@ class _TemplateBuilder:
                     diffs += rd
         self.pad = len(rows)
         rows.append((0, pool.id(ONE), len(diffs), 0))
-        self.off, self.wv, self.dstart, self.dcount = np.array(rows, dtype=np.int64).T
-        self.i2, self.r2 = np.array(diffs, dtype=np.int64).reshape(-1, 2).T
+        self.off, self.wv, self.dstart, self.dcount = np.array(rows, dtype=np.int32).T
+        self.i2, self.r2 = np.array(diffs, dtype=np.int32).reshape(-1, 2).T
 
     def build(self, keys: list, blocks: np.ndarray) -> list[Slice]:
         """The Slices of outer pairs keys[k] = (p, z), towards z from a
@@ -206,22 +212,23 @@ class _TemplateBuilder:
         (coordinate, w*s, w/s) with s = sqrt(r1 * r2), flattened in
         template, entry and diff order, so the first ratio product with no
         exact root raises its error.  Distinct diff triples and distinct
-        entries become one shared tuple each.
+        entries become one shared tuple each.  The entry- and diff-sized
+        arrays are int32 and each is dropped once it has been read.
         """
         pool, n, m = self.pool, self.n, self.m
         outer = [self.outer[key] for key in keys]
-        differ = np.array([p ^ z for p, z in keys], dtype=np.int64)
-        base = np.array([w for w, _ in outer], dtype=np.int64)
+        differ = np.array([p ^ z for p, z in keys], dtype=np.int32)
+        base = np.array([w for w, _ in outer], dtype=np.int32)
         for j in range(n):
             at = np.flatnonzero((differ >> (n - 1 - j)) & 1 == 0)
             base[at] = pool.apply(operator.mul, base[at], self.total[blocks[at, j]])
         # differing blocks and outer ratios per slot; pad slots repeat block 1
         width = max(len(odiffs) for _, odiffs in outer)
         dj = np.array(
-            [[j for j, _ in od] + [1] * (width - len(od)) for _, od in outer], dtype=np.int64
+            [[j for j, _ in od] + [1] * (width - len(od)) for _, od in outer], dtype=np.int32
         )
         r1 = np.array(
-            [[r for _, r in od] + [0] * (width - len(od)) for _, od in outer], dtype=np.int64
+            [[r for _, r in od] + [0] * (width - len(od)) for _, od in outer], dtype=np.int32
         )
         real = np.arange(width) < np.array([len(od) for _, od in outer])[:, None]
         u = np.take_along_axis(blocks, dj - 1, axis=1)
@@ -229,46 +236,55 @@ class _TemplateBuilder:
         counts = np.where(real, self.rec_count[u], 1)
 
         # the Cartesian product of the slots' records, per template
-        job = np.arange(len(keys), dtype=np.int64)
-        rec = np.zeros((len(keys), 0), dtype=np.int64)
+        job = np.arange(len(keys), dtype=np.int32)
+        rec = np.zeros((len(keys), 0), dtype=np.int32)
         for b in range(width):
             per_job = counts[job, b]
             chosen = np.repeat(starts[job, b], per_job) + _ranks(per_job)
             job = np.repeat(job, per_job)
             rec = np.column_stack([np.repeat(rec, per_job, axis=0), chosen])
-        xor = np.bitwise_or.reduce(self.off[rec] << (n - dj[job]) * m, axis=1)
+        shift = (n - dj) * m
+        xor = np.zeros(len(job), dtype=np.int32)
         w = base[job]
         for b in range(width):
+            xor |= self.off[rec[:, b]] << shift[job, b]
             w = pool.apply(operator.mul, w, self.wv[rec[:, b]])
 
         # diffs: entry-major, then slot, then the inner record's own order
-        flat = rec.ravel()
-        per_rec = self.dcount[flat]
-        d = np.repeat(self.dstart[flat], per_rec) + _ranks(per_rec)
-        d_entry = np.repeat(np.repeat(np.arange(len(job), dtype=np.int64), width), per_rec)
+        per_rec = self.dcount[rec]
+        per_entry = per_rec.sum(axis=1, dtype=np.int32)
+        per_rec = per_rec.ravel()
+        d = np.repeat(self.dstart[rec.ravel()], per_rec) + _ranks(per_rec)
         d_col = np.repeat(((dj - 1) * m)[job].ravel(), per_rec) + self.i2[d]
         d_r1 = np.repeat(r1[job].ravel(), per_rec)
+        del rec, per_rec
         d_r2 = self.r2[d]
-        d_w = w[d_entry]
+        del d
         values = pool.values
         s = pool.apply(_sqrt_product, d_r1, d_r2)
         failed = np.flatnonzero(s < 0)
         if failed.size:  # raise for the first failing diff
             _sqrt_product(values[d_r1[failed[0]]], values[d_r2[failed[0]]])
+        del d_r1, d_r2
         # s is never 0: construction refused every zero directional weight
         # of both factors (`_ratio_table`)
+        d_w = np.repeat(w, per_entry)
         fwd = pool.apply(operator.mul, d_w, s)
         bwd = pool.apply(operator.truediv, d_w, s)
+        del d_w, s
         size = len(values)
         d_ids, first = _number_rows([d_col, fwd, bwd], [self.arity + 1, size, size])
         triples = [
             (i, values[a], values[b])
             for i, a, b in zip(d_col[first].tolist(), fwd[first].tolist(), bwd[first].tolist())
         ]
-        # each entry's triple ids, shifted by one and padded with 0
-        per_entry = np.bincount(d_entry, minlength=len(job))
-        diff_ids = np.zeros((len(job), int(per_entry.max(initial=0))), dtype=np.int64)
-        diff_ids[d_entry, _ranks(per_entry)] = d_ids + 1
+        del d_col, fwd, bwd
+        # each entry's triple ids, shifted by one and padded with 0: the
+        # mask is true on the first per_entry slots of each row, which it
+        # fills in row order, the diffs' own order
+        diff_ids = np.zeros((len(job), int(per_entry.max(initial=0))), dtype=np.int32)
+        diff_ids[np.arange(diff_ids.shape[1]) < per_entry[:, None]] = d_ids + 1
+        del d_ids
         e_ids, first = _number_rows(
             [xor, w, *diff_ids.T], [1 << self.arity, size] + [len(triples) + 1] * diff_ids.shape[1]
         )
@@ -282,6 +298,27 @@ class _TemplateBuilder:
             Slice(tuple([records[e] for e in e_ids[start:end]]), self.arity)
             for start, end in zip([0] + ends, ends)
         ]
+
+
+def _sides(outer, inner) -> tuple[tuple, tuple]:
+    """The composed A and B sides: the inputs with every block on an inner
+    side whose pattern (bit set: block on the inner B side) is on the
+    outer A or B side.  One block column at a time, in int32."""
+    n, m = outer.f.arity, inner.f.arity
+    on = np.zeros(1 << m, dtype=np.int8)  # 1 on the inner A side, 2 on the B side
+    on[list(inner.a_side)], on[list(inner.b_side)] = 1, 2
+    xs = np.arange(1 << n * m, dtype=np.int32)
+    patterns = np.zeros(len(xs), dtype=np.int32)
+    inside = np.ones(len(xs), dtype=bool)
+    for j in range(n):
+        at = on[(xs >> (n - 1 - j) * m) & ((1 << m) - 1)]
+        inside &= at > 0
+        patterns = patterns << 1 | (at == 2)
+    patterns[~inside] = -1
+    return tuple(
+        tuple(np.flatnonzero(np.isin(patterns, side)).tolist())
+        for side in (outer.a_side, outer.b_side)
+    )
 
 
 class ComposedScheme(TableSweeps):
@@ -344,18 +381,9 @@ class ComposedScheme(TableSweeps):
         self._class_wt = list(classes)
         self._tables: dict = {}  # side -> (sources, ids, slices)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
+        self._claim2: dict = {}  # (slice, i) -> whether claim 2 holds
 
-        # the inputs with every block on an inner side, split by the outer
-        # side of their pattern (bit j set: block j on the inner B side)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        on = np.zeros(1 << m, dtype=np.int64)  # 1 on the inner A side, 2 on the B side
-        on[list(inner.a_side)], on[list(inner.b_side)] = 1, 2
-        xs = np.arange(1 << arity, dtype=np.int64)
-        at = on[(xs[:, None] >> shifts * m) & block]
-        patterns = np.where((at > 0).all(axis=1), ((at - 1) << shifts).sum(axis=1), -1)
-        self.a_side, self.b_side = (
-            tuple(xs[np.isin(patterns, side)].tolist()) for side in (outer.a_side, outer.b_side)
-        )
+        self.a_side, self.b_side = _sides(outer, inner)
         # a composed pair lies over one outer pair (p, z), p on the A side:
         # inner pairs where p and z differ, the inner side p names elsewhere
         sizes, pairs = (len(inner.a_side), len(inner.b_side)), inner.pair_count
@@ -387,12 +415,17 @@ class ComposedScheme(TableSweeps):
             return table
         n, m = self.n, self.m
         xs = np.array(self.a_side if side == "a" else self.b_side, dtype=np.int64)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        blocks = (xs[:, None] >> (shifts * m)) & ((1 << m) - 1)
-        patterns = (self.inner.f.np_table[blocks].astype(np.int64) << shifts).sum(axis=1)
-        classes = self._class_of[blocks]
-        radix = int(classes.max()) + 1
-        class_code = (classes * radix**shifts).sum(axis=1) << self.arity
+        # patterns and class codes one block column at a time; any radix
+        # above every class orders the codes as the class tuples
+        patterns = np.zeros(len(xs), dtype=np.int32)
+        class_code = np.zeros(len(xs), dtype=np.int64)
+        radix = int(self._class_of.max()) + 1
+        for j in range(n):
+            u = (xs >> (n - 1 - j) * m) & ((1 << m) - 1)
+            patterns = patterns << 1 | self.inner.f.np_table[u]
+            class_code = class_code * radix + self._class_of[u]
+        del u
+        class_code <<= self.arity
         present = np.unique(patterns).tolist()
         width = max(len(self._o_partners[p]) for p in present)
         # int32 ids halve the kept table; a side has far fewer than 2^31 slices
@@ -408,7 +441,10 @@ class ComposedScheme(TableSweeps):
                 ids[rows, k] = inverse + len(keys)
                 keys += [(p, z)] * len(first)
                 firsts.append(rows[first])
-        slices = self._builder.build(keys, blocks[np.concatenate(firsts)])
+        del patterns, class_code
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64) * m
+        blocks = (xs[np.concatenate(firsts)][:, None] >> shifts) & ((1 << m) - 1)
+        slices = self._builder.build(keys, blocks)
         table = self._tables[side] = (xs, ids, slices)
         return table
 
@@ -497,7 +533,9 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     Fix a partner pattern z and a differing coordinate i in block i1.  For
     every choice of partner blocks outside i1, the directional-weight sum
     over the i1 block satisfies V <= v_inner * sqrt(r1) * W, with W the
-    matching pair-weight sum and r1 the outer ratio at i1.  Exact.
+    matching pair-weight sum and r1 the outer ratio at i1.  Exact.  A
+    slice belongs to one outer pair (p, z), so the outcome depends only on
+    the slice and i: it is computed once for each and kept on the scheme.
     """
     p, _, slices = _source(composed, x, z)
     m, n = composed.m, composed.n
@@ -505,6 +543,10 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     r1 = dict(composed._o_pairs[(p, z)][1]).get(i1)
     if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")
+    key = (slices[z], i)
+    holds = composed._claim2.get(key)
+    if holds is not None:
+        return holds
     outside = ~(((1 << m) - 1) << ((n - i1) * m))
     groups: dict[int, tuple[list, list]] = {}
     for xor, w, diffs in slices[z].entries:
@@ -512,9 +554,10 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
         w_terms.append(w)
         v_terms.extend(fwd for j, fwd, _ in diffs if j == i)
     bound_factor = composed.inner_vmax * _sqrt_product(r1, ONE)
-    for v_terms, w_terms in groups.values():
-        if not v_terms:
-            continue
-        if exact_sum(v_terms) > bound_factor * exact_sum(w_terms):
-            return False
-    return True
+    holds = not any(
+        exact_sum(v_terms) > bound_factor * exact_sum(w_terms)
+        for v_terms, w_terms in groups.values()
+        if v_terms
+    )
+    composed._claim2[key] = holds
+    return holds

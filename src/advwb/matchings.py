@@ -182,25 +182,24 @@ def build_matchings(d: int, set_id: int) -> MatchingSet:
     pattern = (block_tab[blocks].astype(np.int32) << order).sum(axis=1, dtype=np.int32)
     # per pattern-level matching g: where a block's value changes
     changed = [((pattern ^ table[g, pattern])[:, None] >> order) & 1 == 1 for g in range(3)]
-    # per block-level matching k: the xor that moves each block to its partner;
-    # the blocks occupy disjoint bits, so the sum over blocks is their union
-    moves = [(blocks ^ row[blocks]) << width * order for row in block_table]
-    del blocks, pattern
-    partners = np.empty((3 * len(moves), sources.size), dtype=np.int32)
-    for g in range(3):
-        for k, move in enumerate(moves):
-            t = g * len(moves) + k
+    del pattern
+    partners = np.empty((3 * len(block_table), sources.size), dtype=np.int32)
+    for k, row in enumerate(block_table):
+        # the xor that moves each block to its partner under block-level
+        # matching k, made once and dropped after its three matchings; the
+        # blocks occupy disjoint bits, so the sum over blocks is their union
+        move = (blocks ^ row[blocks]) << width * order
+        for g in range(3):
             out = sources ^ np.where(changed[g], move, 0).sum(axis=1, dtype=np.int32)
-            if set_id == 2:
-                # out are 0-inputs: list the sources by their partner
-                by_partner = np.argsort(out)
-                if not np.array_equal(out[by_partner], a_side):
-                    raise MatchingError(
-                        f"matching {t} is not a bijection onto the 0-preimage"
-                    )
-                out = sources[by_partner]
-            partners[t] = out
-    del moves, changed
+            partners[g * len(block_table) + k] = out
+    del blocks, changed, move
+    if set_id == 2:
+        for t, out in enumerate(partners):
+            # out are 0-inputs: list the sources by their partner
+            by_partner = np.argsort(out)
+            if not np.array_equal(out[by_partner], a_side):
+                raise MatchingError(f"matching {t} is not a bijection onto the 0-preimage")
+            partners[t] = sources[by_partner]
     return MatchingSet(d, set_id, fd, a_side, b_side, tuple(partners))
 
 
@@ -208,8 +207,9 @@ def _validate(ms: MatchingSet) -> np.ndarray:
     """Bijection per matching, disjointness per column; the pair array.
 
     Matching t pairs a_side[i] with partners[t][i], so a pair can repeat only
-    within column i of the (3^d, S) partner stack: each column is sorted and
-    its neighbours compared.  A repeat names the first pair, in (t, i) order,
+    within column i of the (3^d, S) partner stack: a copy of the stack is
+    sorted along its columns and neighbours compared, and dropped before the
+    pair array is made.  A repeat names the first pair, in (t, i) order,
     that an earlier matching already holds.  The union is returned as an
     (N, 2) int32 array, matching t's pairs in rows t*S .. (t+1)*S - 1.
     """
@@ -218,8 +218,6 @@ def _validate(ms: MatchingSet) -> np.ndarray:
     count, length = ms.matching_count, ms.matching_size
     in_b = np.zeros(size, dtype=bool)
     in_b[np.asarray(ms.b_side)] = True
-    pair_array = np.empty((count, length, 2), dtype=np.int32)
-    pair_array[:, :, 0] = ms.a_side
     for t, arr in enumerate(ms.partners):
         inside = arr.size == 0 or (arr.min() >= 0 and arr.max() < size)
         if (
@@ -229,20 +227,25 @@ def _validate(ms: MatchingSet) -> np.ndarray:
             or np.bincount(arr, minlength=size).max(initial=0) > 1
         ):
             raise MatchingError(f"matching {t} is not a bijection onto the 1-preimage")
-        pair_array[t, :, 1] = arr
-    columns = np.sort(pair_array[:, :, 1], axis=0)
+    columns = np.array(ms.partners).reshape(count, length)
+    columns.sort(axis=0)
     repeated = (columns[1:] == columns[:-1]).any(axis=0)
+    del columns
     if repeated.any():
         i = np.flatnonzero(repeated)
-        ys = pair_array[:, i, 1]
+        ys = np.stack([arr[i] for arr in ms.partners])
         # a stable sort keeps equal partners in matching order, so each entry
         # equal to its predecessor is a repeat, in matching order[k]
         order = np.argsort(ys, axis=0, kind="stable")
         ys = np.take_along_axis(ys, order, axis=0)
         first = np.where(ys[1:] == ys[:-1], order[1:], count).min(axis=0)
         c = int(np.argmin(first))  # the lowest column among the earliest matchings
-        x, y = pair_array[first[c], i[c]].tolist()
+        x, y = int(ms.a_side[i[c]]), int(ms.partners[first[c]][i[c]])
         raise MatchingError(f"pair {(x, y)} appears in two matchings")
+    pair_array = np.empty((count, length, 2), dtype=np.int32)
+    pair_array[:, :, 0] = ms.a_side
+    for t, arr in enumerate(ms.partners):
+        pair_array[t, :, 1] = arr
     return pair_array.reshape(-1, 2)
 
 

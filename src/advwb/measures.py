@@ -749,7 +749,8 @@ def _iterated_blocks(f: BooleanFunction, base: np.ndarray, d: int) -> np.ndarray
     del pattern
     masks = np.zeros((1 << 16, 9), dtype=np.int32)
     for j, shift in enumerate(shifts):
-        inner = base[(x >> shift) & 15] << shift  # (N, inner block)
+        inner = base[(x >> shift) & 15]  # (N, inner block)
+        inner <<= shift
         for o in range(3):
             covered = ((outer[:, o] >> (3 - j)) & 1 == 1)[:, None]
             row = masks[:, 3 * o : 3 * o + 3]
@@ -808,13 +809,14 @@ def iterated_certificates(f: BooleanFunction, d: int) -> IteratedReport:
     if masks.shape[1] != bs_val:
         raise AssertionError(f"expected {bs_val} blocks per input")
     xs = np.arange(1 << n)
-    used = np.zeros(1 << n, dtype=np.int64)
+    used = np.zeros(1 << n, dtype=masks.dtype)
     bad = np.zeros(1 << n, dtype=bool)
     for mask in masks.T:
         bad |= (mask & used != 0) | (tab[xs ^ mask] == tab)
         used |= mask
     if bad.any():
         raise AssertionError(f"block certificate failed at input {np.argmax(bad)}")
+    del masks, used
 
     tree = base_tree
     inner_arity = 4

@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import pytest
 
-from advwb import cli, qsim
+from advwb import cli, compose, qsim
 from advwb.adversary import (
     VIOLATION_CAP,
     LoadReport,
@@ -331,6 +331,46 @@ def test_claim2_sampled(name):
         for i in range(1, c.arity + 1):
             if (x ^ y) & var_bit(c.arity, i):
                 assert check_claim2(c, x, z, i)
+
+
+def _claim2_unmemoized(c: ComposedScheme, x: int, z: int, i: int) -> bool:
+    """check_claim2 without its memo: the groups of the slice, every call."""
+    p, _, slices = compose._source(c, x, z)
+    i1, _ = block_index(i, c.n, c.depth)
+    r1 = dict(c._o_pairs[(p, z)][1]).get(i1)
+    if r1 is None:
+        raise SchemeError(f"patterns agree in block {i1}")
+    outside = ~(((1 << c.m) - 1) << ((c.n - i1) * c.m))
+    groups: dict = {}
+    for xor, w, diffs in slices[z].entries:
+        v_terms, w_terms = groups.setdefault(xor & outside, ([], []))
+        w_terms.append(w)
+        v_terms.extend(fwd for j, fwd, _ in diffs if j == i)
+    bound_factor = c.inner_vmax * compose._sqrt_product(r1, ONE)
+    for v_terms, w_terms in groups.values():
+        if v_terms and exact_sum(v_terms) > bound_factor * exact_sum(w_terms):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["nae3", "f4"])
+def test_claim2_memo_matches_an_unmemoized_check(name):
+    g = balance(builtin_scheme(name))
+    c = compose_scheme(g, g)
+    rng = random.Random(3)
+    sources = rng.sample(c.a_side, 24) + rng.sample(c.b_side, 24)
+    for _ in range(2):  # the second round reads the memo
+        for x in sources:
+            for z in compose._source(c, x)[2]:
+                for i in range(1, c.arity + 1):
+                    try:
+                        want = _claim2_unmemoized(c, x, z, i)
+                    except SchemeError as exc:
+                        with pytest.raises(SchemeError, match=f"^{re.escape(str(exc))}$"):
+                            check_claim2(c, x, z, i)
+                    else:
+                        assert check_claim2(c, x, z, i) is want
+    assert c._claim2 and all(c._claim2.values())
 
 
 def test_claim_checks_reject_non_partners():

@@ -7,14 +7,16 @@ schemes, on both its int64 and its object-dtype paths.  A composed
 scheme's rows must follow the slice keys of `compose_reference`, and its
 slices, built in batches, must equal the per-entry loop there, with the
 same errors, and read back from its file it must verify, weigh and share
-as it does.
+as it does.  The batch's id packing must not wrap on int32 ids.
 """
 
+import operator
 import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 
@@ -32,7 +34,7 @@ from advwb.adversary import (
     verify,
 )
 from advwb.boolfn import f4, h6, nae3, or_n, parity
-from advwb.compose import _TemplateBuilder, check_corollary, compose_scheme
+from advwb.compose import _Pool, _TemplateBuilder, check_corollary, compose_scheme
 from advwb.weights import ONE, ExactWeight, Root
 from compose_reference import assert_rows_follow_their_keys, assert_templates_match, reference_slices
 from loads_reference import assert_loads_match
@@ -288,3 +290,26 @@ def test_template_errors_match_the_reference():
         # with the table's error
         x = (c.a_side if side == "a" else c.b_side)[0]
         assert _error(lambda: check_corollary(compose_scheme(s, s), x)) == want
+
+
+def test_pool_packs_narrow_ids_in_int64():
+    # int32 ids shifted by 32 in their own type would wrap: (3, 1) and (0, 1)
+    # would share one key and one product
+    pools = []
+    for dtype in (np.int64, np.int32):
+        pool = _Pool()
+        for k in range(1, 7):
+            pool.id(ExactWeight(k))
+        a = np.array([3, 0, 5, 2, 3], dtype=dtype)
+        b = np.array([1, 1, 4, 2, 1], dtype=dtype)
+        out = pool.apply(operator.mul, a, b)
+        pools.append([pool.values[k] for k in out.tolist()])
+    assert pools[0] == pools[1] == [ExactWeight(k) for k in (8, 2, 30, 9, 8)]
+
+
+def test_number_rows_packs_narrow_columns_in_int64():
+    # 2048 * 2^21 wraps to 0 in int32, which would merge the two rows
+    first = np.array([2048, 0], dtype=np.int32)
+    second = np.array([0, 0], dtype=np.int32)
+    ids, _ = adversary._number_rows([first, second], [4096, 1 << 21])
+    assert ids.tolist() == [1, 0]
