@@ -8,8 +8,9 @@ geometric-mean load is then a bound on bounded-error quantum query cost.
 
 Protocol (duck-typed):
     f            BooleanFunction
-    a_side       sorted tuple of 0-input indices appearing in pairs
-    b_side       sorted tuple of 1-input indices appearing in pairs
+    a_side       the 0-inputs in pairs: the sources of slice_table("a"),
+                 the same sorted, read-only int64 array object
+    b_side       the 1-inputs in pairs, as the sources of slice_table("b")
     pair_count   number of pairs in the relation
     slice_table(side)    the records of a side ("a" or "b") as one array
                          view: (sources, ids, slices), with sources an
@@ -98,11 +99,10 @@ class Slice:
     """
 
     # no per-instance dict: a table may hold tens of thousands of slices
-    __slots__ = ("entries", "arity", "_wt")
+    __slots__ = ("entries", "_wt")
 
-    def __init__(self, entries: tuple, arity: int):
+    def __init__(self, entries: tuple):
         self.entries = entries
-        self.arity = arity
         self._wt = None
 
     @property
@@ -157,7 +157,7 @@ def _entry_faults(entry: tuple, arity: int, products: dict) -> list:
     return out
 
 
-def _faults(sl: Slice, checked: dict, products: dict) -> list:
+def _faults(sl: Slice, arity: int, checked: dict, products: dict) -> list:
     """The faults of every entry of sl, in entry order.
 
     Slices may share entry tuples, so `checked` memoizes each entry's
@@ -168,7 +168,7 @@ def _faults(sl: Slice, checked: dict, products: dict) -> list:
     for entry in sl.entries:
         found = checked.get(id(entry))
         if found is None:
-            found = checked[id(entry)] = _entry_faults(entry, sl.arity, products)
+            found = checked[id(entry)] = _entry_faults(entry, arity, products)
         out += found
     return out
 
@@ -245,9 +245,11 @@ class ExplicitScheme(TableSweeps):
             order = sorted(group)
             seqs: dict = {}  # distinct entry-id sequence -> slice id
             ids = np.array([seqs.setdefault(tuple(group[s]), len(seqs)) for s in order])
-            slices = [Slice(tuple([side_entries[e] for e in seq]), f.arity) for seq in seqs]
-            self._tables[side] = (np.array(order, dtype=np.int64), ids.reshape(-1, 1), slices)
-        self.a_side, self.b_side = (tuple(self._tables[side][0].tolist()) for side in "ab")
+            slices = [Slice(tuple([side_entries[e] for e in seq])) for seq in seqs]
+            sources = np.array(order, dtype=np.int64)
+            sources.flags.writeable = False
+            self._tables[side] = (sources, ids.reshape(-1, 1), slices)
+        self.a_side, self.b_side = self._tables["a"][0], self._tables["b"][0]
 
     def slice_table(self, side: str):
         if side not in ("a", "b"):
@@ -277,8 +279,7 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
         (scheme.a_side, 0, "A-side input is not a 0-input"),
         (scheme.b_side, 1, "B-side input is not a 1-input"),
     ):
-        xs = np.array(side, dtype=np.int64)
-        for x in xs[tab[xs] != value].tolist():
+        for x in side[tab[side] != value].tolist():
             out.append(Violation("side", x, None, None, message))
             if len(out) >= limit:
                 return out
@@ -286,7 +287,7 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
     sources, ids, slices = scheme.slice_table("a")
     checked: dict = {}
     products: dict = {}
-    faults = [_faults(sl, checked, products) for sl in slices]
+    faults = [_faults(sl, scheme.f.arity, checked, products) for sl in slices]
     # a last False stands for the empty slot, id -1
     faulty = np.array([bool(fl) for fl in faults] + [False])
     for r in np.flatnonzero(faulty[ids].any(axis=1)).tolist():
@@ -451,7 +452,7 @@ class _Lowered:
         return tuple(dict.fromkeys(itertools.chain(*(self.coords[k] for k in row if k >= 0))))
 
 
-def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
+def loads(scheme, *, keep_maps: bool = False) -> LoadReport:
     """Weights wt(x), loads v(x, i), side maxima, and the bound.
 
     wt(x) sums the pair weights at x; v(x, i) sums the directional weights
@@ -464,7 +465,7 @@ def loads(scheme, *, keep_maps: bool = True) -> LoadReport:
     taken over distinct (wt, v) pairs.  Without maps nothing is kept per
     source, so memory stays flat.
     """
-    if not scheme.a_side or not scheme.b_side:
+    if not len(scheme.a_side) or not len(scheme.b_side):
         raise SchemeError("loads need a nonempty relation on both sides")
     arity = scheme.f.arity
     tables = [scheme.slice_table(side) for side in "ab"]
@@ -539,7 +540,7 @@ def balance(scheme, report: LoadReport | None = None):
     scheme unchanged when it is already balanced.  Each distinct entry is
     rescaled once, and its pairs share its w and new wp objects.
     """
-    rep = report if report is not None else loads(scheme, keep_maps=False)
+    rep = report if report is not None else loads(scheme)
     v_a, v_b = rep.v_a, rep.v_b
     if v_a.is_zero or v_b.is_zero:
         raise SchemeError("degenerate scheme: a side load is zero")
@@ -751,7 +752,7 @@ def minimax_probabilities(name: str) -> list[list[Fraction]]:
 
 def unit_scheme(f: BooleanFunction, a, b, relation) -> ExplicitScheme:
     """The scheme with w = w' = 1 everywhere on the given relation."""
-    _check_sides(f, tuple(a), tuple(b))
+    _check_sides(f, a, b)
     n = f.arity
     pairs = []
     for x, y in relation:
@@ -925,8 +926,8 @@ def save_scheme(scheme, path) -> None:
         {
             "arity": scheme.f.arity,
             "table": "".join(str(b) for b in scheme.f.table),
-            "a": list(scheme.a_side),
-            "b": list(scheme.b_side),
+            "a": scheme.a_side.tolist(),
+            "b": scheme.b_side.tolist(),
             "pairs": [],
         },
         indent=1,

@@ -104,11 +104,7 @@ class _Checked:
         balanced); raises SchemeError when the loads cannot be balanced."""
         if self._balanced is None:
             scheme = adversary.balance(self.scheme, self.report)
-            report = (
-                self.report
-                if scheme is self.scheme
-                else adversary.loads(scheme, keep_maps=False)
-            )
+            report = self.report if scheme is self.scheme else adversary.loads(scheme)
             self._balanced = scheme, report
         return self._balanced
 
@@ -135,7 +131,7 @@ def _checked(key, load) -> _Checked:
             print(f"  {v}")
         raise _Exit(1)
     try:
-        report = adversary.loads(scheme, keep_maps=False)
+        report = adversary.loads(scheme)
     except ValueError as exc:
         raise _Exit(2, f"cannot load scheme: {exc}")
     checked = _checked_schemes[key] = _Checked(scheme, report)
@@ -270,7 +266,7 @@ def cmd_compose(args) -> int:
         for v in violations[:10]:
             print(f"  {v}")
         raise _Exit(1)
-    report = adversary.loads(scheme, keep_maps=False)
+    report = adversary.loads(scheme)
     lines.append(f"pairs = {scheme.pair_count}")
     lines.append(f"measured bound = {fmt(report.bound)}")
     lines.append(f"predicted bound = {fmt(predicted)}")

@@ -28,8 +28,9 @@ a side's build peaks near 4 MiB of temporaries on the square of the 4-bit
 base, against 1.2 MiB kept.  `verify`, `loads`, `save_scheme`, `balance`,
 `qsim.progress_trace` and the claim checks at the end of this module
 read that table (`sweep_pairs` is its record view for tests and the
-benchmark tracer), and a composed scheme reads its factors' tables.  The
-claim checks find a source's row by binary search on its side, so they
+benchmark tracer), and a composed scheme reads its factors' tables.  A
+side is the sources array of its table, one sorted int64 array kept once,
+and the claim checks find a source's row by binary search on it, so they
 certify exactly what `verify` and `loads` consume.  Their right-hand
 sides depend only on the block pattern and total-weight classes and are
 computed once for each, and claim 2's outcome once per slice and
@@ -38,7 +39,6 @@ coordinate.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -295,18 +295,19 @@ class _TemplateBuilder:
         e_ids = e_ids.tolist()
         ends = np.cumsum(np.bincount(job, minlength=len(keys))).tolist()
         return [
-            Slice(tuple([records[e] for e in e_ids[start:end]]), self.arity)
+            Slice(tuple([records[e] for e in e_ids[start:end]]))
             for start, end in zip([0] + ends, ends)
         ]
 
 
-def _sides(outer, inner) -> tuple[tuple, tuple]:
+def _sides(outer, inner) -> list[np.ndarray]:
     """The composed A and B sides: the inputs with every block on an inner
     side whose pattern (bit set: block on the inner B side) is on the
-    outer A or B side.  One block column at a time, in int32."""
+    outer A or B side, as sorted, read-only int64 arrays.  One block column
+    at a time, in int32."""
     n, m = outer.f.arity, inner.f.arity
     on = np.zeros(1 << m, dtype=np.int8)  # 1 on the inner A side, 2 on the B side
-    on[list(inner.a_side)], on[list(inner.b_side)] = 1, 2
+    on[inner.a_side], on[inner.b_side] = 1, 2
     xs = np.arange(1 << n * m, dtype=np.int32)
     patterns = np.zeros(len(xs), dtype=np.int32)
     inside = np.ones(len(xs), dtype=bool)
@@ -315,22 +316,23 @@ def _sides(outer, inner) -> tuple[tuple, tuple]:
         inside &= at > 0
         patterns = patterns << 1 | (at == 2)
     patterns[~inside] = -1
-    return tuple(
-        tuple(np.flatnonzero(np.isin(patterns, side)).tolist())
-        for side in (outer.a_side, outer.b_side)
-    )
+    sides = [np.flatnonzero(np.isin(patterns, side)) for side in (outer.a_side, outer.b_side)]
+    for xs in sides:
+        xs.flags.writeable = False
+    return sides
 
 
 class ComposedScheme(TableSweeps):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
     Nothing is stored per pair, and the factors' pairs and weights are
-    read only off their `slice_table`s.  `slice_table` builds a side's
-    shared slices in one batch (`_TemplateBuilder`, made at construction)
-    and keeps the side's table, so the ~1.3*10^6 pairs of the 4-bit
-    base's square stay cheap and exact; there is no per-pair lookup.
-    Slices share their entry and diff tuples, and the tables are made on
-    first use, not at construction.
+    read only off their `slice_table`s.  Construction keeps the two sides
+    as read-only int64 arrays (`_sides`), and `slice_table` uses each as
+    its table's sources.  It builds a side's shared slices in one batch
+    (`_TemplateBuilder`, made at construction) and keeps the side's table,
+    so the ~1.3*10^6 pairs of the 4-bit base's square stay cheap and
+    exact; there is no per-pair lookup.  Slices share their entry and diff
+    tuples, and the tables are made on first use, not at construction.
     """
 
     def __init__(self, outer, inner):
@@ -342,8 +344,8 @@ class ComposedScheme(TableSweeps):
                 f"composed arity {arity} exceeds the materialization cap "
                 f"{COMPOSE_ARITY_CAP}"
             )
-        outer_report = loads(outer, keep_maps=False)
-        inner_report = loads(inner, keep_maps=False)
+        outer_report = loads(outer)
+        inner_report = loads(inner)
         for name, rep in (("outer", outer_report), ("inner", inner_report)):
             if rep.v_a != rep.v_b:
                 raise SchemeError(
@@ -389,7 +391,7 @@ class ComposedScheme(TableSweeps):
         sizes, pairs = (len(inner.a_side), len(inner.b_side)), inner.pair_count
         self.pair_count = sum(
             math.prod(pairs if (p ^ z) >> j & 1 else sizes[p >> j & 1] for j in range(n))
-            for p in outer.a_side
+            for p in outer.a_side.tolist()
             for z, _ in self._o_partners[p]
         )
         self._builder = _TemplateBuilder(self, inner_tables)
@@ -414,7 +416,7 @@ class ComposedScheme(TableSweeps):
         if table is not None:
             return table
         n, m = self.n, self.m
-        xs = np.array(self.a_side if side == "a" else self.b_side, dtype=np.int64)
+        xs = self.a_side if side == "a" else self.b_side
         # patterns and class codes one block column at a time; any radix
         # above every class orders the codes as the class tuples
         patterns = np.zeros(len(xs), dtype=np.int32)
@@ -458,7 +460,7 @@ def predicted_bound(base_scheme, d: int) -> ExactWeight:
     """The d-th power of a base scheme's bound (what composing d times gives)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return loads(base_scheme, keep_maps=False).bound ** d
+    return loads(base_scheme).bound ** d
 
 
 # ---- internal identities as checks ------------------------------------------
@@ -469,7 +471,7 @@ def _source(composed: ComposedScheme, x: int, z: int | None = None):
     slices read off the row of x in its side's `slice_table`; with z,
     (p, z) must be an outer pair."""
     for side, xs in (("a", composed.a_side), ("b", composed.b_side)):
-        r = bisect.bisect_left(xs, x)
+        r = np.searchsorted(xs, x)
         if r < len(xs) and xs[r] == x:
             break
     else:

@@ -246,13 +246,12 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
         raise QsimError(
             f"scheme arity {scheme.f.arity} does not match algorithm n = {alg.n}"
         )
-    inputs = sorted(set(scheme.a_side) | set(scheme.b_side))
-    if len(inputs) > INPUT_CAP:
-        raise QsimError(f"{len(inputs)} inputs exceed the cap {INPUT_CAP}")
-    xs = np.array(inputs, dtype=np.int64)
+    xs = np.union1d(scheme.a_side, scheme.b_side)
+    if len(xs) > INPUT_CAP:
+        raise QsimError(f"{len(xs)} inputs exceed the cap {INPUT_CAP}")
     xi, yi, w = _pair_rows(scheme, xs)
     signs = alg.oracle_signs(xs)[:, :, None]
-    count, dim, view = len(inputs), alg.dimension, (-1, alg.n + 1, alg.work)
+    count, dim, view = len(xs), alg.dimension, (-1, alg.n + 1, alg.work)
     states = np.zeros((count, dim), dtype=np.complex128)
     states[:, 0] = 1.0
     size = min(max(count, len(w)), _BLOCK)
@@ -289,7 +288,7 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
         accept[b] = np.sum(np.abs(block[:, mask]) ** 2, axis=1)
     table = scheme.f.table
     errors = {
-        x: 1.0 - p if table[x] else p for x, p in zip(inputs, accept.tolist())
+        x: 1.0 - p if table[x] else p for x, p in zip(xs.tolist(), accept.tolist())
     }
     drops = tuple(
         abs(values[t] - values[t - 1]) for t in range(1, len(values))

@@ -68,7 +68,7 @@ class _Sums:
 
 
 def reference_loads(scheme, *, keep_maps: bool = True) -> LoadReport:
-    if not scheme.a_side or not scheme.b_side:
+    if not len(scheme.a_side) or not len(scheme.b_side):
         raise SchemeError("loads need a nonempty relation on both sides")
     wt_map: dict | None = {} if keep_maps else None
     v_map: dict | None = {} if keep_maps else None

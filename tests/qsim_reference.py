@@ -23,7 +23,7 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
         raise QsimError(
             f"scheme arity {scheme.f.arity} does not match algorithm n = {alg.n}"
         )
-    inputs = sorted(set(scheme.a_side) | set(scheme.b_side))
+    inputs = sorted(set(scheme.a_side.tolist()) | set(scheme.b_side.tolist()))
     if len(inputs) > INPUT_CAP:
         raise QsimError(f"{len(inputs)} inputs exceed the cap {INPUT_CAP}")
     pos = {x: r for r, x in enumerate(inputs)}

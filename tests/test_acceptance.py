@@ -246,12 +246,12 @@ def test_criterion_10_invariant_suite():
         f2bit = parity(2)
         rel = [(0, 1), (0, 2), (3, 1), (3, 2)]
         rb = relation_bound(f2bit, (0, 3), (1, 2), rel)
-        assert rb.bound == loads(unit_scheme(f2bit, (0, 3), (1, 2), rel)).bound
+        assert rb.bound == loads(unit_scheme(f2bit, (0, 3), (1, 2), rel), keep_maps=True).bound
         ms = build_matchings(1, 1)
         union = [p for t in range(3) for p in ms.pairs(t)]
         rb2 = relation_bound(ms.f, ms.a_side, ms.b_side, union)
         assert rb2.bound == loads(
-            unit_scheme(ms.f, ms.a_side, ms.b_side, union)
+            unit_scheme(ms.f, ms.a_side, ms.b_side, union), keep_maps=True
         ).bound
 
         # measure inequalities on every built-in function

@@ -78,7 +78,7 @@ def test_compose_rejects_zero_directional_weights():
         (7, 1, 1, {1: (1, 1), 2: (1, 1)}),
     ]
     b = balance(ExplicitScheme(nae3(), pairs))
-    rep = loads(b)
+    rep = loads(b, keep_maps=True)
     assert rep.v_a == rep.v_b
     assert [(v.kind, v.x, v.y, v.i) for v in verify(b)] == [("directional", 0, 1, 3)]
     # refused as the outer factor and as the inner one
@@ -120,7 +120,7 @@ def _nae3_pattern(x: int) -> int:
 def test_nae3_squared_claims():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    for x in c.a_side + c.b_side:
+    for x in c.a_side.tolist() + c.b_side.tolist():
         assert check_corollary(c, x)
 
 
@@ -132,8 +132,8 @@ def test_corollary_reads_the_swept_templates():
     assert verify(c) == []
     slices = c.slice_table("a")[2]
     doubled = tuple((xor, w * ExactWeight(2), diffs) for xor, w, diffs in slices[0].entries)
-    slices[0] = Slice(doubled, slices[0].arity)
-    assert not all(check_corollary(c, x) for x in c.a_side + c.b_side)
+    slices[0] = Slice(doubled)
+    assert not all(check_corollary(c, x) for x in c.a_side.tolist() + c.b_side.tolist())
     assert verify(c)
 
 
@@ -228,7 +228,7 @@ def test_verify_reports_what_a_record_level_check_reports(corruption):
         diffs = ((i, fwd * ExactWeight(1, 2), bwd),) + diffs[1:]
     else:
         diffs = diffs[1:]
-    slices[0] = Slice(((xor, w, diffs), *rest), slices[0].arity)
+    slices[0] = Slice(((xor, w, diffs), *rest))
     want = _reference_violations(c)
     kind = "constraint" if corruption == "scale" else "coverage"
     assert want and {v.kind for v in want} == {kind}
@@ -307,7 +307,7 @@ def _sample_pairs(c: ComposedScheme, ref: _Reference, rng: random.Random, count:
     with z the block pattern of y."""
     n, m = c.n, c.m
     out = []
-    for x in rng.sample(c.a_side + c.b_side, count):
+    for x in rng.sample(c.a_side.tolist() + c.b_side.tolist(), count):
         p = ref.pattern(x)
         z = rng.choice(list(ref.outer[p]))
         y = 0
@@ -358,7 +358,7 @@ def test_claim2_memo_matches_an_unmemoized_check(name):
     g = balance(builtin_scheme(name))
     c = compose_scheme(g, g)
     rng = random.Random(3)
-    sources = rng.sample(c.a_side, 24) + rng.sample(c.b_side, 24)
+    sources = rng.sample(c.a_side.tolist(), 24) + rng.sample(c.b_side.tolist(), 24)
     for _ in range(2):  # the second round reads the memo
         for x in sources:
             for z in compose._source(c, x)[2]:
@@ -376,7 +376,7 @@ def test_claim2_memo_matches_an_unmemoized_check(name):
 def test_claim_checks_reject_non_partners():
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
-    for x in c.a_side + c.b_side:
+    for x in c.a_side.tolist() + c.b_side.tolist():
         with pytest.raises(SchemeError):
             check_claim1(c, x, _nae3_pattern(x))  # own pattern is never a partner
     # every coordinate in a block where the patterns agree is rejected
@@ -510,13 +510,14 @@ def test_the_package_reads_tables_not_sweeps(monkeypatch, tmp_path, capsys):
                     if (x ^ y) & var_bit(c.arity, i):
                         assert check_claim2(c, x, _pattern(c, y), i)
     h6 = balance(builtin_scheme("h6"))
-    rep = loads(h6)
+    rep = loads(h6, keep_maps=True)
     assert rep.v_a == rep.v_b and rep.bound == ExactWeight(1, 2, 39)
     path = tmp_path / "nae3sq.scheme.json"
     c = compose_scheme(builtin_scheme("nae3"), builtin_scheme("nae3"))
     save_scheme(c, path)
     back = load_scheme(path)
-    assert back.pair_count == c.pair_count and loads(back).bound == ExactWeight(9, 2)
+    assert back.pair_count == c.pair_count
+    assert loads(back, keep_maps=True).bound == ExactWeight(9, 2)
     trace = qsim.progress_trace(qsim.random_algorithm(3, 2, seed=1), builtin_scheme("nae3"))
     assert len(trace.values) == 3
     assert cli.main(["compose", "--base", "g", "--depth", "2"]) == 0

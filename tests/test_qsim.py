@@ -76,7 +76,7 @@ def unitaries_one_by_one(n, queries, work, seed):
 def dense_errors(alg, scheme):
     """Reference: one dense state vector per input, evolved on its own."""
     errors = {}
-    for x in sorted(set(scheme.a_side) | set(scheme.b_side)):
+    for x in sorted(set(scheme.a_side.tolist()) | set(scheme.b_side.tolist())):
         state = np.zeros(alg.dimension, dtype=np.complex128)
         state[0] = 1.0
         phases = phase_vector(alg, x)
@@ -381,7 +381,7 @@ def test_trace_is_bit_identical_to_the_batch_reference(name):
 def test_trace_holds_one_state_array():
     scheme = matching_scheme(12, 12)
     alg = random_algorithm(12, 8, work=4, seed=5)
-    state_bytes = len(scheme.a_side + scheme.b_side) * alg.dimension * 16
+    state_bytes = len(scheme.a_side.tolist() + scheme.b_side.tolist()) * alg.dimension * 16
     tracemalloc.start()
     try:
         progress_trace(alg, scheme)

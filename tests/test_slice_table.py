@@ -7,7 +7,8 @@ schemes, on both its int64 and its object-dtype paths.  A composed
 scheme's rows must follow the slice keys of `compose_reference`, and its
 slices, built in batches, must equal the per-entry loop there, with the
 same errors, and read back from its file it must verify, weigh and share
-as it does.  The batch's id packing must not wrap on int32 ids.
+as it does.  The batch's id packing must not wrap on int32 ids.  A
+scheme's sides are its tables' sources, the same read-only arrays.
 """
 
 import operator
@@ -39,6 +40,22 @@ from advwb.weights import ONE, ExactWeight, Root
 from compose_reference import assert_rows_follow_their_keys, assert_templates_match, reference_slices
 from loads_reference import assert_loads_match
 from scheme_records import assert_round_trips
+
+
+def test_sides_are_the_table_sources(tmp_path):
+    f4_base, nae3_base = balance(builtin_scheme("f4")), builtin_scheme("nae3")
+    cases = {name: builtin_scheme(name) for name in ("f4", "nae3", "h6")}
+    cases["balanced h6"] = balance(builtin_scheme("h6"))
+    adversary.save_scheme(builtin_scheme("h6"), tmp_path / "h6.json")
+    cases["loaded h6"] = adversary.load_scheme(tmp_path / "h6.json")
+    cases["unit"] = adversary.unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (3, 1), (3, 2)])
+    cases["nae3 squared"] = compose_scheme(nae3_base, nae3_base)
+    cases["f4 squared"] = compose_scheme(f4_base, f4_base)
+    for name, s in cases.items():
+        for side, xs in (("a", s.a_side), ("b", s.b_side)):
+            assert xs is s.slice_table(side)[0], (name, side)
+            assert xs.dtype == np.int64 and not xs.flags.writeable, (name, side)
+            assert len(xs) and (np.diff(xs) > 0).all(), (name, side)
 
 
 def test_f4_squared_table_is_slices_of():
@@ -130,7 +147,7 @@ _ROOTS_BASE = ExplicitScheme(
 @given(generated.schemes().filter(lambda s: s.f.arity <= 3))
 @example(_ROOTS_BASE)
 def test_composed_generated_schemes(scheme):
-    rep = loads(scheme)
+    rep = loads(scheme, keep_maps=True)
     assume(not isinstance((rep.v_b / rep.v_a).sqrt(), Root))
     g = balance(scheme)
     c = compose_scheme(g, g)
@@ -204,7 +221,7 @@ def test_loads_takes_the_object_path_past_int64(monkeypatch, build, v_a, v_b):
     assert (rep.v_a, rep.v_b) == (v_a, v_b)
     assert_loads_match(s, keep_maps=False)
     # the builtins stay on int64
-    loads(builtin_scheme("nae3"))
+    loads(builtin_scheme("nae3"), keep_maps=True)
     assert dtypes[-1] == "int64"
 
 
@@ -229,7 +246,8 @@ def test_upper_certificate_bounds_every_scheme_of_its_function():
     ]
     weaker = ExplicitScheme(g.f, pairs)
     assert verify(weaker) == []
-    assert loads(weaker).bound <= upper_certificate(nae3(), minimax_probabilities("nae3"))
+    cert = upper_certificate(nae3(), minimax_probabilities("nae3"))
+    assert loads(weaker, keep_maps=True).bound <= cert
 
 
 def test_upper_certificate_refuses_bad_probabilities():
@@ -279,7 +297,7 @@ def _error(build) -> str | None:
 
 def test_template_errors_match_the_reference():
     s = _mixed_ratios()
-    rep = loads(s)
+    rep = loads(s, keep_maps=True)
     assert (rep.v_a, rep.v_b) == (ONE, ONE)
     for side in "ab":
         c = compose_scheme(s, s)
