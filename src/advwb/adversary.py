@@ -345,7 +345,18 @@ def _number_rows(columns: list, radices: list) -> tuple[np.ndarray, np.ndarray]:
             size = max(len(code), 1)
         code = code * radix + col
         size *= radix
-    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
+    # np.unique's numbering from one stable argsort, the code freed as soon
+    # as it is sorted and compared
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    new = np.empty(len(code), dtype=bool)  # true at the first row of each value
+    new[:1] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    del code
+    first = order[new]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = new.cumsum()
+    ids -= 1
     return ids, first
 
 

@@ -12,13 +12,19 @@ must finish with it below 2 sqrt(eps(1-eps)) * W_0.  The simulator needs
 only the scheme's records (`f`, its sides and the A side's
 `slice_table`); v_max is the caller's, from the scheme's loads.
 
-A trace holds one (inputs, dimension) state array and two fixed-size
-blocks of rows beside it: unitaries, oracle signs, pair overlaps and
-acceptance all go through the state a block at a time, and each row and
-pair is reduced as in a whole-batch pass, so no value depends on the
-blocking.  Set-up works on whole arrays: every input's oracle signs come
-from its bits in one pass, the pairs come off the slice table with each
-distinct slice entry read once and each distinct pair weight made a
+A pair only ever reads the states of its own connected component of the
+scheme's pairs, so a trace evolves groups of rows closed under the pairs,
+one group at a time through every unitary: consecutive components packed
+into groups of at most 256 rows, a larger component held whole.  Each
+pair's overlap per step goes into a (T + 1, pairs) history, and W_t dots
+the weights with row t.  When all inputs fit one block, or when the
+history would cost more than it saves, the trace holds one (inputs,
+dimension) state array and reads W_t as it is made.  Inside a group,
+unitaries, the oracle, pair overlaps and acceptance go through the state
+a block of rows at a time, and each row and pair is reduced as in a
+whole-batch pass, so no value depends on the grouping or the blocking.
+Set-up works on whole arrays: the pairs come off the slice table with
+each distinct slice entry read once and each distinct pair weight made a
 float once (a scheme file's weights are one object per distinct weight
 string, parsed once per file), and `random_algorithm` draws and factors
 its unitaries only after the dimension and query caps have been checked.
@@ -153,16 +159,12 @@ class QueryAlgorithm:
             [bool(sel(i, z)) for i in range(self.n + 1) for z in range(self.work)]
         )
 
-    def oracle_signs(self, inputs) -> np.ndarray:
-        """The oracle by query label, one int8 row per input x: -1 at i with x_i = 1."""
-        xs = np.asarray(inputs, dtype=np.int64)
-        # bit n - i of x is x_i; label 0 reads bit n, which is 0
-        bits = ((xs[:, None] >> np.arange(self.n, -1, -1)) & 1).astype(np.int8)
-        return 1 - 2 * bits
-
     def phase_rows(self, inputs) -> np.ndarray:
         """Oracle diagonals, one row per input x: -1 on |i, z> with x_i = 1."""
-        return np.repeat(self.oracle_signs(inputs).astype(float), self.work, axis=1)
+        xs = np.asarray(inputs, dtype=np.int64)
+        # bit n - i of x is x_i; label 0 reads bit n, which is 0
+        bits = (xs[:, None] >> np.arange(self.n, -1, -1)) & 1
+        return np.where(bits, -1.0, 1.0).repeat(self.work, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +228,128 @@ def _pair_rows(scheme, inputs: np.ndarray):
     return inputs.searchsorted(x), inputs.searchsorted(y), np.array(ws)[entry]
 
 
+def _row_groups(count: int, xi: np.ndarray, yi: np.ndarray, steps: int, dim: int):
+    """Groups of state rows closed under the pairs, or None for one group.
+
+    Each group is (rows, ids, gx, gy): its rows, the indices of the pairs
+    whose source row is among them, and those pairs' source and partner
+    rows within the group.  The rows split into the connected components
+    of the pairs, and consecutive components are packed into groups of at
+    most _BLOCK rows; a larger component is a group of its own.  Every row
+    is in a pair (a scheme's sides are its pairs' ends), so no group has a
+    single row, which numpy would multiply as a vector.  There is one
+    group when all rows fit one block, and when a (steps, pairs) float
+    history plus the largest group would not be smaller than the whole
+    (count, dim) state array.
+    """
+    state_bytes, history_bytes = count * dim * 16, steps * len(xi) * 8
+    if count <= _BLOCK or history_bytes >= state_bytes:
+        return None
+    # label each row with the least row of its component: label[r] <= r is
+    # a row of r's component, and a row with label[r] == r a root.  Each
+    # round hooks every root to the least root across its pairs, then
+    # points every row at its root; int32 labels, as count <= INPUT_CAP
+    label = np.arange(count, dtype=np.int32)
+    while True:
+        lx, ly = label[xi], label[yi]
+        if np.array_equal(lx, ly):
+            break
+        low = np.minimum(lx, ly)
+        np.minimum.at(label, lx, low)
+        np.minimum.at(label, ly, low)
+        del lx, ly, low
+        while not np.array_equal(up := label[label], label):
+            label = up
+    order = np.argsort(label, kind="stable")  # the rows, component by component
+    cuts, prev = [0], 0
+    for end in (np.flatnonzero(np.diff(label[order])) + 1).tolist() + [count]:
+        if end - cuts[-1] > _BLOCK and prev > cuts[-1]:
+            cuts.append(prev)
+        prev = end
+    cuts.append(count)
+    sizes = np.diff(cuts)
+    if history_bytes + int(sizes.max()) * dim * 16 >= state_bytes:
+        return None
+    group, local = np.empty((2, count), dtype=np.int64)
+    group[order] = np.arange(len(sizes)).repeat(sizes)
+    local[order] = np.arange(count) - np.repeat(cuts[:-1], sizes)
+    by_group = np.argsort(group[xi], kind="stable")
+    pair_cuts = np.bincount(group[xi], minlength=len(sizes)).cumsum().tolist()
+    out = []
+    for lo, hi, plo, phi in zip(cuts, cuts[1:], [0] + pair_cuts, pair_cuts):
+        ids = by_group[plo:phi]
+        out.append((order[lo:hi], ids, local[xi[ids]], local[yi[ids]]))
+    return out
+
+
+def _evolve(alg: QueryAlgorithm, inputs: np.ndarray, groups, record) -> np.ndarray:
+    """Every input's acceptance probability after one evolution of its state.
+
+    Each group (rows, ids, xi, yi) is a set of rows of inputs, an index
+    array or a slice, closed under the pairs whose source and partner sit
+    at its rows xi and yi; the groups evolve one at a time through every
+    unitary.  record(t, ids, inner) sees the overlaps |<psi_x|psi_y>| of a
+    group's pairs right after the t-th oracle call (t = 0 before any).  A
+    group's states are the leading rows of one (rows, dim) array made once
+    for the largest group, with their oracle diagonals, float +-1 rows, and
+    two blocks of rows beside it.  Each unitary goes through the first
+    block a block of rows at a time, and the oracle multiplies the rows on
+    the way back.  The overlaps are summed in blocks of pairs, the source
+    rows in the first block and the partner rows in the second.  Every row
+    and every pair is reduced as in one whole-batch pass, so no value
+    depends on the grouping or the blocking.
+    """
+    dim = alg.dimension
+    most = max(len(inputs[rows]) for rows, *_ in groups)
+    pairs = max(len(xi) for _, _, xi, _ in groups)
+    held = np.empty((most, dim), dtype=np.complex128)
+    left = np.empty((min(max(most, pairs), _BLOCK), dim), dtype=np.complex128)
+    right = np.empty((min(pairs, _BLOCK), dim), dtype=np.complex128)
+    overlap = np.empty(pairs)
+    last, mask = alg.unitaries[-1].T, alg.accept_mask()
+    accept = np.empty(len(inputs))
+    for group, ids, xi, yi in groups:
+        xs = inputs[group]
+        phases = alg.phase_rows(xs)
+        states = held[: len(xs)]
+        states[...] = 0.0
+        states[:, 0] = 1.0
+        inner = overlap[: len(xi)]
+        # per block of rows: its slice, its state rows, as many buffer rows
+        # and its oracle rows
+        rows = [
+            (b, states[b], left[: b.stop - b.start], phases[b])
+            for b in _blocks(len(xs))
+        ]
+        blocks = []
+        for b in _blocks(len(xi)):
+            m = b.stop - b.start
+            blocks.append((xi[b], yi[b], left[:m], right[:m], inner[b]))
+
+        def overlaps(t: int) -> None:
+            for xb, yb, sx, sy, out in blocks:
+                states.take(xb, axis=0, out=sx, mode="clip")
+                np.conjugate(sx, out=sx)
+                states.take(yb, axis=0, out=sy, mode="clip")
+                np.multiply(sx, sy, out=sx)
+                np.abs(np.add.reduce(sx, axis=1), out=out)
+            record(t, ids, inner)
+
+        overlaps(0)
+        for t, u in enumerate(alg.unitaries[:-1], 1):
+            ut = u.T
+            for _, here, block, phase in rows:
+                np.matmul(here, ut, out=block)
+                np.multiply(block, phase, out=here)
+            overlaps(t)
+        probs = np.empty(len(xs))
+        for b, here, block, _ in rows:
+            np.matmul(here, last, out=block)
+            probs[b] = np.sum(np.abs(block[:, mask]) ** 2, axis=1)
+        accept[group] = probs
+    return accept
+
+
 def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     """One evolution of every input's state against the scheme's pairs.
 
@@ -233,14 +357,13 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     leaves pairwise inner products unchanged.  U_T is applied once at the
     end, and each input's acceptance probability gives its error.
 
-    The trace holds the (inputs, dim) state and two blocks of rows beside
-    it.  Each unitary goes through the first block a block of rows at a
-    time, and the oracle's signs are broadcast over the (n + 1, work) view
-    of the rows on the way back.  Each pair's |<psi_x|psi_y>| is summed in
-    blocks of pairs, the source rows in the first block and the partner
-    rows in the second, into one vector that W_t dots with the weights.
-    Every row and every pair is reduced as in one whole-batch pass, so the
-    values do not depend on the blocking.
+    The inputs evolve in groups of rows closed under the pairs
+    (`_row_groups`), one group at a time through every unitary
+    (`_evolve`), each pair's overlap at step t written into a (T + 1,
+    pairs) history at the pair's index; W_t then dots the weights with
+    row t.  When there is one group, W_t is read as it is made and no
+    history is kept.  Either way each W_t dots the same overlaps in the
+    same pair order, so the values do not depend on the grouping.
     """
     if scheme.f.arity != alg.n:
         raise QsimError(
@@ -250,42 +373,21 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
     if len(xs) > INPUT_CAP:
         raise QsimError(f"{len(xs)} inputs exceed the cap {INPUT_CAP}")
     xi, yi, w = _pair_rows(scheme, xs)
-    signs = alg.oracle_signs(xs)[:, :, None]
-    count, dim, view = len(xs), alg.dimension, (-1, alg.n + 1, alg.work)
-    states = np.zeros((count, dim), dtype=np.complex128)
-    states[:, 0] = 1.0
-    size = min(max(count, len(w)), _BLOCK)
-    left, right = np.empty((2, size, dim), dtype=np.complex128)
-    inner = np.empty(len(w))
-    # per block of rows: its slice, its state rows, as many buffer rows and
-    # its signs
-    rows = [(b, states[b], left[: b.stop - b.start], signs[b]) for b in _blocks(count)]
-    pairs = []
-    for b in _blocks(len(w)):
-        m = b.stop - b.start
-        pairs.append((xi[b], yi[b], left[:m], right[:m], inner[b]))
-
-    def weighted_overlap() -> float:
-        for xb, yb, sx, sy, out in pairs:
-            states.take(xb, axis=0, out=sx, mode="clip")
-            np.conjugate(sx, out=sx)
-            states.take(yb, axis=0, out=sy, mode="clip")
-            np.multiply(sx, sy, out=sx)
-            np.abs(np.add.reduce(sx, axis=1), out=out)
-        return float(np.dot(w, inner))
-
-    values = [weighted_overlap()]
-    for u in alg.unitaries[:-1]:
-        ut = u.T
-        for _, here, block, sgn in rows:
-            np.matmul(here, ut, out=block)
-            np.multiply(block.reshape(view), sgn, out=here.reshape(view))
-        values.append(weighted_overlap())
-    ut, mask = alg.unitaries[-1].T, alg.accept_mask()
-    accept = np.empty(count)
-    for b, here, block, _ in rows:
-        np.matmul(here, ut, out=block)
-        accept[b] = np.sum(np.abs(block[:, mask]) ** 2, axis=1)
+    groups = _row_groups(len(xs), xi, yi, len(alg.unitaries), alg.dimension)
+    if groups is None:
+        values = []
+        accept = _evolve(
+            alg,
+            xs,
+            [(slice(None), None, xi, yi)],
+            lambda t, _, inner: values.append(float(np.dot(w, inner))),
+        )
+    else:
+        history = np.empty((len(alg.unitaries), len(w)))
+        accept = _evolve(
+            alg, xs, groups, lambda t, ids, inner: history[t].put(ids, inner)
+        )
+        values = [float(np.dot(w, h)) for h in history]
     table = scheme.f.table
     errors = {
         x: 1.0 - p if table[x] else p for x, p in zip(xs.tolist(), accept.tolist())
@@ -392,9 +494,14 @@ def save_algorithm(alg: QueryAlgorithm, path: str | Path) -> None:
 
 
 def _is_flat_matrix(flat) -> bool:
-    """A list of [re, im] number pairs, as `save_algorithm` writes one unitary."""
+    """A list of [re, im] number pairs, as `save_algorithm` writes one unitary.
+
+    JSON true and false are no numbers here, though Python's bool is an int.
+    """
     return isinstance(flat, list) and all(
-        isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) for c in v)
+        isinstance(v, list)
+        and len(v) == 2
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
         for v in flat
     )
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qsim_reference
+from advwb import qsim
 from advwb.adversary import balance, builtin_scheme, loads, unit_scheme
 from advwb.boolfn import BooleanFunction, parity
 from advwb.qsim import (
@@ -338,6 +339,13 @@ def test_algorithm_file_rejects_malformed(tmp_path):
     with pytest.raises(QsimError):
         load_algorithm(path)
 
+    # JSON booleans are no matrix entries, though Python's bool is an int:
+    # this is no 2 x 2 identity
+    doc = {"n": 1, "work": 1, "unitaries": [[[True, 0], [0, 0], [0, 0], [True, False]]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(QsimError, match="'unitaries' must be a list of lists of "):
+        load_algorithm(path)
+
 
 def test_eps_range_checks():
     with pytest.raises(ValueError):
@@ -348,10 +356,45 @@ def test_eps_range_checks():
         check_final_bound(progress_trace(parity2_algorithm(), parity2_scheme()), 0.7)
 
 
+def chain_scheme(n, lengths, seed):
+    """Unit scheme on seeded chains of inputs, f alternating along each: one
+    component of the pair relation per length, its inputs strewn over the
+    rows."""
+    rng = random.Random(seed)
+    order = list(range(1 << n))
+    rng.shuffle(order)
+    half = 1 << (n - 1)
+    f = BooleanFunction.from_ones(n, order[:half])
+    ones, zeros = order[:half], order[half:]
+    pairs = []
+    for length in lengths:
+        chain = [(zeros if k % 2 == 0 else ones).pop() for k in range(length)]
+        links = zip(chain, chain[1:])
+        pairs += [(x, y) if k % 2 == 0 else (y, x) for k, (x, y) in enumerate(links)]
+    a, b = sorted({x for x, _ in pairs}), sorted({y for _, y in pairs})
+    return unit_scheme(f, a, b, pairs)
+
+
+# components of 2 to 9 rows: whichever would reach past a group's _BLOCK
+# rows starts the next group
+STRADDLING = [2 + k % 8 for k in range(160)]
+# one component of 300 rows, larger than _BLOCK, among small ones
+ONE_LARGE = [3] * 60 + [300] + [4] * 70
+
+
 def _bit_identity_cases(name):
     """(scheme, algorithm) pairs: random, identity and parity2 algorithms."""
     if name == "parity2":
         yield parity2_scheme(), parity2_algorithm()
+    elif name in ("straddling", "one_large"):
+        scheme = chain_scheme(10, STRADDLING if name == "straddling" else ONE_LARGE, 7)
+        for q, w in ((1, 2), (4, 5), (7, 3)):
+            yield scheme, random_algorithm(10, q, work=w, seed=q)
+    elif name == "long":
+        # 1,024 inputs at dimension 55: a (201, 512) float history and a
+        # group of 256 rows are more than the state array, so one group
+        scheme = matching_scheme(10, 3)
+        yield scheme, random_algorithm(10, 200, work=5, seed=3)
     elif name.startswith("unit"):
         # 10 bits: 1,024 inputs in four row blocks, 512 pairs in two blocks;
         # 12 bits at work 4: 4,096 inputs
@@ -368,7 +411,10 @@ def _bit_identity_cases(name):
             yield sch, identity_algorithm(n, 2)
 
 
-@pytest.mark.parametrize("name", ["f4", "nae3", "h6", "parity2", "unit10", "unit12"])
+@pytest.mark.parametrize(
+    "name",
+    ["f4", "nae3", "h6", "parity2", "unit10", "unit12", "straddling", "one_large", "long"],
+)
 def test_trace_is_bit_identical_to_the_batch_reference(name):
     for scheme, alg in _bit_identity_cases(name):
         got = progress_trace(alg, scheme)
@@ -390,6 +436,47 @@ def test_trace_holds_one_state_array():
         tracemalloc.stop()
     # the state, two blocks of rows beside it, the pair rows and the errors
     assert peak < 1.5 * state_bytes
+
+
+def test_trace_holds_one_group_of_rows():
+    scheme = matching_scheme(12, 12)
+    alg = random_algorithm(12, 8, work=4, seed=5)
+    progress_trace(alg, scheme)  # numpy's lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        progress_trace(alg, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding all 4,096 rows in one state array, the trace peaks at 4.36 MiB;
+    # one group of 256 rows, the (9, 2048) history, the pair rows and the
+    # errors stay under half of that
+    assert peak < 2.18 * (1 << 20)
+
+
+def test_row_groups_are_closed_under_the_pairs():
+    scheme = chain_scheme(10, ONE_LARGE, 7)
+    xs = np.union1d(scheme.a_side, scheme.b_side)
+    xi, yi, _ = qsim._pair_rows(scheme, xs)
+    groups = qsim._row_groups(len(xs), xi, yi, 5, 55)
+    # every row in one group, every pair whole on its group's rows
+    seen, pair_seen = np.zeros(len(xs), dtype=int), np.zeros(len(xi), dtype=int)
+    for rows, ids, gx, gy in groups:
+        seen[rows] += 1
+        pair_seen[ids] += 1
+        assert np.array_equal(rows[gx], xi[ids]) and np.array_equal(rows[gy], yi[ids])
+    assert (seen == 1).all() and (pair_seen == 1).all()
+    sizes = [len(rows) for rows, *_ in groups]
+    # the 300-row component is a group of its own, the others fill groups
+    assert 300 in sizes and all(s <= qsim._BLOCK for s in sizes if s != 300)
+    # one block of rows, or a history too long beside the largest group
+    pairs = np.arange(0, qsim._BLOCK, 2), np.arange(1, qsim._BLOCK, 2)
+    assert qsim._row_groups(qsim._BLOCK, *pairs, 1, 64) is None
+    scheme = matching_scheme(10, 3)
+    xs = np.union1d(scheme.a_side, scheme.b_side)
+    xi, yi, _ = qsim._pair_rows(scheme, xs)
+    assert qsim._row_groups(len(xs), xi, yi, 201, 55) is None
+    assert len(qsim._row_groups(len(xs), xi, yi, 9, 55)) == 4
 
 
 def test_unitarity_check_in_blocks_names_the_first_bad_matrix():

@@ -331,3 +331,24 @@ def test_number_rows_packs_narrow_columns_in_int64():
     second = np.array([0, 0], dtype=np.int32)
     ids, _ = adversary._number_rows([first, second], [4096, 1 << 21])
     assert ids.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_number_rows_matches_np_unique(dtype):
+    rng = np.random.default_rng(3)
+    # few distinct values, so most rows tie with an earlier one
+    cols = [rng.integers(0, r, 5000).astype(dtype) for r in (7, 3, 5)]
+    ids, first = adversary._number_rows(cols, [7, 3, 5])
+    code = (cols[0].astype(np.int64) * 3 + cols[1]) * 5 + cols[2]
+    _, want_first, want_ids = np.unique(code, return_index=True, return_inverse=True)
+    assert np.array_equal(ids, want_ids) and np.array_equal(first, want_first)
+    assert ids.dtype == want_ids.dtype and first.dtype == want_first.dtype
+    # renumbered between columns: 2^40 * 2^40 does not fit the int64 code
+    wide = [rng.integers(0, 1 << 40, 5000) >> 37, rng.integers(0, 9, 5000).astype(dtype)]
+    ids, first = adversary._number_rows(wide, [1 << 40, 1 << 40])
+    _, want_first, want_ids = np.unique(wide[0] * 9 + wide[1], return_index=True, return_inverse=True)
+    assert np.array_equal(ids, want_ids) and np.array_equal(first, want_first)
+    # a first column of Python ints, as `_distinct` passes coefficients past int64
+    big = np.array([10**30, 5, 10**30, -(10**30), 5, 7], dtype=object)
+    ids, first = adversary._number_rows([big], [1 << 62])
+    assert ids.tolist() == [3, 1, 3, 0, 1, 2] and first.tolist() == [3, 1, 5, 0]
