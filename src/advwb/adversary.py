@@ -6,7 +6,7 @@ weights w'(x, y, i) for every coordinate i where the pair differs, subject
 to w'(x, y, i) * w'(y, x, i) >= w(x, y)^2.  The reciprocal of the largest
 geometric-mean load is then a bound on bounded-error quantum query cost.
 
-Protocol (duck-typed):
+Every scheme is an `ExplicitScheme`, which has
     f            BooleanFunction
     a_side       the 0-inputs in pairs: the sources of slice_table("a"),
                  the same sorted, read-only int64 array object
@@ -36,13 +36,12 @@ one column at a time in numpy, `save_scheme` formats and `balance`
 rescales each distinct entry once, and `qsim.progress_trace` reads each
 distinct A-side entry once and expands the table into pair rows in numpy.
 
-Two classes implement the protocol, both keep equal entries once and
-share a slice among sources with equal surroundings, and `TableSweeps`
-gives both the record view: ExplicitScheme holds all of a source's pairs
-in one slot, and compose.ComposedScheme builds each side's table once,
-on first use, from its factors' tables, one slot per outer partner.
-`balance` returns an ExplicitScheme, or its argument when that is
-already balanced.
+Equal entries are kept once and sources with equal surroundings share a
+slice.  The pair constructor holds all of a source's pairs in one slot;
+`balance` keeps its argument's sources and ids and rescales its slices,
+or returns the argument when that is already balanced; and the subclass
+compose.ComposedScheme builds each side's table on first use, from its
+factors' tables, one slot per outer partner.
 """
 
 from __future__ import annotations
@@ -173,21 +172,11 @@ def _faults(sl: Slice, arity: int, checked: dict, products: dict) -> list:
     return out
 
 
-class TableSweeps:
-    """The pair sweep of a scheme, read off its `slice_table`."""
-
-    def sweep_pairs(self, side: str):
-        sources, ids, slices = self.slice_table(side)
-        for source, row in zip(sources.tolist(), ids.tolist()):
-            entries = [e for k in row if k >= 0 for e in slices[k].entries]
-            yield source, [(source ^ xor, w, diffs) for xor, w, diffs in entries]
-
-
 # ---- explicit schemes ------------------------------------------------------
 
 
-class ExplicitScheme(TableSweeps):
-    """A scheme given by its literal pair and directional-weight tables.
+class ExplicitScheme:
+    """A scheme held as its two slice tables, built here from pair records.
 
     pairs: iterable of (x, y, w, wp) where wp maps each differing
     coordinate i to a pair (w'(x,y,i), w'(y,x,i)).  Duplicate pairs, in
@@ -198,10 +187,11 @@ class ExplicitScheme(TableSweeps):
     A side's equal entries are one tuple; sources with the same entries, in
     pair order, share one Slice in their one slot.  A pair with an earlier
     pair's w and wp objects and x ^ y reuses that entry, so no wp may change.
+    `balance` and compose.ComposedScheme set their tables with `_set`
+    instead; a side left out there is built by the subclass's `_build`.
     """
 
     def __init__(self, f: BooleanFunction, pairs):
-        self.f = f
         size = 1 << f.arity
         rows: tuple[dict, dict] = ({}, {})  # source -> entry ids, in pair order
         seen = set()  # x * size + y of every pair so far
@@ -237,9 +227,8 @@ class ExplicitScheme(TableSweeps):
             rows[1].setdefault(y, []).append(hit[2])
         if not seen:
             raise SchemeError("a scheme needs at least one pair")
-        self.pair_count = len(seen)
         flipped = [(i, bwd, fwd) for i, fwd, bwd in triples]
-        self._tables = {}
+        tables = {}
         for side, group, ts in zip("ab", rows, (list(triples), flipped)):
             side_entries = [(xor, w, tuple([ts[t] for t in tids])) for xor, w, tids in entries]
             order = sorted(group)
@@ -248,13 +237,29 @@ class ExplicitScheme(TableSweeps):
             slices = [Slice(tuple([side_entries[e] for e in seq])) for seq in seqs]
             sources = np.array(order, dtype=np.int64)
             sources.flags.writeable = False
-            self._tables[side] = (sources, ids.reshape(-1, 1), slices)
-        self.a_side, self.b_side = self._tables["a"][0], self._tables["b"][0]
+            tables[side] = (sources, ids.reshape(-1, 1), slices)
+        self._set(f, len(seen), [tables[side][0] for side in "ab"], tables)
+
+    def _set(self, f: BooleanFunction, pair_count: int, sides, tables: dict) -> None:
+        """The function, pair count, sides (the sources of the tables) and
+        the tables built so far, side -> (sources, ids, slices)."""
+        self.f, self.pair_count = f, pair_count
+        self.a_side, self.b_side = sides
+        self._tables = tables
 
     def slice_table(self, side: str):
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        return self._tables[side]
+        table = self._tables.get(side)
+        if table is None:
+            table = self._tables[side] = self._build(side)
+        return table
+
+    def sweep_pairs(self, side: str):
+        sources, ids, slices = self.slice_table(side)
+        for source, row in zip(sources.tolist(), ids.tolist()):
+            entries = [e for k in row if k >= 0 for e in slices[k].entries]
+            yield source, [(source ^ xor, w, diffs) for xor, w, diffs in entries]
 
 
 # ---- verification ----------------------------------------------------------
@@ -504,8 +509,8 @@ def loads(scheme, *, keep_maps: bool = False) -> LoadReport:
             v_ids, first = _distinct(v_rows[at])
             values = [low.value(v_rows[r]) for r in at[first].tolist()]
             vs.update(dict.fromkeys(values))
-            for pair in np.unique(wt_ids[at] * len(values) + v_ids).tolist():
-                wt, v = divmod(pair, len(values))
+            first = _number_rows([wt_ids[at], v_ids], [len(wt_values), len(values)])[1]
+            for wt, v in zip(wt_ids[at[first]].tolist(), v_ids[first].tolist()):
                 if wt not in best or values[v] > best[wt]:
                     best[wt] = values[v]
             if keep_maps:
@@ -543,13 +548,14 @@ def loads(scheme, *, keep_maps: bool = False) -> LoadReport:
 def balance(scheme, report: LoadReport | None = None):
     """Rescale directional weights so that both side loads equal v_max.
 
-    Multiplies every forward weight of the A-side records by
-    s = sqrt(v_b/v_a) and divides every backward weight by s.  Pair
-    weights and the products w'(x,y,i)*w'(y,x,i) are untouched, so
-    validity is preserved.  Returns an ExplicitScheme with the pairs in
-    the source, slot and entry order of the A side's `slice_table`, or the
-    scheme unchanged when it is already balanced.  Each distinct entry is
-    rescaled once, and its pairs share its w and new wp objects.
+    With s = sqrt(v_b/v_a), every A-side triple (i, fwd, bwd) becomes
+    (i, fwd*s, bwd/s) and every B-side triple (i, fwd/s, bwd*s), so the
+    directional weights of a pair are rescaled alike from both sides.
+    Pair weights and the products w'(x,y,i)*w'(y,x,i) are untouched, so
+    validity is preserved.  Each distinct entry of the two slice tables is
+    rescaled once, and the result is an ExplicitScheme with the scheme's
+    sources and ids, its slices in the same order; the scheme itself is
+    returned when it is already balanced.
     """
     rep = report if report is not None else loads(scheme)
     v_a, v_b = rep.v_a, rep.v_b
@@ -561,15 +567,19 @@ def balance(scheme, report: LoadReport | None = None):
     if ratio.u != 1:
         raise SchemeError(f"load ratio {ratio} has no exact square root")
     s = ratio.sqrt()
-    sources, ids, slices = scheme.slice_table("a")
-    distinct = {id(e): e for sl in slices for e in sl.entries}
-    wps = {key: {i: (fwd * s, bwd / s) for i, fwd, bwd in e[2]} for key, e in distinct.items()}
-    pairs = [
-        (x, x ^ e[0], e[1], wps[id(e)])
-        for x, row in zip(sources.tolist(), ids.tolist())
-        for e in itertools.chain.from_iterable(slices[k].entries for k in row if k >= 0)
-    ]
-    return ExplicitScheme(scheme.f, pairs)
+    tables = {}
+    for side, up, down in (("a", s, ONE / s), ("b", ONE / s, s)):
+        sources, ids, slices = scheme.slice_table(side)
+        distinct = {id(e): e for sl in slices for e in sl.entries}
+        new = {
+            key: (xor, w, tuple([(i, fwd * up, bwd * down) for i, fwd, bwd in diffs]))
+            for key, (xor, w, diffs) in distinct.items()
+        }
+        slices = [Slice(tuple([new[id(e)] for e in sl.entries])) for sl in slices]
+        tables[side] = (sources, ids, slices)
+    out = object.__new__(ExplicitScheme)
+    out._set(scheme.f, scheme.pair_count, (scheme.a_side, scheme.b_side), tables)
+    return out
 
 
 # ---- unweighted relation bound ---------------------------------------------

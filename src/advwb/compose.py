@@ -13,28 +13,28 @@ slice.  Its entries (xor offset, weight, directional weights) depend
 only on the pattern pair, the source's blocks where the patterns differ
 and the inner totals where they agree, so sources with the same
 surroundings share one `adversary.Slice`: 2,304 slices serve the
-1,310,720 pairs of the 4-bit base's square.  `slice_table` finds every
-source's slices of a side at once: it computes block patterns and
-total-weight classes as arrays, one block column at a time, takes
-`np.unique` of the slice key per outer partner slot, and builds the
-side's slices in one batch, once; the table is kept and handed out again
-on every later call.  The batch works on int32 ids of the few distinct
-exact weights: each product, quotient and ratio root is computed once per
-distinct id pair, and only distinct diff triples and distinct entries
-become Python tuples, which the slices share (on each side of the 4-bit
-base's square, 1,136 entries serve 16,896 entry slots).  Its entry- and
-diff-sized arrays are int32 and each is dropped once it has been read, so
-a side's build peaks near 4 MiB of temporaries on the square of the 4-bit
-base, against 1.2 MiB kept.  `verify`, `loads`, `save_scheme`, `balance`,
-`qsim.progress_trace` and the claim checks at the end of this module
-read that table (`sweep_pairs` is its record view for tests and the
-benchmark tracer), and a composed scheme reads its factors' tables.  A
-side is the sources array of its table, one sorted int64 array kept once,
-and the claim checks find a source's row by binary search on it, so they
-certify exactly what `verify` and `loads` consume.  Their right-hand
-sides depend only on the block pattern and total-weight classes and are
-computed once for each, and claim 2's outcome once per slice and
-coordinate.
+1,310,720 pairs of the 4-bit base's square.  A `ComposedScheme` is an
+`adversary.ExplicitScheme` whose two slice tables are built on first
+use: `_build` finds every source's slices of a side at once.  It computes
+block patterns and total-weight classes as arrays, one block column at a
+time, takes `np.unique` of the slice key per outer partner slot, and
+builds the side's slices in one batch; `slice_table` keeps the table and
+hands it out again on every later call.  The batch works on int32 ids of
+the few distinct exact weights: each product, quotient and ratio root is
+computed once per distinct id pair, and only distinct diff triples and
+distinct entries become Python tuples, which the slices share (on each
+side of the 4-bit base's square, 1,136 entries serve 16,896 entry
+slots).  Its entry- and diff-sized arrays are int32 and each is dropped
+once it has been read, so a side's build peaks near 4 MiB of temporaries
+on the square of the 4-bit base, against 1.2 MiB kept.  `verify`,
+`loads`, `save_scheme`, `balance`, `qsim.progress_trace` and the claim
+checks at the end of this module read that table, and a composed scheme
+reads its factors' tables.  A side is the sources array of its table,
+one sorted int64 array kept once, and the claim checks find a source's
+row by binary search on it, so they certify exactly what `verify` and
+`loads` consume.  Their right-hand sides depend only on the block
+pattern and total-weight classes and are computed once for each, and
+claim 2's outcome once per slice and coordinate.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import operator
 
 import numpy as np
 
-from .adversary import SchemeError, Slice, TableSweeps, _number_rows, loads
+from .adversary import ExplicitScheme, SchemeError, Slice, _number_rows, loads
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
 from .weights import ONE, ExactWeight, exact_sum
 
@@ -322,17 +322,17 @@ def _sides(outer, inner) -> list[np.ndarray]:
     return sides
 
 
-class ComposedScheme(TableSweeps):
+class ComposedScheme(ExplicitScheme):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    Nothing is stored per pair, and the factors' pairs and weights are
-    read only off their `slice_table`s.  Construction keeps the two sides
-    as read-only int64 arrays (`_sides`), and `slice_table` uses each as
-    its table's sources.  It builds a side's shared slices in one batch
-    (`_TemplateBuilder`, made at construction) and keeps the side's table,
-    so the ~1.3*10^6 pairs of the 4-bit base's square stay cheap and
-    exact; there is no per-pair lookup.  Slices share their entry and diff
-    tuples, and the tables are made on first use, not at construction.
+    An ExplicitScheme that builds its own tables.  Nothing is stored per
+    pair, and the factors' pairs and weights are read only off their
+    `slice_table`s.  Construction finds the composition facts, the two
+    sides as read-only int64 arrays (`_sides`), the pair count and the
+    batch builder (`_TemplateBuilder`); `_build` makes a side's shared
+    slices in one batch when `slice_table` first asks for them, so the
+    ~1.3*10^6 pairs of the 4-bit base's square stay cheap and exact.  A
+    ratio product with no exact root raises there, not at construction.
     """
 
     def __init__(self, outer, inner):
@@ -355,7 +355,6 @@ class ComposedScheme(TableSweeps):
         self.outer, self.inner = outer, inner
         self.n, self.m = n, m
         self.arity = arity
-        self.f = compose_tables(outer.f, [inner.f] * n)
         self.inner_vmax = inner_report.v_max
         self.predicted_bound = ONE / (outer_report.v_max * inner_report.v_max)
 
@@ -381,26 +380,22 @@ class ComposedScheme(TableSweeps):
             for u, wt in zip(sources, totals):
                 self._class_of[u] = classes.setdefault(wt, len(classes))
         self._class_wt = list(classes)
-        self._tables: dict = {}  # side -> (sources, ids, slices)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
         self._claim2: dict = {}  # (slice, i) -> whether claim 2 holds
 
-        self.a_side, self.b_side = _sides(outer, inner)
         # a composed pair lies over one outer pair (p, z), p on the A side:
         # inner pairs where p and z differ, the inner side p names elsewhere
         sizes, pairs = (len(inner.a_side), len(inner.b_side)), inner.pair_count
-        self.pair_count = sum(
+        pair_count = sum(
             math.prod(pairs if (p ^ z) >> j & 1 else sizes[p >> j & 1] for j in range(n))
             for p in outer.a_side.tolist()
             for z, _ in self._o_partners[p]
         )
+        self._set(compose_tables(outer.f, [inner.f] * n), pair_count, _sides(outer, inner), {})
         self._builder = _TemplateBuilder(self, inner_tables)
 
-    # ---- sweeps -----------------------------------------------------------
-
-    def slice_table(self, side: str):
-        """(sources, ids, slices) of a side, built on the first call and
-        the same objects on every call after it.
+    def _build(self, side: str):
+        """(sources, ids, slices) of a side, which `slice_table` keeps.
 
         Sources with the same block pattern p, the same blocks where p
         differs from an outer partner z and the same total-weight classes
@@ -410,11 +405,6 @@ class ComposedScheme(TableSweeps):
         bits, and every distinct key's slice is built from its first
         source, the whole side in one batch.
         """
-        if side not in ("a", "b"):
-            raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        table = self._tables.get(side)
-        if table is not None:
-            return table
         n, m = self.n, self.m
         xs = self.a_side if side == "a" else self.b_side
         # patterns and class codes one block column at a time; any radix
@@ -446,9 +436,7 @@ class ComposedScheme(TableSweeps):
         del patterns, class_code
         shifts = np.arange(n - 1, -1, -1, dtype=np.int64) * m
         blocks = (xs[np.concatenate(firsts)][:, None] >> shifts) & ((1 << m) - 1)
-        slices = self._builder.build(keys, blocks)
-        table = self._tables[side] = (xs, ids, slices)
-        return table
+        return xs, ids, self._builder.build(keys, blocks)
 
 
 def compose_scheme(outer, inner) -> ComposedScheme:

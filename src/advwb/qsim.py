@@ -369,7 +369,8 @@ def progress_trace(alg: QueryAlgorithm, scheme) -> ProgressTrace:
         raise QsimError(
             f"scheme arity {scheme.f.arity} does not match algorithm n = {alg.n}"
         )
-    xs = np.union1d(scheme.a_side, scheme.b_side)
+    # np.union1d's result; a bare np.unique would import numpy.ma
+    xs = np.unique(np.concatenate((scheme.a_side, scheme.b_side)), return_index=True)[0]
     if len(xs) > INPUT_CAP:
         raise QsimError(f"{len(xs)} inputs exceed the cap {INPUT_CAP}")
     xi, yi, w = _pair_rows(scheme, xs)

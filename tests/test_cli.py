@@ -1165,3 +1165,29 @@ def test_python_m_advwb():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("valid, bound = 3/2*sqrt(2) (2.121320)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify-scheme", "f4"], 0),
+        (["verify-scheme", "h6"], 0),
+        (["simulate", "random", "--scheme", "f"], 0),
+        # exit 1: the random algorithm errs past 0.3
+        (["simulate", "random", "--scheme", "h", "--eps", "0.3"], 1),
+    ],
+)
+def test_small_commands_leave_numpy_ma_unloaded(argv, code):
+    # a bare np.unique imports numpy.ma, some 8 ms of every process
+    src = str(Path(advwb.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    script = (
+        "import sys\nfrom advwb.cli import main\n"
+        f"code = main({argv!r})\nprint(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{code} False"

@@ -9,9 +9,9 @@ import pytest
 from advwb import cli, compose, qsim
 from advwb.adversary import (
     VIOLATION_CAP,
+    ExplicitScheme,
     LoadReport,
     SchemeError,
-    TableSweeps,
     Violation,
     _Lowered,
     balance,
@@ -491,7 +491,7 @@ def test_the_package_reads_tables_not_sweeps(monkeypatch, tmp_path, capsys):
     def no_sweep(self, side):
         raise AssertionError("sweep_pairs called")
 
-    monkeypatch.setattr(TableSweeps, "sweep_pairs", no_sweep)
+    monkeypatch.setattr(ExplicitScheme, "sweep_pairs", no_sweep)
     monkeypatch.setattr(cli, "_checked_schemes", OrderedDict())
     for name, bound in (("nae3", ExactWeight(9, 2)), ("f4", ExactWeight(25, 4))):
         g = balance(builtin_scheme(name))

@@ -9,6 +9,8 @@ slices, built in batches, must equal the per-entry loop there, with the
 same errors, and read back from its file it must verify, weigh and share
 as it does.  The batch's id packing must not wrap on int32 ids.  A
 scheme's sides are its tables' sources, the same read-only arrays.
+Every scheme is one class, `ExplicitScheme`, and `balance` rescales its
+argument's tables in place of rebuilding them from pairs.
 """
 
 import operator
@@ -85,6 +87,78 @@ def test_slice_table_hands_out_the_same_objects(build):
         first = s.slice_table(side)
         again = s.slice_table(side)
         assert all(a is b for a, b in zip(first, again))
+
+
+def test_every_scheme_is_one_class(tmp_path):
+    g = builtin_scheme("nae3")
+    adversary.save_scheme(builtin_scheme("h6"), tmp_path / "h6.json")
+    cases = {
+        "builtin f4": builtin_scheme("f4"),
+        "unit": adversary.unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (3, 1), (3, 2)]),
+        "loaded h6": adversary.load_scheme(tmp_path / "h6.json"),
+        "balanced h6": balance(builtin_scheme("h6")),
+        "nae3 squared": compose_scheme(g, g),
+    }
+    for name, s in cases.items():
+        assert isinstance(s, ExplicitScheme), name
+        assert type(s).slice_table is ExplicitScheme.slice_table, name
+        assert type(s).sweep_pairs is ExplicitScheme.sweep_pairs, name
+        for side in "ab":
+            first = s.slice_table(side)
+            assert all(s.slice_table(side) is first for _ in range(3)), (name, side)
+        assert s.a_side is s.slice_table("a")[0], name
+        with pytest.raises(ValueError, match=r"^side must be 'a' or 'b', not 'c'$"):
+            s.slice_table("c")
+
+
+def _refuse(self, *args):
+    raise AssertionError("ExplicitScheme.__init__ called")
+
+
+def assert_balanced_on_tables(scheme) -> ExplicitScheme:
+    """balance(scheme) keeps the scheme's sources and ids and rescales each
+    triple in place by s = sqrt(v_B / v_A), without the pair constructor."""
+    rep = loads(scheme)
+    s = (rep.v_b / rep.v_a).sqrt()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExplicitScheme, "__init__", _refuse)
+        bal = balance(scheme, rep)
+    assert bal is not scheme and (bal.f, bal.pair_count) == (scheme.f, scheme.pair_count)
+    rescale = {
+        "a": lambda i, fwd, bwd: (i, fwd * s, bwd / s),
+        "b": lambda i, fwd, bwd: (i, fwd / s, bwd * s),
+    }
+    for side in "ab":
+        sources, ids, slices = scheme.slice_table(side)
+        got_sources, got_ids, got_slices = bal.slice_table(side)
+        assert got_sources is sources and np.array_equal(got_ids, ids)
+        assert len(got_slices) == len(slices)
+        for sl, got in zip(slices, got_slices):
+            want = [
+                (xor, w, tuple(rescale[side](*t) for t in diffs)) for xor, w, diffs in sl.entries
+            ]
+            assert list(got.entries) == want, side
+    after = loads(bal)
+    assert after.v_a == after.v_b == rep.v_max and verify(bal) == []
+    return bal
+
+
+def test_balance_rescales_h6_tables():
+    h6_scheme = builtin_scheme("h6")
+    bal = assert_balanced_on_tables(h6_scheme)
+    # the B side keeps h6's own record order, whose partners are not in the
+    # increasing order that a regrouping of the A side's records gives
+    order = [(y, [x for x, _, _ in recs]) for y, recs in h6_scheme.sweep_pairs("b")]
+    assert [(y, [x for x, _, _ in recs]) for y, recs in bal.sweep_pairs("b")] == order
+    assert order[0] == (1, [0, 41, 37, 21, 19, 11])
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(generated.schemes())
+def test_balance_rescales_generated_tables(scheme):
+    rep = loads(scheme)
+    assume(rep.v_a != rep.v_b and not isinstance((rep.v_b / rep.v_a).sqrt(), Root))
+    assert_balanced_on_tables(scheme)
 
 
 def test_f4_squared_builds_each_side_once(monkeypatch):
