@@ -293,13 +293,14 @@ def cmd_compose(args) -> int:
 def cmd_matchings(args) -> int:
     if args.depth < 1:
         raise _Exit(2, "depth must be at least 1")
-    try:
-        checks = matchings.check_matchings(args.depth)
-    except matchings.MatchingError as exc:
-        raise _Exit(1, f"matchings failed: {exc}")
-    lines = []
+    lines, files = [], []
     payload = {"depth": args.depth, "sets": {}}
-    for set_id, chk in sorted(checks.items()):
+    for set_id in (1, 2):  # one family at a time: built, checked, exported, dropped
+        try:
+            ms = matchings.build_matchings(args.depth, set_id)
+            chk = matchings.MatchingCheck.of(ms)
+        except matchings.MatchingError as exc:
+            raise _Exit(1, f"matchings failed: {exc}")
         lines.append(
             f"set {set_id}: matchings = {chk.matching_count}, "
             f"size = {chk.matching_size}, m = {chk.m}, m' = {chk.m_prime}, "
@@ -316,15 +317,13 @@ def cmd_matchings(args) -> int:
             "disjoint": chk.disjoint,
             "bound": str(chk.bound),
         }
-    if args.export:
-        files = []
-        for set_id in (1, 2):
-            ms = matchings.build_matchings(args.depth, set_id)
+        if args.export:
             try:
-                written = matchings.export_matchings(ms, args.export)
+                files.extend(str(p) for p in matchings.export_matchings(ms, args.export))
             except OSError as exc:
                 raise _Exit(2, f"cannot export: {exc}")
-            files.extend(str(p) for p in written)
+        del ms
+    if args.export:
         lines.append(f"exported {len(files)} files to {args.export}")
         payload["exported"] = files
     _emit(args, lines, payload)

@@ -15,26 +15,24 @@ and the inner totals where they agree, so sources with the same
 surroundings share one `adversary.Slice`: 2,304 slices serve the
 1,310,720 pairs of the 4-bit base's square.  A `ComposedScheme` is an
 `adversary.ExplicitScheme` whose two slice tables are built on first
-use: `_build` finds every source's slices of a side at once.  It computes
-block patterns and total-weight classes as arrays, one block column at a
-time, takes `np.unique` of the slice key per outer partner slot, and
-builds the side's slices in one batch; `slice_table` keeps the table and
-hands it out again on every later call.  The batch works on int32 ids of
+use.  Construction reads each row of the factors' slice tables once
+(`_ratio_rows`): the outer rows become one map from block pattern to
+its total and outer partners, the inner rows the total-weight classes
+of block values and the flat record arrays of the batch builder.
+`_build` finds every source's slices of a side at once.  It computes
+block patterns and total-weight classes as arrays, one block column at
+a time, takes `np.unique` of the slice key per outer partner slot, and
+builds the side's slices in one batch.  The batch works on int32 ids of
 the few distinct exact weights: each product, quotient and ratio root is
 computed once per distinct id pair, and only distinct diff triples and
 distinct entries become Python tuples, which the slices share (on each
 side of the 4-bit base's square, 1,136 entries serve 16,896 entry
 slots).  Its entry- and diff-sized arrays are int32 and each is dropped
 once it has been read, so a side's build peaks near 4 MiB of temporaries
-on the square of the 4-bit base, against 1.2 MiB kept.  `verify`,
-`loads`, `save_scheme`, `balance`, `qsim.progress_trace` and the claim
-checks at the end of this module read that table, and a composed scheme
-reads its factors' tables.  A side is the sources array of its table,
-one sorted int64 array kept once, and the claim checks find a source's
-row by binary search on it, so they certify exactly what `verify` and
-`loads` consume.  Their right-hand sides depend only on the block
-pattern and total-weight classes and are computed once for each, and
-claim 2's outcome once per slice and coordinate.
+on the square of the 4-bit base, against 1.2 MiB kept.  A side is the
+sources array of its table, one sorted int64 array kept once, and the
+claim checks at the end of this module find a source's row by binary
+search on it, so they certify exactly what `verify` and `loads` consume.
 """
 
 from __future__ import annotations
@@ -90,29 +88,30 @@ def _sqrt_product(r1: ExactWeight, r2: ExactWeight) -> ExactWeight:
     return prod.sqrt()
 
 
-def _ratio_table(scheme, side: str) -> tuple:
-    """(sources, ids, records, totals) of a side's `slice_table` as lists:
-    slice k's entries as records[k] = ((xor, w, ((i, fwd / bwd), ...)), ...)
-    and row r's total weight, the sum of its `Slice.wt`, as totals[r].  A
-    zero directional weight has no ratio: SchemeError names its coordinate
-    and the pair of the first source that reaches its slice."""
+def _ratio_rows(scheme, side: str) -> list:
+    """(source, records, total) per row of a side's `slice_table`: the
+    row's entries in slot and entry order as records (xor, w, ((i,
+    fwd / bwd), ...)), each slice's records made once, and total the sum
+    of its `Slice.wt`.  A zero directional weight has no ratio: SchemeError
+    names the first such pair in source order and its coordinate."""
     sources, ids, slices = scheme.slice_table(side)
     div = functools.cache(operator.truediv)  # a scheme repeats a few ratios
-    records = []
-    for k, sl in enumerate(slices):
-        for xor, _, diffs in sl.entries:
-            zero = [i for i, fwd, bwd in diffs if fwd.is_zero or bwd.is_zero]
-            if zero:
-                x = int(sources[(ids == k).any(axis=1).argmax()])
-                raise SchemeError(
-                    f"pair ({x}, {x ^ xor}) has a zero directional weight at coordinate {zero[0]}"
-                )
-        records.append(
-            tuple((xor, w, tuple([(i, div(f, b)) for i, f, b in d])) for xor, w, d in sl.entries)
-        )
-    ids = ids.tolist()
-    totals = [exact_sum([slices[k].wt for k in row if k >= 0]) for row in ids]
-    return sources.tolist(), ids, records, totals
+    made: dict = {}  # slice id -> its records, made at its first source
+    rows = []
+    for x, row in zip(sources.tolist(), ids.tolist()):
+        row = [k for k in row if k >= 0]
+        for k in (k for k in row if k not in made):
+            recs = made[k] = []
+            for xor, w, diffs in slices[k].entries:
+                zero = [i for i, fwd, bwd in diffs if fwd.is_zero or bwd.is_zero]
+                if zero:
+                    raise SchemeError(
+                        f"pair ({x}, {x ^ xor}) has a zero directional weight"
+                        f" at coordinate {zero[0]}"
+                    )
+                recs.append((xor, w, tuple([(i, div(f, b)) for i, f, b in diffs])))
+        rows.append((x, [r for k in row for r in made[k]], exact_sum([slices[k].wt for k in row])))
+    return rows
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -146,7 +145,8 @@ class _Pool:
         memo = self._memo.setdefault(op, {})
         # int64 keys whatever the ids' dtype: an int32 shift by 32 would wrap
         keys = a.astype(np.int64) << 32 | b
-        pairs = np.unique(keys)
+        pairs = np.sort(keys)  # then the distinct keys: np.unique would load numpy.ma
+        pairs = np.concatenate([pairs[:1], pairs[1:][pairs[1:] != pairs[:-1]]])
         out = []
         for pair in pairs.tolist():
             k = memo.get(pair)
@@ -165,37 +165,32 @@ class _Pool:
 class _TemplateBuilder:
     """Builds the slices of a ComposedScheme in batches, over weight ids.
 
-    The outer pair weights and ratios and the inner records (per distinct
-    inner slice), totals and ratios are numbered once in a `_Pool`.  The
-    inner records of block value u are rows rec_start[u] .. rec_start[u] +
+    The outer pair weights and ratios and the inner factor's rows (records,
+    totals and ratios) are numbered once in a `_Pool`.  The inner records
+    of block value u are rows rec_start[u] .. rec_start[u] +
     rec_count[u] - 1 of flat arrays, and their diffs rows of flatter ones;
     a last record `pad` (offset 0, weight 1, no diffs) fills the slots of
     templates with fewer differing blocks than others in a batch.
     """
 
-    def __init__(self, composed: "ComposedScheme", inner_tables: list):
+    def __init__(self, composed: "ComposedScheme", inner_rows: list):
         pool = self.pool = _Pool()
         self.n, self.m, self.arity = composed.n, composed.m, composed.arity
         self.outer = {
-            pz: (pool.id(w), tuple((j, pool.id(r1)) for j, r1 in odiffs))
-            for pz, (w, odiffs) in composed._o_pairs.items()
+            (p, z): (pool.id(w), tuple((j, pool.id(r1)) for j, r1 in odiffs))
+            for p, (_, partners) in composed._outer.items()
+            for z, _, w, odiffs in partners
         }
         # block values in no inner pair have class -1, which picks the last id, -1
         class_ids = [pool.id(wt) for wt in composed._class_wt]
         self.total = np.array(class_ids + [-1], dtype=np.int32)[composed._class_of]
         self.rec_start, self.rec_count = np.zeros((2, 1 << self.m), dtype=np.int32)
         rows, diffs = [], []  # (xor, w, diff start, diff count) per record; (i2, r2)
-        for sources, ids, records, _ in inner_tables:
-            numbered = [
-                [(xor, pool.id(w), [(i, pool.id(r)) for i, r in rd]) for xor, w, rd in recs]
-                for recs in records
-            ]
-            for u, row in zip(sources, ids):
-                recs = [rec for k in row if k >= 0 for rec in numbered[k]]
-                self.rec_start[u], self.rec_count[u] = len(rows), len(recs)
-                for xor, w, rd in recs:
-                    rows.append((xor, w, len(diffs), len(rd)))
-                    diffs += rd
+        for u, recs, _ in inner_rows:
+            self.rec_start[u], self.rec_count[u] = len(rows), len(recs)
+            for xor, w, rd in recs:
+                rows.append((xor, pool.id(w), len(diffs), len(rd)))
+                diffs += [(i, pool.id(r)) for i, r in rd]
         self.pad = len(rows)
         rows.append((0, pool.id(ONE), len(diffs), 0))
         self.off, self.wv, self.dstart, self.dcount = np.array(rows, dtype=np.int32).T
@@ -267,7 +262,7 @@ class _TemplateBuilder:
             _sqrt_product(values[d_r1[failed[0]]], values[d_r2[failed[0]]])
         del d_r1, d_r2
         # s is never 0: construction refused every zero directional weight
-        # of both factors (`_ratio_table`)
+        # of both factors (`_ratio_rows`)
         d_w = np.repeat(w, per_entry)
         fwd = pool.apply(operator.mul, d_w, s)
         bwd = pool.apply(operator.truediv, d_w, s)
@@ -325,14 +320,16 @@ def _sides(outer, inner) -> list[np.ndarray]:
 class ComposedScheme(ExplicitScheme):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    An ExplicitScheme that builds its own tables.  Nothing is stored per
-    pair, and the factors' pairs and weights are read only off their
-    `slice_table`s.  Construction finds the composition facts, the two
-    sides as read-only int64 arrays (`_sides`), the pair count and the
-    batch builder (`_TemplateBuilder`); `_build` makes a side's shared
-    slices in one batch when `slice_table` first asks for them, so the
-    ~1.3*10^6 pairs of the 4-bit base's square stay cheap and exact.  A
-    ratio product with no exact root raises there, not at construction.
+    An ExplicitScheme that builds its own tables; nothing is stored per
+    pair.  Construction reads each factor's table rows once and finds the
+    composition facts: one map `_outer`, outer source p -> (total weight,
+    ((z, mask of the blocks where p and z differ, w, ((j, fwd / bwd),
+    ...)), ...) in table order), the inner block values' total-weight
+    classes, the two sides as read-only int64 arrays (`_sides`), the pair
+    count and the batch builder (`_TemplateBuilder`); `_build` makes a
+    side's shared slices in one batch when `slice_table` first asks for
+    them, so the ~1.3*10^6 pairs of the 4-bit base's square stay cheap
+    and exact.  A ratio product with no exact root raises there.
     """
 
     def __init__(self, outer, inner):
@@ -358,27 +355,21 @@ class ComposedScheme(ExplicitScheme):
         self.inner_vmax = inner_report.v_max
         self.predicted_bound = ONE / (outer_report.v_max * inner_report.v_max)
 
-        # (p, z) -> (w, ((j, fwd / bwd), ...)), p -> ((z, mask of the blocks
-        # where p and z differ), ...) in table order, and p -> total weight
-        self._o_pairs, self._o_partners, self._outer_wt = {}, {}, {}
+        # p -> (total weight, (z, block mask, w, ratios) per outer partner)
         block = (1 << m) - 1
-        for side in "ab":
-            sources, ids, records, totals = _ratio_table(outer, side)
-            for p, row, wt in zip(sources, ids, totals):
-                recs = [rec for k in row if k >= 0 for rec in records[k]]
-                self._o_pairs.update(((p, p ^ xor), (w, od)) for xor, w, od in recs)
-                self._o_partners[p] = tuple(
-                    (p ^ xor, sum(block << (n - j) * m for j, _ in od)) for xor, _, od in recs
-                )
-                self._outer_wt[p] = wt
+        self._outer = {
+            p: (wt, tuple((p ^ xor, sum(block << (n - j) * m for j, _ in od), w, od)
+                          for xor, w, od in recs))
+            for side in "ab"
+            for p, recs, wt in _ratio_rows(outer, side)
+        }
         # a slice sees its agreeing blocks only through their inner totals,
         # so blocks with equal totals share a class (-1: no inner pair)
-        inner_tables = [_ratio_table(inner, side) for side in "ab"]
+        inner_rows = _ratio_rows(inner, "a") + _ratio_rows(inner, "b")
         classes: dict = {}
         self._class_of = np.full(1 << m, -1, dtype=np.int64)
-        for sources, _, _, totals in inner_tables:
-            for u, wt in zip(sources, totals):
-                self._class_of[u] = classes.setdefault(wt, len(classes))
+        for u, _, wt in inner_rows:
+            self._class_of[u] = classes.setdefault(wt, len(classes))
         self._class_wt = list(classes)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
         self._claim2: dict = {}  # (slice, i) -> whether claim 2 holds
@@ -389,10 +380,10 @@ class ComposedScheme(ExplicitScheme):
         pair_count = sum(
             math.prod(pairs if (p ^ z) >> j & 1 else sizes[p >> j & 1] for j in range(n))
             for p in outer.a_side.tolist()
-            for z, _ in self._o_partners[p]
+            for z, *_ in self._outer[p][1]
         )
         self._set(compose_tables(outer.f, [inner.f] * n), pair_count, _sides(outer, inner), {})
-        self._builder = _TemplateBuilder(self, inner_tables)
+        self._builder = _TemplateBuilder(self, inner_rows)
 
     def _build(self, side: str):
         """(sources, ids, slices) of a side, which `slice_table` keeps.
@@ -418,15 +409,15 @@ class ComposedScheme(ExplicitScheme):
             class_code = class_code * radix + self._class_of[u]
         del u
         class_code <<= self.arity
-        present = np.unique(patterns).tolist()
-        width = max(len(self._o_partners[p]) for p in present)
+        present = np.unique(patterns, return_index=True)[0].tolist()  # no numpy.ma
+        width = max(len(self._outer[p][1]) for p in present)
         # int32 ids halve the kept table; a side has far fewer than 2^31 slices
         ids = np.full((len(xs), width), -1, dtype=np.int32)
         keys: list = []
         firsts: list = []
         for p in present:
             rows = np.flatnonzero(patterns == p)
-            for k, (z, mask) in enumerate(self._o_partners[p]):
+            for k, (z, mask, _, _) in enumerate(self._outer[p][1]):
                 _, first, inverse = np.unique(
                     class_code[rows] | (xs[rows] & mask), return_index=True, return_inverse=True
                 )
@@ -468,8 +459,7 @@ def _source(composed: ComposedScheme, x: int, z: int | None = None):
     n, m = composed.n, composed.m
     blocks = [(x >> (n - 1 - j) * m) & ((1 << m) - 1) for j in range(n)]
     p = sum(composed.inner.f.table[u] << (n - 1 - j) for j, u in enumerate(blocks))
-    partners = composed._o_partners[p]
-    row = {pz: slices[k] for (pz, _), k in zip(partners, ids[r].tolist())}
+    row = {z: slices[k] for (z, *_), k in zip(composed._outer[p][1], ids[r].tolist())}
     if z is not None and z not in row:
         raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
     return p, tuple(composed._class_of[blocks].tolist()), row
@@ -489,8 +479,9 @@ def _claim_sides(composed: ComposedScheme, p: int, classes: tuple) -> tuple[dict
         totals = ONE
         for c in classes:
             totals = totals * composed._class_wt[c]
-        rhs = {z: composed._o_pairs[(p, z)][0] * totals for z, _ in composed._o_partners[p]}
-        adds_up = exact_sum(rhs.values()) == composed._outer_wt[p] * totals
+        wt, partners = composed._outer[p]
+        rhs = {z: w * totals for z, _, w, _ in partners}
+        adds_up = exact_sum(rhs.values()) == wt * totals
         sides = composed._claims[key] = (rhs, adds_up)
     return sides
 
@@ -530,7 +521,7 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     p, _, slices = _source(composed, x, z)
     m, n = composed.m, composed.n
     i1, _ = block_index(i, n, composed.depth)
-    r1 = dict(composed._o_pairs[(p, z)][1]).get(i1)
+    r1 = dict(next(od for y, _, _, od in composed._outer[p][1] if y == z)).get(i1)
     if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")
     key = (slices[z], i)

@@ -480,6 +480,21 @@ def test_matchings_export(capsys, tmp_path):
     assert len(list(tmp_path.glob("set*_d1_matching*.txt"))) == 6
 
 
+def test_matchings_export_builds_each_family_once(capsys, tmp_path, monkeypatch):
+    from advwb import matchings
+
+    built = []
+    build = matchings.build_matchings
+    monkeypatch.setattr(
+        matchings, "build_matchings", lambda d, s: built.append((d, s)) or build(d, s)
+    )
+    code, out, _ = run_cli(
+        capsys, "matchings", "--depth", "1", "--export", str(tmp_path)
+    )
+    assert code == 0 and "exported 6 files" in out
+    assert built == [(1, 1), (1, 2)]
+
+
 def test_matchings_export_unwritable(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -1175,6 +1190,8 @@ def test_python_m_advwb():
         (["simulate", "random", "--scheme", "f"], 0),
         # exit 1: the random algorithm errs past 0.3
         (["simulate", "random", "--scheme", "h", "--eps", "0.3"], 1),
+        (["compose", "--base", "g", "--depth", "2"], 0),
+        (["compose", "--base", "h", "--depth", "1"], 0),
     ],
 )
 def test_small_commands_leave_numpy_ma_unloaded(argv, code):

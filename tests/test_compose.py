@@ -70,23 +70,43 @@ def test_compose_rejects_unbalanced_input():
 def test_compose_rejects_zero_directional_weights():
     from advwb.adversary import ExplicitScheme
 
-    pairs = [
-        (0, 1, 1, {3: (1, 0)}),
-        (0, 2, 1, {2: (1, 1)}),
-        (7, 6, 1, {3: (1, 1)}),
-        (7, 5, 1, {2: (1, 1)}),
-        (7, 1, 1, {1: (1, 1), 2: (1, 1)}),
+    cases = [
+        (
+            [
+                (0, 1, 1, {3: (1, 0)}),
+                (0, 2, 1, {2: (1, 1)}),
+                (7, 6, 1, {3: (1, 1)}),
+                (7, 5, 1, {2: (1, 1)}),
+                (7, 1, 1, {1: (1, 1), 2: (1, 1)}),
+            ],
+            [(0, 1, 3)],
+            "pair (0, 1) has a zero directional weight at coordinate 3",
+        ),
+        # two pairs with zeros, the later source listed first: the first pair
+        # in source order is named, with the first of its two zero coordinates
+        (
+            [
+                (7, 6, 1, {3: (0, 1)}),
+                (0, 1, 1, {3: (1, 1)}),
+                (0, 3, 1, {2: (1, 0), 3: (0, 1)}),
+                (7, 5, 1, {2: (1, 1)}),
+            ],
+            [(0, 3, 2), (0, 3, 3), (7, 6, 3)],
+            "pair (0, 3) has a zero directional weight at coordinate 2",
+        ),
     ]
-    b = balance(ExplicitScheme(nae3(), pairs))
-    rep = loads(b, keep_maps=True)
-    assert rep.v_a == rep.v_b
-    assert [(v.kind, v.x, v.y, v.i) for v in verify(b)] == [("directional", 0, 1, 3)]
-    # refused as the outer factor and as the inner one
-    message = "pair (0, 1) has a zero directional weight at coordinate 3"
     g = balance(builtin_scheme("nae3"))
-    for outer, inner in ((b, b), (b, g), (g, b)):
-        with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
-            compose_scheme(outer, inner)
+    for pairs, violations, message in cases:
+        b = balance(ExplicitScheme(nae3(), pairs))
+        rep = loads(b, keep_maps=True)
+        assert rep.v_a == rep.v_b
+        assert [(v.kind, v.x, v.y, v.i) for v in verify(b)] == [
+            ("directional", *v) for v in violations
+        ]
+        # refused as the outer factor and as the inner one
+        for outer, inner in ((b, b), (b, g), (g, b)):
+            with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
+                compose_scheme(outer, inner)
 
 
 def test_compose_arity_cap():
@@ -337,7 +357,7 @@ def _claim2_unmemoized(c: ComposedScheme, x: int, z: int, i: int) -> bool:
     """check_claim2 without its memo: the groups of the slice, every call."""
     p, _, slices = compose._source(c, x, z)
     i1, _ = block_index(i, c.n, c.depth)
-    r1 = dict(c._o_pairs[(p, z)][1]).get(i1)
+    r1 = dict(next(od for y, _, _, od in c._outer[p][1] if y == z)).get(i1)
     if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")
     outside = ~(((1 << c.m) - 1) << ((c.n - i1) * c.m))
