@@ -5,10 +5,9 @@ and the process's resident memory.
 
 Runs the stages of the benchmark's f4sq-certify workload in one process,
 in the workload's order and through `bench/workloads.run_stage`, after the
-imports the benchmark worker makes.  The slice-table builds that `verify`
-(A side) and `loads` (B side) start on the composed scheme run as rows of
-their own, just before those stages, so those rows show `verify` and
-`loads` on built tables.  Then come the steps of the first wide12 call of
+imports the benchmark worker makes.  The construct row builds the
+composed scheme with both of its slice tables, so `verify` and `loads`
+run on built tables.  Then come the steps of the first wide12 call of
 the simulate-mix workload, as `advwb simulate` takes them: the scheme
 file's cache key, `load_scheme`, `verify`, `loads`, `random_algorithm` and
 `progress_trace`.  Both workloads' inputs are written by a set-up process
@@ -55,19 +54,14 @@ def setup(name: str, seed: int, workdir: str) -> list[dict]:
 
 
 def rows(seed: int, workdir: str) -> list[tuple[str, Callable]]:
-    """(name, call) per row: the f4sq-certify stages, table builds split
-    out, then the steps of the first wide12 simulate call."""
+    """(name, call) per row: the f4sq-certify stages, then the steps of
+    the first wide12 simulate call."""
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         f4sq, simulate = (pool.apply(setup, (name, seed, workdir)) for name in NAMES)
     from advwb import adversary, cli, qsim
 
     state: dict = {}
-    out = []
-    for op in f4sq:
-        side = {"verify": "a", "loads": "b"}.get(op["stage"])
-        if side is not None:
-            out.append((f"slice_table {side}", lambda s=side: state["composed"].slice_table(s)))
-        out.append((op["stage"], lambda op=op: workloads.run_stage(op, state)))
+    out = [(op["stage"], lambda op=op: workloads.run_stage(op, state)) for op in f4sq]
     # simulate random --scheme S --queries Q --work W --seed X --json
     argv = next(op["argv"] for op in simulate if op["argv"][3].endswith("wide12.json"))
     opts = dict(zip(argv[2:-1:2], argv[3:-1:2]))

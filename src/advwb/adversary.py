@@ -11,7 +11,7 @@ Every scheme is an `ExplicitScheme`, which has
     a_side       the 0-inputs in pairs: the sources of slice_table("a"),
                  the same sorted, read-only int64 array object
     b_side       the 1-inputs in pairs, as the sources of slice_table("b")
-    pair_count   number of pairs in the relation
+    pair_count   number of pairs in the relation, read off the A table
     slice_table(side)    the records of a side ("a" or "b") as one array
                          view: (sources, ids, slices), with sources an
                          int64 array, ids an (S, K) integer array whose
@@ -37,11 +37,12 @@ rescales each distinct entry once, and `qsim.progress_trace` reads each
 distinct A-side entry once and expands the table into pair rows in numpy.
 
 Equal entries are kept once and sources with equal surroundings share a
-slice.  The pair constructor holds all of a source's pairs in one slot;
+slice.  Every scheme holds both finished tables from construction on.
+The pair constructor holds all of a source's pairs in one slot;
 `balance` keeps its argument's sources and ids and rescales its slices,
 or returns the argument when that is already balanced; and the subclass
-compose.ComposedScheme builds each side's table on first use, from its
-factors' tables, one slot per outer partner.
+compose.ComposedScheme builds both tables from its factors' tables, one
+slot per outer partner.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ class ExplicitScheme:
     A side's equal entries are one tuple; sources with the same entries, in
     pair order, share one Slice in their one slot.  A pair with an earlier
     pair's w and wp objects and x ^ y reuses that entry, so no wp may change.
-    `balance` and compose.ComposedScheme set their tables with `_set`
-    instead; a side left out there is built by the subclass's `_build`.
+    `balance` and compose.ComposedScheme hand their finished tables to
+    `_set` instead; the sides and the pair count are read off the tables.
     """
 
     def __init__(self, f: BooleanFunction, pairs):
@@ -238,22 +239,22 @@ class ExplicitScheme:
             sources = np.array(order, dtype=np.int64)
             sources.flags.writeable = False
             tables[side] = (sources, ids.reshape(-1, 1), slices)
-        self._set(f, len(seen), [tables[side][0] for side in "ab"], tables)
+        self._set(f, tables)
 
-    def _set(self, f: BooleanFunction, pair_count: int, sides, tables: dict) -> None:
-        """The function, pair count, sides (the sources of the tables) and
-        the tables built so far, side -> (sources, ids, slices)."""
-        self.f, self.pair_count = f, pair_count
-        self.a_side, self.b_side = sides
+    def _set(self, f: BooleanFunction, tables: dict) -> None:
+        """The function and both tables, side -> (sources, ids, slices).
+        The sides are the tables' sources, and every pair is one entry in
+        a filled slot of the A table."""
+        _, ids, slices = tables["a"]
+        sizes = np.array([len(sl.entries) for sl in slices] + [0])  # -1: empty slot
+        self.f, self.pair_count = f, int(sizes[ids].sum())
+        self.a_side, self.b_side = tables["a"][0], tables["b"][0]
         self._tables = tables
 
     def slice_table(self, side: str):
         if side not in ("a", "b"):
             raise ValueError(f"side must be 'a' or 'b', not {side!r}")
-        table = self._tables.get(side)
-        if table is None:
-            table = self._tables[side] = self._build(side)
-        return table
+        return self._tables[side]
 
     def sweep_pairs(self, side: str):
         sources, ids, slices = self.slice_table(side)
@@ -578,7 +579,7 @@ def balance(scheme, report: LoadReport | None = None):
         slices = [Slice(tuple([new[id(e)] for e in sl.entries])) for sl in slices]
         tables[side] = (sources, ids, slices)
     out = object.__new__(ExplicitScheme)
-    out._set(scheme.f, scheme.pair_count, (scheme.a_side, scheme.b_side), tables)
+    out._set(scheme.f, tables)
     return out
 
 

@@ -14,36 +14,38 @@ only on the pattern pair, the source's blocks where the patterns differ
 and the inner totals where they agree, so sources with the same
 surroundings share one `adversary.Slice`: 2,304 slices serve the
 1,310,720 pairs of the 4-bit base's square.  A `ComposedScheme` is an
-`adversary.ExplicitScheme` whose two slice tables are built on first
-use.  Construction reads each row of the factors' slice tables once
-(`_ratio_rows`): the outer rows become one map from block pattern to
-its total and outer partners, the inner rows the total-weight classes
-of block values and the flat record arrays of the batch builder.
-`_build` finds every source's slices of a side at once.  It computes
-block patterns and total-weight classes as arrays, one block column at
-a time, takes `np.unique` of the slice key per outer partner slot, and
-builds the side's slices in one batch.  The batch works on int32 ids of
-the few distinct exact weights: each product, quotient and ratio root is
-computed once per distinct id pair, and only distinct diff triples and
-distinct entries become Python tuples, which the slices share (on each
-side of the 4-bit base's square, 1,136 entries serve 16,896 entry
-slots).  Its entry- and diff-sized arrays are int32 and each is dropped
-once it has been read, so a side's build peaks near 4 MiB of temporaries
-on the square of the 4-bit base, against 1.2 MiB kept.  A side is the
-sources array of its table, one sorted int64 array kept once, and the
-claim checks at the end of this module find a source's row by binary
-search on it, so they certify exactly what `verify` and `loads` consume.
+`adversary.ExplicitScheme` that builds both slice tables before its
+constructor returns.  Construction verifies both factors and reads each
+row of their slice tables once (`_ratio_rows`): the outer rows become
+one map from block pattern to its total and outer partners, the inner
+rows the total-weight classes of block values and the flat record arrays
+of the batch builder.  One pass over the inputs, one block column at a
+time, gives every input's block pattern and total-weight classes as
+int32 arrays, and an outer side's inputs are its table's sources.
+`_slots` takes `np.unique` of the slice key per outer partner slot over
+a side's sources at once, and the side's slices are built in one batch,
+the A side first.  The batch works on int32 ids of the few distinct
+exact weights: each product, quotient and ratio root is computed once
+per distinct id pair, and only distinct diff triples and distinct
+entries become Python tuples, which the slices share (on each side of
+the 4-bit base's square, 1,136 entries serve 16,896 entry slots).  Its
+entry- and diff-sized arrays are int32 and each is dropped once it has
+been read, and the pattern arrays go before the first batch, so on the
+square of the 4-bit base construction peaks near 4.7 MiB of traced
+memory, against 2.5 MiB kept.  A side is the sources array of its
+table, one sorted int64 array kept once, and the claim checks at the end
+of this module find a source's row by binary search on it, so they
+certify exactly what `verify` and `loads` consume.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
 
-from .adversary import ExplicitScheme, SchemeError, Slice, _number_rows, loads
+from .adversary import ExplicitScheme, SchemeError, Slice, _number_rows, loads, verify
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
 from .weights import ONE, ExactWeight, exact_sum
 
@@ -92,8 +94,7 @@ def _ratio_rows(scheme, side: str) -> list:
     """(source, records, total) per row of a side's `slice_table`: the
     row's entries in slot and entry order as records (xor, w, ((i,
     fwd / bwd), ...)), each slice's records made once, and total the sum
-    of its `Slice.wt`.  A zero directional weight has no ratio: SchemeError
-    names the first such pair in source order and its coordinate."""
+    of its `Slice.wt`.  The scheme is verified, so no bwd is zero."""
     sources, ids, slices = scheme.slice_table(side)
     div = functools.cache(operator.truediv)  # a scheme repeats a few ratios
     made: dict = {}  # slice id -> its records, made at its first source
@@ -103,12 +104,6 @@ def _ratio_rows(scheme, side: str) -> list:
         for k in (k for k in row if k not in made):
             recs = made[k] = []
             for xor, w, diffs in slices[k].entries:
-                zero = [i for i, fwd, bwd in diffs if fwd.is_zero or bwd.is_zero]
-                if zero:
-                    raise SchemeError(
-                        f"pair ({x}, {x ^ xor}) has a zero directional weight"
-                        f" at coordinate {zero[0]}"
-                    )
                 recs.append((xor, w, tuple([(i, div(f, b)) for i, f, b in diffs])))
         rows.append((x, [r for k in row for r in made[k]], exact_sum([slices[k].wt for k in row])))
     return rows
@@ -261,8 +256,8 @@ class _TemplateBuilder:
         if failed.size:  # raise for the first failing diff
             _sqrt_product(values[d_r1[failed[0]]], values[d_r2[failed[0]]])
         del d_r1, d_r2
-        # s is never 0: construction refused every zero directional weight
-        # of both factors (`_ratio_rows`)
+        # s is never 0: construction verified both factors, which refuses
+        # every zero directional weight
         d_w = np.repeat(w, per_entry)
         fwd = pool.apply(operator.mul, d_w, s)
         bwd = pool.apply(operator.truediv, d_w, s)
@@ -295,41 +290,20 @@ class _TemplateBuilder:
         ]
 
 
-def _sides(outer, inner) -> list[np.ndarray]:
-    """The composed A and B sides: the inputs with every block on an inner
-    side whose pattern (bit set: block on the inner B side) is on the
-    outer A or B side, as sorted, read-only int64 arrays.  One block column
-    at a time, in int32."""
-    n, m = outer.f.arity, inner.f.arity
-    on = np.zeros(1 << m, dtype=np.int8)  # 1 on the inner A side, 2 on the B side
-    on[inner.a_side], on[inner.b_side] = 1, 2
-    xs = np.arange(1 << n * m, dtype=np.int32)
-    patterns = np.zeros(len(xs), dtype=np.int32)
-    inside = np.ones(len(xs), dtype=bool)
-    for j in range(n):
-        at = on[(xs >> (n - 1 - j) * m) & ((1 << m) - 1)]
-        inside &= at > 0
-        patterns = patterns << 1 | (at == 2)
-    patterns[~inside] = -1
-    sides = [np.flatnonzero(np.isin(patterns, side)) for side in (outer.a_side, outer.b_side)]
-    for xs in sides:
-        xs.flags.writeable = False
-    return sides
-
-
 class ComposedScheme(ExplicitScheme):
     """Scheme for g^d assembled from schemes for g and g^(d-1).
 
-    An ExplicitScheme that builds its own tables; nothing is stored per
-    pair.  Construction reads each factor's table rows once and finds the
-    composition facts: one map `_outer`, outer source p -> (total weight,
-    ((z, mask of the blocks where p and z differ, w, ((j, fwd / bwd),
-    ...)), ...) in table order), the inner block values' total-weight
-    classes, the two sides as read-only int64 arrays (`_sides`), the pair
-    count and the batch builder (`_TemplateBuilder`); `_build` makes a
-    side's shared slices in one batch when `slice_table` first asks for
-    them, so the ~1.3*10^6 pairs of the 4-bit base's square stay cheap
-    and exact.  A ratio product with no exact root raises there.
+    An ExplicitScheme that builds both of its tables before it returns;
+    nothing is stored per pair.  Construction verifies the factors, reads
+    each factor's table rows once and finds the composition facts: one
+    map `_outer`, outer source p -> (total weight, ((z, mask of the blocks
+    where p and z differ, w, ((j, fwd / bwd), ...)), ...) in table order),
+    and the inner block values' total-weight classes.  One pass over the
+    inputs gives each its block pattern and classes; each side's slots are
+    numbered (`_slots`) and its shared slices made in one batch
+    (`_TemplateBuilder`), so the ~1.3*10^6 pairs of the 4-bit base's
+    square stay cheap and exact.  A ratio product with no exact root
+    raises there, on the A side first.
     """
 
     def __init__(self, outer, inner):
@@ -341,6 +315,10 @@ class ComposedScheme(ExplicitScheme):
                 f"composed arity {arity} exceeds the materialization cap "
                 f"{COMPOSE_ARITY_CAP}"
             )
+        for name, factor in (("outer", outer), ("inner", inner)):
+            found = verify(factor, limit=1)
+            if found:
+                raise SchemeError(f"{name} scheme is invalid: {found[0]}")
         outer_report = loads(outer)
         inner_report = loads(inner)
         for name, rep in (("outer", outer_report), ("inner", inner_report)):
@@ -367,48 +345,56 @@ class ComposedScheme(ExplicitScheme):
         # so blocks with equal totals share a class (-1: no inner pair)
         inner_rows = _ratio_rows(inner, "a") + _ratio_rows(inner, "b")
         classes: dict = {}
-        self._class_of = np.full(1 << m, -1, dtype=np.int64)
+        self._class_of = np.full(1 << m, -1, dtype=np.int32)
         for u, _, wt in inner_rows:
             self._class_of[u] = classes.setdefault(wt, len(classes))
         self._class_wt = list(classes)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
         self._claim2: dict = {}  # (slice, i) -> whether claim 2 holds
 
-        # a composed pair lies over one outer pair (p, z), p on the A side:
-        # inner pairs where p and z differ, the inner side p names elsewhere
-        sizes, pairs = (len(inner.a_side), len(inner.b_side)), inner.pair_count
-        pair_count = sum(
-            math.prod(pairs if (p ^ z) >> j & 1 else sizes[p >> j & 1] for j in range(n))
-            for p in outer.a_side.tolist()
-            for z, *_ in self._outer[p][1]
-        )
-        self._set(compose_tables(outer.f, [inner.f] * n), pair_count, _sides(outer, inner), {})
-        self._builder = _TemplateBuilder(self, inner_rows)
+        # every input's block pattern (-1: a block on no inner side) and
+        # classes, one block column at a time; any radix above every class
+        # orders the codes as the class tuples, and every code is below
+        # 2^arity, as every class is below 2^m
+        xs = np.arange(1 << arity, dtype=np.int32)
+        patterns = np.zeros(len(xs), dtype=np.int32)
+        codes = np.zeros(len(xs), dtype=np.int32)
+        inside = np.ones(len(xs), dtype=bool)
+        radix = int(self._class_of.max()) + 1
+        for j in range(n):
+            u = (xs >> (n - 1 - j) * m) & block
+            c = self._class_of[u]
+            inside &= c >= 0
+            patterns = patterns << 1 | inner.f.np_table[u]
+            codes = codes * radix + c
+        patterns[~inside] = -1
+        del xs, u, c, inside
+        # an outer side's rows are the sources of its table
+        slots = []
+        for side in (outer.a_side, outer.b_side):
+            xs = np.flatnonzero(np.isin(patterns, side))
+            xs.flags.writeable = False
+            slots.append((xs, *self._slots(xs, patterns[xs], codes[xs])))
+        del patterns, codes
+        builder = _TemplateBuilder(self, inner_rows)
+        tables = {
+            side: (xs, ids, builder.build(keys, blocks))
+            for side, (xs, ids, keys, blocks) in zip("ab", slots)
+        }
+        self._set(compose_tables(outer.f, [inner.f] * n), tables)
 
-    def _build(self, side: str):
-        """(sources, ids, slices) of a side, which `slice_table` keeps.
+    def _slots(self, xs: np.ndarray, patterns: np.ndarray, codes: np.ndarray):
+        """(ids, keys, blocks) of a side with sources xs: its table's slice
+        ids, the outer pair (p, z) of each slice and the blocks of the
+        first source to reach it, one row per slice.
 
         Sources with the same block pattern p, the same blocks where p
         differs from an outer partner z and the same total-weight classes
         elsewhere share a slice towards z.  For each p and outer partner
         slot (p, z) that key is numbered over the sources at once with
-        `np.unique`, the classes folded into one integer above the source
-        bits, and every distinct key's slice is built from its first
-        source, the whole side in one batch.
+        `np.unique`, the class code shifted above the source bits.
         """
         n, m = self.n, self.m
-        xs = self.a_side if side == "a" else self.b_side
-        # patterns and class codes one block column at a time; any radix
-        # above every class orders the codes as the class tuples
-        patterns = np.zeros(len(xs), dtype=np.int32)
-        class_code = np.zeros(len(xs), dtype=np.int64)
-        radix = int(self._class_of.max()) + 1
-        for j in range(n):
-            u = (xs >> (n - 1 - j) * m) & ((1 << m) - 1)
-            patterns = patterns << 1 | self.inner.f.np_table[u]
-            class_code = class_code * radix + self._class_of[u]
-        del u
-        class_code <<= self.arity
         present = np.unique(patterns, return_index=True)[0].tolist()  # no numpy.ma
         width = max(len(self._outer[p][1]) for p in present)
         # int32 ids halve the kept table; a side has far fewer than 2^31 slices
@@ -417,17 +403,14 @@ class ComposedScheme(ExplicitScheme):
         firsts: list = []
         for p in present:
             rows = np.flatnonzero(patterns == p)
+            code, x = codes[rows].astype(np.int64) << self.arity, xs[rows]
             for k, (z, mask, _, _) in enumerate(self._outer[p][1]):
-                _, first, inverse = np.unique(
-                    class_code[rows] | (xs[rows] & mask), return_index=True, return_inverse=True
-                )
+                _, first, inverse = np.unique(code | (x & mask), return_index=True, return_inverse=True)
                 ids[rows, k] = inverse + len(keys)
                 keys += [(p, z)] * len(first)
                 firsts.append(rows[first])
-        del patterns, class_code
         shifts = np.arange(n - 1, -1, -1, dtype=np.int64) * m
-        blocks = (xs[np.concatenate(firsts)][:, None] >> shifts) & ((1 << m) - 1)
-        return xs, ids, self._builder.build(keys, blocks)
+        return ids, keys, (xs[np.concatenate(firsts)][:, None] >> shifts) & ((1 << m) - 1)
 
 
 def compose_scheme(outer, inner) -> ComposedScheme:

@@ -1,13 +1,14 @@
 """Composed-scheme slices as a per-template, per-entry loop, for tests.
 
 The loop `ComposedScheme` ran before it built its templates in batches:
-for each distinct slice key that `slice_table` meets, in its order, take
+for each distinct slice key that construction numbers, in its order, take
 the blocks of the first source with that key and expand the Cartesian
 product of the inner records of the differing blocks one entry at a time,
 multiplying exact weights as it goes.  What the loop needs of the two
 factors, `Factors` rebuilds from their record view alone
 (`scheme_records.pair_table` and `exact_sum`), never from the composed
-scheme's own state.  `assert_templates_match` compares every slice of
+scheme's own state: it reads only the composed scheme's `n`, `m`,
+`outer` and `inner`.  `assert_templates_match` compares every slice of
 both tables with the loop, entry by entry, in order and by exact value,
 and `assert_rows_follow_their_keys` checks that every source's row of
 slice ids follows the slice keys found here one source at a time, with
@@ -159,7 +160,7 @@ def reference_slices(c, side: str) -> list[tuple]:
 
     Walks block patterns, then outer partner slots, then the slot's
     distinct keys (total-weight classes, x & mask) in sorted order, the
-    order of `slice_table`'s integer key code, and builds each slice from
+    order of the integer key code of `_slots`, and builds each slice from
     the first source with its key.
     """
     f = Factors(c)

@@ -55,6 +55,7 @@ def test_tracer_counts_a_few_commands(tmp_path):
     metrics = result["metrics"]
     assert metrics["cli.main.calls"] == len(COMMANDS)
     assert metrics["matchings.build.calls"] == 2
-    assert metrics["adversary.verify.pairs"] == 4976
+    # compose --base g --depth 2 also verifies its two 12-pair nae3 factors
+    assert metrics["adversary.verify.pairs"] == 5000
     assert metrics["measures.approx.calls"] >= 1
     assert metrics["qsim.progress_trace.calls"] >= 1

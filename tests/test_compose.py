@@ -80,10 +80,10 @@ def test_compose_rejects_zero_directional_weights():
                 (7, 1, 1, {1: (1, 1), 2: (1, 1)}),
             ],
             [(0, 1, 3)],
-            "pair (0, 1) has a zero directional weight at coordinate 3",
+            "[directional] pair (0, 1), coordinate 3: w'*w' = 0 < w^2 = 1",
         ),
-        # two pairs with zeros, the later source listed first: the first pair
-        # in source order is named, with the first of its two zero coordinates
+        # two pairs with zeros, the later source listed first: verify names the
+        # first pair in source order, with the first of its two zero coordinates
         (
             [
                 (7, 6, 1, {3: (0, 1)}),
@@ -92,19 +92,21 @@ def test_compose_rejects_zero_directional_weights():
                 (7, 5, 1, {2: (1, 1)}),
             ],
             [(0, 3, 2), (0, 3, 3), (7, 6, 3)],
-            "pair (0, 3) has a zero directional weight at coordinate 2",
+            "[directional] pair (0, 3), coordinate 2: w'*w' = 0 < w^2 = 1",
         ),
     ]
     g = balance(builtin_scheme("nae3"))
-    for pairs, violations, message in cases:
+    for pairs, violations, violation in cases:
         b = balance(ExplicitScheme(nae3(), pairs))
         rep = loads(b, keep_maps=True)
         assert rep.v_a == rep.v_b
         assert [(v.kind, v.x, v.y, v.i) for v in verify(b)] == [
             ("directional", *v) for v in violations
         ]
-        # refused as the outer factor and as the inner one
-        for outer, inner in ((b, b), (b, g), (g, b)):
+        # refused as the outer factor and as the inner one, with verify's
+        # first violation
+        for outer, inner, name in ((b, b, "outer"), (b, g, "outer"), (g, b, "inner")):
+            message = f"{name} scheme is invalid: {violation}"
             with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
                 compose_scheme(outer, inner)
 

@@ -1,5 +1,5 @@
-"""Smoke test of `scripts/stage_peaks.py`, which drives a composed scheme's
-`slice_table` and the benchmark's workloads by name."""
+"""Smoke test of `scripts/stage_peaks.py`, which drives the benchmark's
+workloads by name."""
 
 import subprocess
 import sys
@@ -8,9 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = (
     "construct",
-    "slice_table a",
     "verify",
-    "slice_table b",
     "loads",
     "corollary",
     "matchings",
