@@ -12,35 +12,37 @@ Every scheme is an `ExplicitScheme`, which has
                  the same sorted, read-only int64 array object
     b_side       the 1-inputs in pairs, as the sources of slice_table("b")
     pair_count   number of pairs in the relation, read off the A table
-    slice_table(side)    the records of a side ("a" or "b") as one array
-                         view: (sources, ids, slices), with sources an
-                         int64 array, ids an (S, K) integer array whose
-                         row r lists the slices of sources[r] in order (-1
-                         for an empty slot; slot 0 is never empty) and
-                         slices the distinct Slice objects the ids index.
-                         A Slice holds (xor, w, diffs) entries whose
-                         partner is source ^ xor, and diffs is a tuple of
-                         (i, fwd, bwd) over differing coordinates, fwd
-                         being w'(source, partner, i).  Every call returns
-                         the same three objects
+    slice_table(side)    the records of a side ("a" or "b") as
+                         (sources, ids, slices, entries): sources an int64
+                         array; ids an (S, K) integer array whose row r
+                         lists the slices of sources[r] in order (-1 for
+                         an empty slot; slot 0 is never empty); slices[k]
+                         the tuple of entry numbers of slice k; and
+                         entries the side's distinct (xor, w, diffs)
+                         records, each held once.  The partner of a source
+                         is source ^ xor, and diffs is a tuple of (i, fwd,
+                         bwd) over differing coordinates, fwd being
+                         w'(source, partner, i).  Every call returns the
+                         same four objects
     sweep_pairs          given a side, yields (source, records) per row of
                          the table, (partner, w, diffs) records in slot and
                          slice order: the record view for tests and tracing
 
 The records are the scheme: every pair appears once from each side, and
 there is no per-pair lookup.  Code in this package reads `slice_table`.
-A slice's entries do not depend on the source, so `verify` finds the
-faults of each distinct slice once, `loads` sums each distinct slice
-once, as integer coefficient rows, then adds the K rows of every source
-one column at a time in numpy, `save_scheme` formats and `balance`
-rescales each distinct entry once, and `qsim.progress_trace` reads each
-distinct A-side entry once and expands the table into pair rows in numpy.
+An entry does not depend on the source, so `verify` finds the faults of
+each entry once, `loads` sums each slice once, as integer coefficient
+rows, then adds the K rows of every source one column at a time in
+numpy, `save_scheme` formats and `balance` rescales each entry once, and
+`qsim.progress_trace` reads each A-side entry once and expands the table
+into pair rows in numpy.
 
-Equal entries are kept once and sources with equal surroundings share a
-slice.  Every scheme holds both finished tables from construction on.
-The pair constructor holds all of a source's pairs in one slot;
-`balance` keeps its argument's sources and ids and rescales its slices,
-or returns the argument when that is already balanced; and the subclass
+A side's entries are distinct by value, and each is referenced by at
+least one slice; sources with equal surroundings share a slice.  Every
+scheme holds both finished tables from construction on.  The pair
+constructor holds all of a source's pairs in one slot; `balance` keeps
+its argument's sources, ids and slices and rescales its entries, or
+returns the argument when that is already balanced; and the subclass
 compose.ComposedScheme builds both tables from its factors' tables, one
 slot per outer partner.
 """
@@ -82,35 +84,6 @@ class Violation:
         if self.i is not None:
             loc += f", coordinate {self.i}"
         return f"[{self.kind}] {loc}: {self.message}"
-
-
-# ---- slices ----------------------------------------------------------------
-
-
-class Slice:
-    """Pair records from a source, shared by sources with equal surroundings.
-
-    entries is a tuple of (xor, w, diffs): the partner of a source is
-    source ^ xor, w the pair weight, and diffs the (i, fwd, bwd) tuple
-    over the differing coordinates, oriented from the source.  None of it
-    depends on the source, so `wt`, the sum of the pair weights that the
-    composition checks read, is computed once, on first use, and holds for
-    every source that reaches the slice.
-    """
-
-    # no per-instance dict: a table may hold tens of thousands of slices
-    __slots__ = ("entries", "_wt")
-
-    def __init__(self, entries: tuple):
-        self.entries = entries
-        self._wt = None
-
-    @property
-    def wt(self):
-        if self._wt is None:
-            self._wt = exact_sum([w for _, w, _ in self.entries])
-        return self._wt
-
 
 
 def _product_fault(w, fwd, bwd) -> tuple[str, str] | None:
@@ -157,22 +130,6 @@ def _entry_faults(entry: tuple, arity: int, products: dict) -> list:
     return out
 
 
-def _faults(sl: Slice, arity: int, checked: dict, products: dict) -> list:
-    """The faults of every entry of sl, in entry order.
-
-    Slices may share entry tuples, so `checked` memoizes each entry's
-    faults by id(entry); the ids stay valid while the caller keeps the
-    slices, and thereby their entries, alive.
-    """
-    out = []
-    for entry in sl.entries:
-        found = checked.get(id(entry))
-        if found is None:
-            found = checked[id(entry)] = _entry_faults(entry, arity, products)
-        out += found
-    return out
-
-
 # ---- explicit schemes ------------------------------------------------------
 
 
@@ -185,11 +142,12 @@ class ExplicitScheme:
     ExactWeight, int, or Fraction; a missing coordinate entry is treated
     as a zero directional weight (and will fail verification).
 
-    A side's equal entries are one tuple; sources with the same entries, in
-    pair order, share one Slice in their one slot.  A pair with an earlier
-    pair's w and wp objects and x ^ y reuses that entry, so no wp may change.
-    `balance` and compose.ComposedScheme hand their finished tables to
-    `_set` instead; the sides and the pair count are read off the tables.
+    A side's equal entries are one record, numbered in pair order; sources
+    with the same entry numbers, in pair order, share one slice in their
+    one slot.  A pair with an earlier pair's w and wp objects and x ^ y
+    reuses that entry, so no wp may change.  `balance` and
+    compose.ComposedScheme hand their finished tables to `_set` instead;
+    the sides and the pair count are read off the tables.
     """
 
     def __init__(self, f: BooleanFunction, pairs):
@@ -235,18 +193,17 @@ class ExplicitScheme:
             order = sorted(group)
             seqs: dict = {}  # distinct entry-id sequence -> slice id
             ids = np.array([seqs.setdefault(tuple(group[s]), len(seqs)) for s in order])
-            slices = [Slice(tuple([side_entries[e] for e in seq])) for seq in seqs]
             sources = np.array(order, dtype=np.int64)
             sources.flags.writeable = False
-            tables[side] = (sources, ids.reshape(-1, 1), slices)
+            tables[side] = (sources, ids.reshape(-1, 1), list(seqs), side_entries)
         self._set(f, tables)
 
     def _set(self, f: BooleanFunction, tables: dict) -> None:
-        """The function and both tables, side -> (sources, ids, slices).
-        The sides are the tables' sources, and every pair is one entry in
-        a filled slot of the A table."""
-        _, ids, slices = tables["a"]
-        sizes = np.array([len(sl.entries) for sl in slices] + [0])  # -1: empty slot
+        """The function and both tables, side -> (sources, ids, slices,
+        entries).  The sides are the tables' sources, and every pair is one
+        entry number in a filled slot of the A table."""
+        _, ids, slices, _ = tables["a"]
+        sizes = np.array([len(sl) for sl in slices] + [0])  # -1: empty slot
         self.f, self.pair_count = f, int(sizes[ids].sum())
         self.a_side, self.b_side = tables["a"][0], tables["b"][0]
         self._tables = tables
@@ -257,10 +214,10 @@ class ExplicitScheme:
         return self._tables[side]
 
     def sweep_pairs(self, side: str):
-        sources, ids, slices = self.slice_table(side)
+        sources, ids, slices, entries = self.slice_table(side)
         for source, row in zip(sources.tolist(), ids.tolist()):
-            entries = [e for k in row if k >= 0 for e in slices[k].entries]
-            yield source, [(source ^ xor, w, diffs) for xor, w, diffs in entries]
+            records = [entries[e] for k in row if k >= 0 for e in slices[k]]
+            yield source, [(source ^ xor, w, diffs) for xor, w, diffs in records]
 
 
 # ---- verification ----------------------------------------------------------
@@ -273,11 +230,11 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
     1-preimage, no overlap), weight positivity, and the product constraint
     w'(x,y,i) * w'(y,x,i) >= w(x,y)^2 at every differing coordinate.  All
     comparisons are exact.  Membership is one mask per side over the
-    table.  Pair requirements are found once per distinct A-side slice
-    (and the product once per distinct weight triple); that covers every
-    pair a slice emits, from whichever source, and only the sources that
-    reach a faulty slice are visited.  Violations come in source, slot,
-    entry order; reporting stops after `limit` of them.
+    table.  Pair requirements are found once per A-side entry (and the
+    product once per distinct weight triple); that covers every pair the
+    entry stands for, from whichever source, and only the sources that
+    reach a slice with a faulty entry are visited.  Violations come in
+    source, slot, entry order; reporting stops after `limit` of them.
     """
     out: list[Violation] = []
     tab = scheme.f.np_table
@@ -290,19 +247,19 @@ def verify(scheme, limit: int = VIOLATION_CAP) -> list[Violation]:
             if len(out) >= limit:
                 return out
 
-    sources, ids, slices = scheme.slice_table("a")
-    checked: dict = {}
+    sources, ids, slices, entries = scheme.slice_table("a")
     products: dict = {}
-    faults = [_faults(sl, scheme.f.arity, checked, products) for sl in slices]
+    faults = [_entry_faults(entry, scheme.f.arity, products) for entry in entries]
     # a last False stands for the empty slot, id -1
-    faulty = np.array([bool(fl) for fl in faults] + [False])
+    faulty = np.array([any(faults[e] for e in sl) for sl in slices] + [False])
     for r in np.flatnonzero(faulty[ids].any(axis=1)).tolist():
         source = int(sources[r])
         for k in ids[r].tolist():
-            for xor, kind, i, message in faults[k] if k >= 0 else ():
-                out.append(Violation(kind, source, source ^ xor, i, message))
-                if len(out) >= limit:
-                    return out
+            for e in slices[k] if k >= 0 else ():
+                for xor, kind, i, message in faults[e]:
+                    out.append(Violation(kind, source, source ^ xor, i, message))
+                    if len(out) >= limit:
+                        return out
     return out
 
 
@@ -351,18 +308,24 @@ def _number_rows(columns: list, radices: list) -> tuple[np.ndarray, np.ndarray]:
             size = max(len(code), 1)
         code = code * radix + col
         size *= radix
-    # np.unique's numbering from one stable argsort, the code freed as soon
-    # as it is sorted and compared
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    new = np.empty(len(code), dtype=bool)  # true at the first row of each value
+    # np.unique's numbering with at most three row-sized arrays alive: the
+    # codes are sorted in place (a caller's column on a copy) beside their
+    # order, first[k] is the least row of the k-th run of equal codes, and
+    # each row's id is the count of runs up to it in sorted order
+    order = np.argsort(code)
+    if code is columns[0]:
+        code = code.copy()
+    code.sort()
+    new = np.empty(len(code), dtype=bool)  # true at the first row of each run
     new[:1] = True
     np.not_equal(code[1:], code[:-1], out=new[1:])
     del code
-    first = order[new]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    rank = new.astype(np.int64)
+    np.cumsum(rank, out=rank)
+    rank -= 1
     ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = new.cumsum()
-    ids -= 1
+    ids[order] = rank
     return ids, first
 
 
@@ -375,55 +338,55 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Lowered:
-    """Per-slice sums of a slice list as integer coefficient rows.
+    """Per-slice sums of slice lists as integer coefficient rows.
 
-    Every weight of the slices is lowered to integer coefficients over one
-    denominator and radicand basis (`weights.coefficients`).  rows[k, c]
-    holds the coefficients of slice k's pair-weight sum (c = 0) or of its
+    parts is a list of (slices, entries), in which slices[k] lists the
+    numbers of slice k's records in entries; the slices of all parts are
+    numbered in turn, and so are their entries.  Every weight of the
+    entries is lowered to integer coefficients over one denominator and
+    radicand basis (`weights.coefficients`).  rows[k, c] holds the
+    coefficients of slice k's pair-weight sum (c = 0) or of its
     forward-weight sum at coordinate c, and terms[k, c] counts the weights
     added there, so a coordinate is present where the count is positive.
     A last all-zero row stands for the empty slot, id -1.  coords[k] lists
     the coordinates of slice k's directional weights in first-named order.
 
-    The slices share entry tuples, so each distinct entry, by identity, is
-    lowered once, its weights numbered by value in one dict, and a slice's
-    rows sum its entries' rows one column at a time: no array is as long
-    as the weight slots of all slices.
+    Each entry is lowered once, its weights numbered by value in one dict,
+    and a slice's rows sum its entries' rows one column at a time: no
+    array is as long as the weight slots of all slices.
 
     The dtype is int64 when the largest coefficient times the most terms
     in one slice column times `width` slots rules out overflow in the
     per-source sums, and object (Python ints) otherwise.
     """
 
-    def __init__(self, slices: list, arity: int, width: int):
-        self.slices = slices
-        # (entry, column, value id) per weight of each distinct entry: w at
-        # column 0, fwd at column i; slots lists each slice's entry numbers
-        number: dict = {}  # id(entry) -> entry number
+    def __init__(self, parts: list, arity: int, width: int):
+        self.parts = parts
+        # (entry, column, value id) per weight of each entry: w at column 0,
+        # fwd at column i
         index: dict = {}  # distinct value -> value id
         at_entry, at_col, val_ids = [], [], []
-        slots, sizes = [], []
-        for sl in slices:
-            for entry in sl.entries:
-                k = number.get(id(entry))
-                if k is None:
-                    k = number[id(entry)] = len(number)
-                    _, w, diffs = entry
-                    at_entry += [k] * (len(diffs) + 1)
-                    at_col.append(0)
-                    at_col += [i for i, _, _ in diffs]
-                    val_ids.append(index.setdefault(w, len(index)))
-                    val_ids += [index.setdefault(fwd, len(index)) for _, fwd, _ in diffs]
-                slots.append(k)
-            sizes.append(len(sl.entries))
+        entries = [entry for _, side in parts for entry in side]
+        for k, (_, w, diffs) in enumerate(entries):
+            at_entry += [k] * (len(diffs) + 1)
+            at_col.append(0)
+            at_col += [i for i, _, _ in diffs]
+            val_ids.append(index.setdefault(w, len(index)))
+            val_ids += [index.setdefault(fwd, len(index)) for _, fwd, _ in diffs]
         self.radicands, self.q, coeffs = coefficients(list(index))
         at = (np.array(at_entry, dtype=np.int64), np.array(at_col, dtype=np.int64))
-        ent_terms = np.zeros((len(number), arity + 1), dtype=np.int64)
+        ent_terms = np.zeros((len(entries), arity + 1), dtype=np.int64)
         np.add.at(ent_terms, at, 1)
-        # slice k sums slots starts[k] .. starts[k + 1] - 1, one column at a time
-        slots = np.array(slots, dtype=np.int64)
+        # slice k sums slots starts[k] .. starts[k + 1] - 1, one column at a
+        # time; a part's entry numbers move past the earlier parts' entries
+        sizes, slots, shift = [], [], 0
+        for slices, side in parts:
+            sizes.append(np.fromiter(map(len, slices), dtype=np.int64, count=len(slices)))
+            slots.append(np.fromiter(itertools.chain.from_iterable(slices), dtype=np.int64) + shift)
+            shift += len(side)
+        sizes, slots = np.concatenate(sizes), np.concatenate(slots)
         starts = np.cumsum(sizes) - sizes
-        shape = (len(slices) + 1, arity + 1)
+        shape = (len(sizes) + 1, arity + 1)
         self.terms = np.zeros(shape, dtype=np.int64)
         for c in range(arity + 1):
             self.terms[:-1, c] = np.add.reduceat(ent_terms[slots, c], starts)
@@ -460,8 +423,9 @@ class _Lowered:
         """coords[k]: the coordinates of slice k's directional weights in
         first-named order, made on first use (only the maps need them)."""
         return [
-            tuple(dict.fromkeys(i for _, _, diffs in sl.entries for i, _, _ in diffs))
-            for sl in self.slices
+            tuple(dict.fromkeys(i for e in sl for i, _, _ in entries[e][2]))
+            for slices, entries in self.parts
+            for sl in slices
         ]
 
     def order(self, row) -> tuple:
@@ -473,9 +437,9 @@ def loads(scheme, *, keep_maps: bool = False) -> LoadReport:
     """Weights wt(x), loads v(x, i), side maxima, and the bound.
 
     wt(x) sums the pair weights at x; v(x, i) sums the directional weights
-    from x over partners differing at i.  Each distinct slice of the two
+    from x over partners differing at i.  Each slice of the two
     `slice_table`s is summed once as integer coefficient rows (`_Lowered`,
-    which lowers each distinct entry once and numbers weights by value);
+    which lowers each entry once and numbers weights by value);
     every source adds its slots' rows one column at a time, and a
     coordinate counts for a source when one of its slices has it.  Exact
     values are made only for distinct sums, and the v / wt maxima are
@@ -486,12 +450,12 @@ def loads(scheme, *, keep_maps: bool = False) -> LoadReport:
         raise SchemeError("loads need a nonempty relation on both sides")
     arity = scheme.f.arity
     tables = [scheme.slice_table(side) for side in "ab"]
-    # one slice list for both sides: the B side's ids move past the A side's
-    slices = tables[0][2] + tables[1][2]
+    # `_Lowered` numbers the B side's slices after the A side's
     b_ids = tables[1][1]
     b_ids = np.where(b_ids >= 0, b_ids + len(tables[0][2]), -1)
     sides = [(tables[0][0], tables[0][1]), (tables[1][0], b_ids)]
-    low = _Lowered(slices, arity, max(ids.shape[1] for _, ids in sides))
+    parts = [(slices, entries) for _, _, slices, entries in tables]
+    low = _Lowered(parts, arity, max(ids.shape[1] for _, ids in sides))
     wt_map: dict | None = {} if keep_maps else None
     v_map: dict | None = {} if keep_maps else None
     side_best = []
@@ -553,10 +517,10 @@ def balance(scheme, report: LoadReport | None = None):
     (i, fwd*s, bwd/s) and every B-side triple (i, fwd/s, bwd*s), so the
     directional weights of a pair are rescaled alike from both sides.
     Pair weights and the products w'(x,y,i)*w'(y,x,i) are untouched, so
-    validity is preserved.  Each distinct entry of the two slice tables is
-    rescaled once, and the result is an ExplicitScheme with the scheme's
-    sources and ids, its slices in the same order; the scheme itself is
-    returned when it is already balanced.
+    validity is preserved.  Each entry of the two slice tables is rescaled
+    once, and the result is an ExplicitScheme with the scheme's sources,
+    ids and slices and the rescaled entries in the same order; the scheme
+    itself is returned when it is already balanced.
     """
     rep = report if report is not None else loads(scheme)
     v_a, v_b = rep.v_a, rep.v_b
@@ -570,14 +534,12 @@ def balance(scheme, report: LoadReport | None = None):
     s = ratio.sqrt()
     tables = {}
     for side, up, down in (("a", s, ONE / s), ("b", ONE / s, s)):
-        sources, ids, slices = scheme.slice_table(side)
-        distinct = {id(e): e for sl in slices for e in sl.entries}
-        new = {
-            key: (xor, w, tuple([(i, fwd * up, bwd * down) for i, fwd, bwd in diffs]))
-            for key, (xor, w, diffs) in distinct.items()
-        }
-        slices = [Slice(tuple([new[id(e)] for e in sl.entries])) for sl in slices]
-        tables[side] = (sources, ids, slices)
+        sources, ids, slices, entries = scheme.slice_table(side)
+        entries = [
+            (xor, w, tuple([(i, fwd * up, bwd * down) for i, fwd, bwd in diffs]))
+            for xor, w, diffs in entries
+        ]
+        tables[side] = (sources, ids, slices, entries)
     out = object.__new__(ExplicitScheme)
     out._set(scheme.f, tables)
     return out
@@ -941,8 +903,8 @@ def save_scheme(scheme, path) -> None:
 
     The file holds json.dumps(doc, indent=1) of the whole document, but it
     is written as it is made: the header, then the pairs one source at a
-    time off the A side's `slice_table`, each distinct entry's text made
-    once, so that only one source's pairs are held in memory.
+    time off the A side's `slice_table`, each entry's text made once, so
+    that only one source's pairs are held in memory.
     """
     head = json.dumps(
         {
@@ -954,15 +916,14 @@ def save_scheme(scheme, path) -> None:
         },
         indent=1,
     )
-    sources, ids, slices = scheme.slice_table("a")
-    distinct = {id(e): e for sl in slices for e in sl.entries}
-    tails = {key: _entry_text(w, diffs) for key, (_, w, diffs) in distinct.items()}
+    sources, ids, slices, entries = scheme.slice_table("a")
+    tails = [_entry_text(w, diffs) for _, w, diffs in entries]
     chunks = (
         ",\n".join(
-            f'  {{\n   "x": {x},\n   "y": {x ^ e[0]}{tails[id(e)]}'
+            f'  {{\n   "x": {x},\n   "y": {x ^ entries[e][0]}{tails[e]}'
             for k in row
             if k >= 0
-            for e in slices[k].entries
+            for e in slices[k]
         )
         for x, row in zip(sources.tolist(), ids.tolist())
     )

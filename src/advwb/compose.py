@@ -12,10 +12,10 @@ The pairs from one source to the partners with one block pattern form a
 slice.  Its entries (xor offset, weight, directional weights) depend
 only on the pattern pair, the source's blocks where the patterns differ
 and the inner totals where they agree, so sources with the same
-surroundings share one `adversary.Slice`: 2,304 slices serve the
-1,310,720 pairs of the 4-bit base's square.  A `ComposedScheme` is an
-`adversary.ExplicitScheme` that builds both slice tables before its
-constructor returns.  Construction verifies both factors and reads each
+surroundings share one slice, a tuple of entry numbers: 2,304 slices
+serve the 1,310,720 pairs of the 4-bit base's square.  A
+`ComposedScheme` is an `adversary.ExplicitScheme` that builds both slice
+tables before its constructor returns.  Construction verifies both factors and reads each
 row of their slice tables once (`_ratio_rows`): the outer rows become
 one map from block pattern to its total and outer partners, the inner
 rows the total-weight classes of block values and the flat record arrays
@@ -27,12 +27,12 @@ a side's sources at once, and the side's slices are built in one batch,
 the A side first.  The batch works on int32 ids of the few distinct
 exact weights: each product, quotient and ratio root is computed once
 per distinct id pair, and only distinct diff triples and distinct
-entries become Python tuples, which the slices share (on each side of
-the 4-bit base's square, 1,136 entries serve 16,896 entry slots).  Its
-entry- and diff-sized arrays are int32 and each is dropped once it has
-been read, and the pattern arrays go before the first batch, so on the
-square of the 4-bit base construction peaks near 4.7 MiB of traced
-memory, against 2.5 MiB kept.  A side is the sources array of its
+entries become Python tuples: the side's `entries`, whose numbers the
+slices list (on each side of the 4-bit base's square, 1,136 entries
+serve 16,896 entry slots).  Its entry- and diff-sized arrays are int32
+and each is dropped once it has been read, and the pattern arrays go
+before the first batch, so on the square of the 4-bit base construction
+peaks near 4.6 MiB of traced memory, against 2.4 MiB kept.  A side is the sources array of its
 table, one sorted int64 array kept once, and the claim checks at the end
 of this module find a source's row by binary search on it, so they
 certify exactly what `verify` and `loads` consume.
@@ -45,7 +45,7 @@ import operator
 
 import numpy as np
 
-from .adversary import ExplicitScheme, SchemeError, Slice, _number_rows, loads, verify
+from .adversary import ExplicitScheme, SchemeError, _number_rows, loads, verify
 from .boolfn import ArityError, BooleanFunction, compose as compose_tables, iterate
 from .weights import ONE, ExactWeight, exact_sum
 
@@ -93,19 +93,15 @@ def _sqrt_product(r1: ExactWeight, r2: ExactWeight) -> ExactWeight:
 def _ratio_rows(scheme, side: str) -> list:
     """(source, records, total) per row of a side's `slice_table`: the
     row's entries in slot and entry order as records (xor, w, ((i,
-    fwd / bwd), ...)), each slice's records made once, and total the sum
-    of its `Slice.wt`.  The scheme is verified, so no bwd is zero."""
-    sources, ids, slices = scheme.slice_table(side)
+    fwd / bwd), ...)), each entry's record made once, and total the sum
+    of their pair weights.  The scheme is verified, so no bwd is zero."""
+    sources, ids, slices, entries = scheme.slice_table(side)
     div = functools.cache(operator.truediv)  # a scheme repeats a few ratios
-    made: dict = {}  # slice id -> its records, made at its first source
+    recs = [(xor, w, tuple([(i, div(f, b)) for i, f, b in diffs])) for xor, w, diffs in entries]
     rows = []
     for x, row in zip(sources.tolist(), ids.tolist()):
-        row = [k for k in row if k >= 0]
-        for k in (k for k in row if k not in made):
-            recs = made[k] = []
-            for xor, w, diffs in slices[k].entries:
-                recs.append((xor, w, tuple([(i, div(f, b)) for i, f, b in diffs])))
-        rows.append((x, [r for k in row for r in made[k]], exact_sum([slices[k].wt for k in row])))
+        row = [e for k in row if k >= 0 for e in slices[k]]
+        rows.append((x, [recs[e] for e in row], exact_sum([entries[e][1] for e in row])))
     return rows
 
 
@@ -138,17 +134,15 @@ class _Pool:
 
     def apply(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         memo = self._memo.setdefault(op, {})
-        # int64 keys whatever the ids' dtype: an int32 shift by 32 would wrap
-        keys = a.astype(np.int64) << 32 | b
-        pairs = np.sort(keys)  # then the distinct keys: np.unique would load numpy.ma
-        pairs = np.concatenate([pairs[:1], pairs[1:][pairs[1:] != pairs[:-1]]])
+        size = len(self.values)
+        pairs, first = _number_rows([a, b], [size, size])
         out = []
-        for pair in pairs.tolist():
+        for pair in zip(a[first].tolist(), b[first].tolist()):
             k = memo.get(pair)
             if k is None:
-                k = memo[pair] = self._result(op, pair >> 32, pair & 0xFFFFFFFF)
+                k = memo[pair] = self._result(op, *pair)
             out.append(k)
-        return np.array(out, dtype=np.int32)[np.searchsorted(pairs, keys)]
+        return np.array(out, dtype=np.int32)[pairs]
 
     def _result(self, op, i: int, j: int) -> int:
         try:
@@ -191,9 +185,10 @@ class _TemplateBuilder:
         self.off, self.wv, self.dstart, self.dcount = np.array(rows, dtype=np.int32).T
         self.i2, self.r2 = np.array(diffs, dtype=np.int32).reshape(-1, 2).T
 
-    def build(self, keys: list, blocks: np.ndarray) -> list[Slice]:
-        """The Slices of outer pairs keys[k] = (p, z), towards z from a
-        source with pattern p and the blocks in row k of blocks.
+    def build(self, keys: list, blocks: np.ndarray) -> tuple[list, list]:
+        """(slices, entries) of outer pairs keys[k] = (p, z), towards z
+        from a source with pattern p and the blocks in row k of blocks:
+        slices[k] is the tuple of entry numbers of slice k.
 
         A slice's entries are the product of the inner records of its
         differing blocks, the first differing block outermost; the product
@@ -202,7 +197,7 @@ class _TemplateBuilder:
         (coordinate, w*s, w/s) with s = sqrt(r1 * r2), flattened in
         template, entry and diff order, so the first ratio product with no
         exact root raises its error.  Distinct diff triples and distinct
-        entries become one shared tuple each.  The entry- and diff-sized
+        entries become one tuple each.  The entry- and diff-sized
         arrays are int32 and each is dropped once it has been read.
         """
         pool, n, m = self.pool, self.n, self.m
@@ -282,12 +277,10 @@ class _TemplateBuilder:
             (x, values[v], tuple([triples[t - 1] for t in row if t]))
             for x, v, row in zip(xor[first].tolist(), w[first].tolist(), diff_ids[first].tolist())
         ]
-        e_ids = e_ids.tolist()
+        # one int object per entry number, which the slices share
+        e_ids = np.array(range(len(records)), dtype=object)[e_ids]
         ends = np.cumsum(np.bincount(job, minlength=len(keys))).tolist()
-        return [
-            Slice(tuple([records[e] for e in e_ids[start:end]]))
-            for start, end in zip([0] + ends, ends)
-        ]
+        return [tuple(e_ids[start:end]) for start, end in zip([0] + ends, ends)], records
 
 
 class ComposedScheme(ExplicitScheme):
@@ -300,10 +293,12 @@ class ComposedScheme(ExplicitScheme):
     where p and z differ, w, ((j, fwd / bwd), ...)), ...) in table order),
     and the inner block values' total-weight classes.  One pass over the
     inputs gives each its block pattern and classes; each side's slots are
-    numbered (`_slots`) and its shared slices made in one batch
-    (`_TemplateBuilder`), so the ~1.3*10^6 pairs of the 4-bit base's
-    square stay cheap and exact.  A ratio product with no exact root
-    raises there, on the A side first.
+    numbered (`_slots`) and its shared slices and distinct entries made in
+    one batch (`_TemplateBuilder`), so the ~1.3*10^6 pairs of the 4-bit
+    base's square stay cheap and exact.  A ratio product with no exact
+    root raises there, on the A side first.  The claim checks keep each
+    slice total they read in `_slice_totals`, side -> a list of each
+    slice's pair-weight sum, None until read.
     """
 
     def __init__(self, outer, inner):
@@ -350,7 +345,7 @@ class ComposedScheme(ExplicitScheme):
             self._class_of[u] = classes.setdefault(wt, len(classes))
         self._class_wt = list(classes)
         self._claims: dict = {}  # (p, classes) -> claim 1 right-hand sides
-        self._claim2: dict = {}  # (slice, i) -> whether claim 2 holds
+        self._claim2: dict = {}  # (side, slice number, i) -> whether claim 2 holds
 
         # every input's block pattern (-1: a block on no inner side) and
         # classes, one block column at a time; any radix above every class
@@ -378,10 +373,12 @@ class ComposedScheme(ExplicitScheme):
         del patterns, codes
         builder = _TemplateBuilder(self, inner_rows)
         tables = {
-            side: (xs, ids, builder.build(keys, blocks))
+            side: (xs, ids, *builder.build(keys, blocks))
             for side, (xs, ids, keys, blocks) in zip("ab", slots)
         }
         self._set(compose_tables(outer.f, [inner.f] * n), tables)
+        # side -> each slice's pair-weight sum, filled in by the claim checks
+        self._slice_totals = {side: [None] * len(tables[side][2]) for side in "ab"}
 
     def _slots(self, xs: np.ndarray, patterns: np.ndarray, codes: np.ndarray):
         """(ids, keys, blocks) of a side with sources xs: its table's slice
@@ -429,23 +426,33 @@ def predicted_bound(base_scheme, d: int) -> ExactWeight:
 
 
 def _source(composed: ComposedScheme, x: int, z: int | None = None):
-    """Block pattern, total-weight classes and z -> slice of source x, the
-    slices read off the row of x in its side's `slice_table`; with z,
-    (p, z) must be an outer pair."""
+    """Side, block pattern, total-weight classes and z -> slice number of
+    source x, the slices read off the row of x in its side's
+    `slice_table`; with z, (p, z) must be an outer pair."""
     for side, xs in (("a", composed.a_side), ("b", composed.b_side)):
         r = np.searchsorted(xs, x)
         if r < len(xs) and xs[r] == x:
             break
     else:
         raise SchemeError(f"input {x} is not a source of the composed relation")
-    _, ids, slices = composed.slice_table(side)
+    ids = composed.slice_table(side)[1]
     n, m = composed.n, composed.m
     blocks = [(x >> (n - 1 - j) * m) & ((1 << m) - 1) for j in range(n)]
     p = sum(composed.inner.f.table[u] << (n - 1 - j) for j, u in enumerate(blocks))
-    row = {z: slices[k] for (z, *_), k in zip(composed._outer[p][1], ids[r].tolist())}
+    row = {z: k for (z, *_), k in zip(composed._outer[p][1], ids[r].tolist())}
     if z is not None and z not in row:
         raise SchemeError(f"({p:b}, {z:b}) not an outer pair")
-    return p, tuple(composed._class_of[blocks].tolist()), row
+    return side, p, tuple(composed._class_of[blocks].tolist()), row
+
+
+def _slice_wt(composed: ComposedScheme, side: str, k: int) -> ExactWeight:
+    """The sum of the pair weights of slice k of a side, kept once read."""
+    totals = composed._slice_totals[side]
+    wt = totals[k]
+    if wt is None:
+        _, _, slices, entries = composed.slice_table(side)
+        wt = totals[k] = exact_sum([entries[e][1] for e in slices[k]])
+    return wt
 
 
 def _claim_sides(composed: ComposedScheme, p: int, classes: tuple) -> tuple[dict, bool]:
@@ -476,8 +483,8 @@ def check_claim1(composed: ComposedScheme, x: int, z: int) -> bool:
     the outer weight of (pattern(x), z) times the product over all blocks
     of the inner total weight.  Exact comparison.
     """
-    p, classes, slices = _source(composed, x, z)
-    return slices[z].wt == _claim_sides(composed, p, classes)[0][z]
+    side, p, classes, row = _source(composed, x, z)
+    return _slice_wt(composed, side, row[z]) == _claim_sides(composed, p, classes)[0][z]
 
 
 def check_corollary(composed: ComposedScheme, x: int) -> bool:
@@ -486,9 +493,9 @@ def check_corollary(composed: ComposedScheme, x: int) -> bool:
     Every slice of x must meet claim 1; the right-hand sides then add up
     to the total.
     """
-    p, classes, slices = _source(composed, x)
+    side, p, classes, row = _source(composed, x)
     rhs, adds_up = _claim_sides(composed, p, classes)
-    return all(sl.wt == rhs[z] for z, sl in slices.items()) and adds_up
+    return all(_slice_wt(composed, side, k) == rhs[z] for z, k in row.items()) and adds_up
 
 
 def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
@@ -501,19 +508,20 @@ def check_claim2(composed: ComposedScheme, x: int, z: int, i: int) -> bool:
     slice belongs to one outer pair (p, z), so the outcome depends only on
     the slice and i: it is computed once for each and kept on the scheme.
     """
-    p, _, slices = _source(composed, x, z)
+    side, p, _, row = _source(composed, x, z)
     m, n = composed.m, composed.n
     i1, _ = block_index(i, n, composed.depth)
     r1 = dict(next(od for y, _, _, od in composed._outer[p][1] if y == z)).get(i1)
     if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")
-    key = (slices[z], i)
+    key = (side, row[z], i)
     holds = composed._claim2.get(key)
     if holds is not None:
         return holds
+    _, _, slices, entries = composed.slice_table(side)
     outside = ~(((1 << m) - 1) << ((n - i1) * m))
     groups: dict[int, tuple[list, list]] = {}
-    for xor, w, diffs in slices[z].entries:
+    for xor, w, diffs in (entries[e] for e in slices[row[z]]):
         v_terms, w_terms = groups.setdefault(xor & outside, ([], []))
         w_terms.append(w)
         v_terms.extend(fwd for j, fwd, _ in diffs if j == i)

@@ -23,17 +23,19 @@ dimension) state array and reads W_t as it is made.  Inside a group,
 unitaries, the oracle, pair overlaps and acceptance go through the state
 a block of rows at a time, and each row and pair is reduced as in a
 whole-batch pass, so no value depends on the grouping or the blocking.
-Set-up works on whole arrays: the pairs come off the slice table with
-each distinct slice entry read once and each distinct pair weight made a
-float once (a scheme file's weights are one object per distinct weight
-string, parsed once per file), and `random_algorithm` draws and factors
-its unitaries only after the dimension and query caps have been checked.
-That draw, and the unitarity check of every algorithm, run in batches
-over blocks of one stack of matrices.
+Set-up works on whole arrays: the pairs come off the A side's slice
+table, each of its distinct entries read once and each distinct pair
+weight made a float once (a scheme file's weights are one object per
+distinct weight string, parsed once per file), and the slices' entry
+numbers expanded per source in numpy; `random_algorithm` draws and
+factors its unitaries only after the dimension and query caps have been
+checked.  That draw, and the unitarity check of every algorithm, run in
+batches over blocks of one stack of matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -201,28 +203,27 @@ def _pair_rows(scheme, inputs: np.ndarray):
 
     The pairs come in source, slot and entry order, read off the A-side
     slice table: every filled slot of a row contributes its slice's
-    entries, with partner source ^ xor.  Each distinct slice entry is
-    read once, and each distinct weight becomes a float once.
+    entries, with partner source ^ xor.  Each entry is read once, and
+    each distinct weight becomes a float once.
     """
-    sources, ids, slices = scheme.slice_table("a")
+    sources, ids, slices, entries = scheme.slice_table("a")
     floats: dict = {}  # each distinct pair weight -> its float
-    xors, ws, lens = [], [], []
-    for sl in slices:
-        lens.append(len(sl.entries))
-        for xor, w, _ in sl.entries:
-            f = floats.get(w)
-            if f is None:
-                f = floats[w] = float(w)
-            xors.append(xor)
-            ws.append(f)
-    lens = np.array(lens)
+    xors, ws = [], []
+    for xor, w, _ in entries:
+        f = floats.get(w)
+        if f is None:
+            f = floats[w] = float(w)
+        xors.append(xor)
+        ws.append(f)
+    lens = np.fromiter(map(len, slices), dtype=np.int64, count=len(slices))
+    flat = np.fromiter(itertools.chain.from_iterable(slices), dtype=np.int64)
     filled = ids >= 0
     cell = ids[filled]
     counts = lens[cell]
     ends = counts.cumsum()
-    # entry j of a cell's slice sits at the slice's start + j in the flat lists
+    # entry j of a cell's slice sits at the slice's start + j in flat
     shift = (lens.cumsum() - lens)[cell] - (ends - counts)
-    entry = np.arange(ends[-1]) + shift.repeat(counts)
+    entry = flat[np.arange(ends[-1]) + shift.repeat(counts)]
     x = sources[filled.nonzero()[0]].repeat(counts)
     y = x ^ np.array(xors)[entry]
     return inputs.searchsorted(x), inputs.searchsorted(y), np.array(ws)[entry]

@@ -21,7 +21,7 @@ import operator
 
 from advwb.compose import _sqrt_product
 from advwb.weights import exact_sum
-from scheme_records import pair_table
+from scheme_records import pair_table, slice_records
 
 # the loop's memoized arithmetic: templates reuse a few dozen distinct values
 mul = functools.cache(operator.mul)
@@ -182,8 +182,7 @@ def reference_slices(c, side: str) -> list[tuple]:
 def assert_templates_match(c) -> None:
     """Both sides' slices equal the reference entries, in order."""
     for side in "ab":
-        got = [sl.entries for sl in c.slice_table(side)[2]]
-        assert got == reference_slices(c, side)
+        assert slice_records(c, side) == reference_slices(c, side)
 
 
 def assert_rows_follow_their_keys(c) -> None:
@@ -192,7 +191,7 @@ def assert_rows_follow_their_keys(c) -> None:
     same slice exactly when their reference keys are equal."""
     f = Factors(c)
     for side in "ab":
-        sources, ids, slices = c.slice_table(side)
+        sources, ids, slices, _ = c.slice_table(side)
         assert sources.tolist() == f.sides[side]
         assert list(c.a_side if side == "a" else c.b_side) == f.sides[side]
         id_of: dict = {}

@@ -2,7 +2,7 @@
 
 The loop `adversary.loads` ran before it summed slices as integer arrays:
 walk each source's slices one source at a time (`source_slices`), add the
-exact per-slice sums (`Slice.wt` and `slice_v`) through memoized value
+exact per-slice sums (`slice_wt` and `slice_v`) through memoized value
 numbers, and group each side's distinct v(x, i) by wt(x).  `assert_loads_match` compares every
 `LoadReport` field with it, exactly and as printed, and the key order of
 the wt and v maps.
@@ -12,14 +12,19 @@ from dataclasses import fields
 
 from advwb.adversary import LoadReport, SchemeError, loads
 from advwb.weights import ONE, exact_sum
-from scheme_records import source_slices
+from scheme_records import slice_records, source_slices
 
 
-def slice_v(sl) -> dict:
+def slice_wt(records) -> object:
+    """The exact sum of a slice's pair weights."""
+    return exact_sum([w for _, w, _ in records])
+
+
+def slice_v(records) -> dict:
     """Coordinate i -> the exact sum of a slice's forward weights at i, in
     the order the entries first name i."""
     per_i: dict[int, list] = {}
-    for _, _, diffs in sl.entries:
+    for _, _, diffs in records:
         for i, fwd, _ in diffs:
             per_i.setdefault(i, []).append(fwd)
     return {i: exact_sum(vals) for i, vals in per_i.items()}
@@ -47,23 +52,27 @@ class _Sums:
             k = self._sums[(a, b)] = self.id(self.values[a] + self.values[b])
         return k
 
-    def source(self, slices) -> tuple[int, dict]:
-        """wt(x) and i -> v(x, i) of a source, as numbers, from its slices."""
+    def source(self, keys, records) -> tuple[int, dict]:
+        """wt(x) and i -> v(x, i) of a source, as numbers, from the keys of
+        its slices and records[key], their records."""
         agg = self._slices
-        first, *rest = slices
-        wt, v = agg.get(first) or self._slice(first)
+        first, *rest = keys
+        wt, v = agg.get(first) or self._slice(first, records[first])
         if rest:
             v = dict(v)
-            for sl in rest:
-                swt, sv = agg.get(sl) or self._slice(sl)
+            for key in rest:
+                swt, sv = agg.get(key) or self._slice(key, records[key])
                 wt = self.add(wt, swt)
                 for i, term in sv.items():
                     v[i] = self.add(v[i], term) if i in v else term
         return wt, v
 
-    def _slice(self, sl) -> tuple[int, dict]:
-        v = slice_v(sl)
-        out = self._slices[sl] = (self.id(sl.wt), {i: self.id(t) for i, t in v.items()})
+    def _slice(self, key, records) -> tuple[int, dict]:
+        v = slice_v(records)
+        out = self._slices[key] = (
+            self.id(slice_wt(records)),
+            {i: self.id(t) for i, t in v.items()},
+        )
         return out
 
 
@@ -79,10 +88,11 @@ def reference_loads(scheme, *, keep_maps: bool = True) -> LoadReport:
     vs: dict = {}
     for side in ("a", "b"):
         by_wt: dict = {}  # wt -> distinct v(x, i) of the sources x with that wt
-        for source, slices in source_slices(scheme, side):
-            if not slices:
+        records = {(side, k): recs for k, recs in enumerate(slice_records(scheme, side))}
+        for source, row in source_slices(scheme, side):
+            if not row:
                 continue
-            wt, v = sums.source(slices)
+            wt, v = sums.source([(side, k) for k in row], records)
             by_wt.setdefault(wt, {}).update(dict.fromkeys(v.values()))
             if wt_map is not None:
                 wt_map[source] = value[wt]

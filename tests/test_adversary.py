@@ -401,7 +401,7 @@ def test_saved_scheme_is_the_whole_document_dump(tmp_path):
     schemes += [balance(builtin_scheme("h6")), roots]
     schemes.append(compose_scheme(builtin_scheme("nae3"), builtin_scheme("nae3")))
     # a scheme object with no pairs at all: the header alone
-    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64), [])
+    empty = (np.zeros(0, dtype=np.int64), np.zeros((0, 1), dtype=np.int64), [], [])
     schemes.append(
         SimpleNamespace(
             f=f4(),

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, text and JSON."""
 
 import errno
+import hashlib
 import json
 import os
 import random
@@ -424,6 +425,22 @@ def test_compose_export_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-scheme", str(out_path))
     assert code == 0
     assert "valid, bound = 9/2 (4.500000)" in out
+
+
+# the file bytes of `compose --export`; `--base f --depth 2` writes 267 MB,
+# too much for the suite, and is checked by hand against d5aa18695e58bb81...
+@pytest.mark.parametrize(
+    ("base", "depth", "sha256"),
+    [
+        ("h", "1", "2159c4bdcc8d3e5f4991172125563ce38bbff729eedada64e588f9ca878cbbaa"),
+        ("g", "2", "52a24ccf99d45ffa807eef9f1ae2139969b9cb7806fe76b3d706b47c2e7fe587"),
+    ],
+)
+def test_compose_export_bytes_are_pinned(capsys, tmp_path, base, depth, sha256):
+    out_path = tmp_path / "c.scheme.json"
+    code, _, _ = run_cli(capsys, "compose", "--base", base, "--depth", depth, "--export", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("depth", ["800", "7000"])

@@ -33,7 +33,13 @@ from advwb.compose import (
     predicted_bound,
 )
 from advwb.weights import ONE, ZERO, ExactWeight, exact_sum
-from scheme_records import assert_round_trips, assert_sides_agree, pair_table, source_slices
+from scheme_records import (
+    assert_round_trips,
+    assert_sides_agree,
+    pair_table,
+    slice_records,
+    source_slices,
+)
 
 
 def test_block_index():
@@ -147,41 +153,39 @@ def test_nae3_squared_claims():
 
 
 def test_corollary_reads_the_swept_templates():
-    from advwb.adversary import Slice
-
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
     assert verify(c) == []
-    slices = c.slice_table("a")[2]
-    doubled = tuple((xor, w * ExactWeight(2), diffs) for xor, w, diffs in slices[0].entries)
-    slices[0] = Slice(doubled)
+    _, _, slices, entries = c.slice_table("a")
+    # other slices share these entries: slice 0 alone points at new, doubled ones
+    doubled = [(xor, w * ExactWeight(2), diffs) for xor, w, diffs in slice_records(c, "a")[0]]
+    slices[0] = tuple(range(len(entries), len(entries) + len(doubled)))
+    entries += doubled
     assert not all(check_corollary(c, x) for x in c.a_side.tolist() + c.b_side.tolist())
     assert verify(c)
-
-
-def _all_slices(c: ComposedScheme) -> list:
-    return c.slice_table("a")[2] + c.slice_table("b")[2]
 
 
 @pytest.mark.parametrize("name", ["nae3", "f4"])
 def test_slice_sums_match_their_records(name):
     g = balance(builtin_scheme(name))
     c = compose_scheme(g, g)
-    slices = _all_slices(c)
-    assert len(slices) == {"nae3": 288, "f4": 2304}[name]
-    # loads' integer sums of each slice, wt in column 0 and v(i) in column i
-    low = _Lowered(slices, c.arity, 1)
-    for k, sl in enumerate(slices):
-        wt, v = ZERO, {}
-        for _, w, diffs in sl.entries:
-            wt = wt + w
-            for i, fwd, _ in diffs:
-                v[i] = v.get(i, ZERO) + fwd
-        assert sl.wt == wt
-        assert low.value(low.rows[k, 0]) == wt
-        lowered = {i: low.value(low.rows[k, i]) for i in low.coords[k]}
-        assert lowered == v and list(lowered) == list(v)
-        assert [i for i in range(1, c.arity + 1) if low.terms[k, i]] == sorted(v)
+    assert sum(len(c.slice_table(side)[2]) for side in "ab") == {"nae3": 288, "f4": 2304}[name]
+    for side in "ab":
+        _, _, slices, entries = c.slice_table(side)
+        # loads' integer sums of each slice, wt in column 0 and v(i) in column i
+        low = _Lowered([(slices, entries)], c.arity, 1)
+        for k, records in enumerate(slice_records(c, side)):
+            wt, v = ZERO, {}
+            for _, w, diffs in records:
+                wt = wt + w
+                for i, fwd, _ in diffs:
+                    v[i] = v.get(i, ZERO) + fwd
+            # the slice total the claim checks read
+            assert compose._slice_wt(c, side, k) == wt
+            assert low.value(low.rows[k, 0]) == wt
+            lowered = {i: low.value(low.rows[k, i]) for i in low.coords[k]}
+            assert lowered == v and list(lowered) == list(v)
+            assert [i for i in range(1, c.arity + 1) if low.terms[k, i]] == sorted(v)
 
 
 def test_loads_matches_a_record_level_reference():
@@ -237,20 +241,21 @@ def _reference_violations(scheme) -> list:
 
 @pytest.mark.parametrize("corruption", ["scale", "drop"])
 def test_verify_reports_what_a_record_level_check_reports(corruption):
-    from advwb.adversary import Slice
-
     g = builtin_scheme("nae3")
     c = compose_scheme(g, g)
     assert verify(c) == [] == _reference_violations(c)
-    slices = c.slice_table("a")[2]
-    (xor, w, diffs), *rest = slices[0].entries
+    _, _, slices, entries = c.slice_table("a")
+    first, *rest = slices[0]
+    xor, w, diffs = entries[first]
     if corruption == "scale":
         # nae3 squared is tight, so a halved forward weight breaks w'*w' >= w^2
         i, fwd, bwd = diffs[0]
         diffs = ((i, fwd * ExactWeight(1, 2), bwd),) + diffs[1:]
     else:
         diffs = diffs[1:]
-    slices[0] = Slice(((xor, w, diffs), *rest))
+    # other slices share the entry: slice 0 alone points at a new one
+    entries.append((xor, w, diffs))
+    slices[0] = (len(entries) - 1, *rest)
     want = _reference_violations(c)
     kind = "constraint" if corruption == "scale" else "coverage"
     assert want and {v.kind for v in want} == {kind}
@@ -316,10 +321,11 @@ def _swept(c: ComposedScheme, sources) -> dict:
     wanted = set(sources)
     out = {}
     for side in "ab":
-        for x, slices in source_slices(c, side):
+        records = slice_records(c, side)
+        for x, row in source_slices(c, side):
             if x in wanted:
-                for sl in slices:
-                    for xor, w, diffs in sl.entries:
+                for k in row:
+                    for xor, w, diffs in records[k]:
                         out[(x, x ^ xor)] = (w, {i: (fwd, bwd) for i, fwd, bwd in diffs})
     return out
 
@@ -357,14 +363,15 @@ def test_claim2_sampled(name):
 
 def _claim2_unmemoized(c: ComposedScheme, x: int, z: int, i: int) -> bool:
     """check_claim2 without its memo: the groups of the slice, every call."""
-    p, _, slices = compose._source(c, x, z)
+    side, p, _, row = compose._source(c, x, z)
     i1, _ = block_index(i, c.n, c.depth)
     r1 = dict(next(od for y, _, _, od in c._outer[p][1] if y == z)).get(i1)
     if r1 is None:
         raise SchemeError(f"patterns agree in block {i1}")
     outside = ~(((1 << c.m) - 1) << ((c.n - i1) * c.m))
     groups: dict = {}
-    for xor, w, diffs in slices[z].entries:
+    _, _, slices, entries = c.slice_table(side)
+    for xor, w, diffs in (entries[e] for e in slices[row[z]]):
         v_terms, w_terms = groups.setdefault(xor & outside, ([], []))
         w_terms.append(w)
         v_terms.extend(fwd for j, fwd, _ in diffs if j == i)
@@ -383,7 +390,7 @@ def test_claim2_memo_matches_an_unmemoized_check(name):
     sources = rng.sample(c.a_side.tolist(), 24) + rng.sample(c.b_side.tolist(), 24)
     for _ in range(2):  # the second round reads the memo
         for x in sources:
-            for z in compose._source(c, x)[2]:
+            for z in compose._source(c, x)[3]:
                 for i in range(1, c.arity + 1):
                     try:
                         want = _claim2_unmemoized(c, x, z, i)
@@ -519,14 +526,14 @@ def test_the_package_reads_tables_not_sweeps(monkeypatch, tmp_path, capsys):
         g = balance(builtin_scheme(name))
         c = compose_scheme(g, g)
         tables = [c.slice_table(side) for side in "ab"]
-        assert sum(len(slices) for _, _, slices in tables) == {"nae3": 288, "f4": 2304}[name]
+        assert sum(len(slices) for _, _, slices, _ in tables) == {"nae3": 288, "f4": 2304}[name]
         assert verify(c) == []
         assert loads(c, keep_maps=False).bound == bound == c.predicted_bound
-        for sources, ids, slices in tables:
+        for sources, ids, slices, entries in tables:
             for r in (0, len(sources) // 2, len(sources) - 1):
                 x = int(sources[r])
                 assert check_corollary(c, x)
-                y = x ^ slices[ids[r, 0]].entries[0][0]
+                y = x ^ entries[slices[ids[r, 0]][0]][0]
                 assert check_claim1(c, x, _pattern(c, y))
                 for i in range(1, c.arity + 1):
                     if (x ^ y) & var_bit(c.arity, i):

@@ -11,7 +11,9 @@ as it does.  The batch's id packing must not wrap on int32 ids.  A
 scheme's sides are its tables' sources, the same read-only arrays, and
 its pair count is the number of records on each side.
 Every scheme is one class, `ExplicitScheme`, and `balance` rescales its
-argument's tables in place of rebuilding them from pairs.
+argument's tables in place of rebuilding them from pairs.  On every kind
+of scheme a side's slices name their entries by number: every number is
+in range and named, and the entries are distinct by value.
 """
 
 import operator
@@ -46,7 +48,8 @@ from loads_reference import assert_loads_match
 from scheme_records import assert_round_trips
 
 
-def test_sides_are_the_table_sources(tmp_path):
+def _every_kind(tmp_path) -> dict:
+    """A scheme of each kind: builtin, unit, loaded, balanced and composed."""
     f4_base, nae3_base = balance(builtin_scheme("f4")), builtin_scheme("nae3")
     cases = {name: builtin_scheme(name) for name in ("f4", "nae3", "h6")}
     cases["balanced h6"] = balance(builtin_scheme("h6"))
@@ -55,7 +58,37 @@ def test_sides_are_the_table_sources(tmp_path):
     cases["unit"] = adversary.unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (3, 1), (3, 2)])
     cases["nae3 squared"] = compose_scheme(nae3_base, nae3_base)
     cases["f4 squared"] = compose_scheme(f4_base, f4_base)
-    for name, s in cases.items():
+    return cases
+
+
+# distinct entries per side of each kind
+ENTRIES = {
+    "f4": 12,
+    "nae3": 6,
+    "h6": 21,
+    "balanced h6": 21,
+    "loaded h6": 21,
+    "unit": 2,
+    "nae3 squared": 252,
+    "f4 squared": 1136,
+}
+
+
+def test_slices_name_distinct_entries_by_number(tmp_path):
+    for name, s in _every_kind(tmp_path).items():
+        for side in "ab":
+            _, ids, slices, entries = s.slice_table(side)
+            assert all(isinstance(sl, tuple) and sl for sl in slices), (name, side)
+            # every entry number is in range and named by some slice
+            assert {e for sl in slices for e in sl} == set(range(len(entries))), (name, side)
+            assert len(set(entries)) == len(entries) == ENTRIES[name], (name, side)
+            assert set(ids.ravel().tolist()) - {-1} == set(range(len(slices))), (name, side)
+        if name == "f4 squared":
+            assert [sum(map(len, s.slice_table(side)[2])) for side in "ab"] == [16896] * 2
+
+
+def test_sides_are_the_table_sources(tmp_path):
+    for name, s in _every_kind(tmp_path).items():
         for side, xs in (("a", s.a_side), ("b", s.b_side)):
             assert xs is s.slice_table(side)[0], (name, side)
             assert xs.dtype == np.int64 and not xs.flags.writeable, (name, side)
@@ -96,16 +129,7 @@ def test_slice_table_hands_out_the_same_objects(build):
 
 
 def test_every_scheme_is_one_class(tmp_path):
-    g = builtin_scheme("nae3")
-    adversary.save_scheme(builtin_scheme("h6"), tmp_path / "h6.json")
-    cases = {
-        "builtin f4": builtin_scheme("f4"),
-        "unit": adversary.unit_scheme(parity(2), (0, 3), (1, 2), [(0, 1), (3, 1), (3, 2)]),
-        "loaded h6": adversary.load_scheme(tmp_path / "h6.json"),
-        "balanced h6": balance(builtin_scheme("h6")),
-        "nae3 squared": compose_scheme(g, g),
-    }
-    for name, s in cases.items():
+    for name, s in _every_kind(tmp_path).items():
         assert isinstance(s, ExplicitScheme), name
         assert type(s).slice_table is ExplicitScheme.slice_table, name
         assert type(s).sweep_pairs is ExplicitScheme.sweep_pairs, name
@@ -122,8 +146,9 @@ def _refuse(self, *args):
 
 
 def assert_balanced_on_tables(scheme) -> ExplicitScheme:
-    """balance(scheme) keeps the scheme's sources and ids and rescales each
-    triple in place by s = sqrt(v_B / v_A), without the pair constructor."""
+    """balance(scheme) keeps the scheme's sources, ids and slices objects
+    and rescales each entry's triples in a new entry list by s = sqrt(v_B
+    / v_A), without the pair constructor."""
     rep = loads(scheme)
     s = (rep.v_b / rep.v_a).sqrt()
     with pytest.MonkeyPatch.context() as mp:
@@ -135,15 +160,12 @@ def assert_balanced_on_tables(scheme) -> ExplicitScheme:
         "b": lambda i, fwd, bwd: (i, fwd / s, bwd * s),
     }
     for side in "ab":
-        sources, ids, slices = scheme.slice_table(side)
-        got_sources, got_ids, got_slices = bal.slice_table(side)
-        assert got_sources is sources and np.array_equal(got_ids, ids)
-        assert len(got_slices) == len(slices)
-        for sl, got in zip(slices, got_slices):
-            want = [
-                (xor, w, tuple(rescale[side](*t) for t in diffs)) for xor, w, diffs in sl.entries
-            ]
-            assert list(got.entries) == want, side
+        sources, ids, slices, entries = scheme.slice_table(side)
+        got_sources, got_ids, got_slices, got_entries = bal.slice_table(side)
+        assert got_sources is sources and got_ids is ids and got_slices is slices
+        assert got_entries is not entries
+        want = [(xor, w, tuple(rescale[side](*t) for t in diffs)) for xor, w, diffs in entries]
+        assert got_entries == want, side
     after = loads(bal)
     assert after.v_a == after.v_b == rep.v_max and verify(bal) == []
     return bal
